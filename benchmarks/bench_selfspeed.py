@@ -1,31 +1,24 @@
 """Self-speed benchmark: wall-clock of the repo's own hot path.
 
-Measures the full (model x platform x batch) sweep six ways —
+Measures the full (model x platform x batch) sweep three ways —
 
 * ``eager_serial`` — eager parameter materialization, no shared graph
-  cache, one core: the pre-fast-path behavior.
-* ``lazy_serial``  — lazy parameters + process-level graph cache.
-* ``lazy_thread``  — fast path fanned out over a thread pool.
-* ``lazy_process`` — fast path fanned out over a (pre-warmed,
-  persistent) process pool. The pool is warmed with one untimed run
-  first: pools persist across sweeps, so worker spawn + import are
-  process-level one-time costs, not per-sweep ones.
-* ``spec_cold``    — spec mode from empty caches: builds workload
-  tables from verifier-inferred specs, never allocating tensor data.
-* ``spec_warm``    — spec mode again: table cache + sweep memo hits.
+  cache, empty workload-table caches: the pre-lazy-parameter behavior.
+* ``cold``         — lazy parameters from empty graph and workload-table
+  caches: builds the tables from verifier-inferred specs, never
+  allocating tensor data.
+* ``warm``         — the same sweep again: table cache + sweep memo hits.
 
 and writes the results (plus derived speedups) to ``BENCH_sweep.json``
 at the repo root, seeding the performance trajectory across PRs.
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_selfspeed.py [--smoke] [--workers N]
+    PYTHONPATH=src python benchmarks/bench_selfspeed.py [--smoke]
 
-with ``--check`` to enforce the regression gates (spec mode at least
-5x over the lazy serial sweep; on full runs, the warm process pool no
-worse than 1.6x serial — smoke grids are too small for the IPC cost to
-amortize, so that gate only applies to the full grid), or as a pytest
-bench target (smoke mode)::
+with ``--check`` to enforce the regression gates (no tensor
+materialized by the cold or warm sweep, and the warm sweep at least 5x
+faster than the cold one), or as a pytest bench target (smoke mode)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_selfspeed.py -q
 """
@@ -34,16 +27,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import time
 from typing import Dict, List, Optional
 
-from repro.core import SpeedupStudy, shutdown_sweep_pools
+from repro.core import SpeedupStudy
 from repro.models import build_model
 from repro.ops import eager_params, materialization_count
 from repro.runtime import bypass_graph_cache, clear_graph_cache
-from repro.runtime import specmode
+from repro.runtime.specmode import clear_spec_caches
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_sweep.json"
@@ -51,13 +43,10 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_sweep.json"
 SMOKE_MODELS = ["rm1", "dien"]
 SMOKE_BATCHES = [1, 64]
 
-#: ``--check`` gates. Spec mode must beat the lazy serial sweep by 5x
-#: on any grid (the committed full-grid number is far higher; 5x keeps
-#: the gate robust to timer noise on loaded CI hosts). The process-pool
-#: gate tolerates the measured single-core IPC floor (~1.4x) plus
-#: slack.
-SPEC_MIN_SPEEDUP = 5.0
-PROCESS_MAX_SLOWDOWN = 1.6
+#: ``--check`` gate: the warm sweep must beat the cold one by 5x on any
+#: grid (the committed full-grid number is far higher; 5x keeps the
+#: gate robust to timer noise on loaded CI hosts).
+WARM_MIN_SPEEDUP = 5.0
 
 
 def _study(model_names: List[str], batches: List[int]) -> SpeedupStudy:
@@ -65,17 +54,19 @@ def _study(model_names: List[str], batches: List[int]) -> SpeedupStudy:
     return SpeedupStudy(models=models, batch_sizes=batches)
 
 
-def _time_arm(fn, *, cold: bool = True) -> float:
-    if cold:
-        clear_graph_cache()
+def _time_arm(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
 
 
+def _cold_caches() -> None:
+    clear_graph_cache()
+    clear_spec_caches()
+
+
 def run_bench(
     smoke: bool = False,
-    workers: Optional[int] = None,
     output: Optional[pathlib.Path] = DEFAULT_OUTPUT,
 ) -> Dict:
     from repro.models import MODEL_ORDER
@@ -83,8 +74,6 @@ def run_bench(
 
     model_names = SMOKE_MODELS if smoke else list(MODEL_ORDER)
     batches = SMOKE_BATCHES if smoke else paper_batch_sizes()
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
 
     arms: Dict[str, float] = {}
 
@@ -92,72 +81,30 @@ def run_bench(
         with eager_params(), bypass_graph_cache():
             _study(model_names, batches).run()
 
+    _cold_caches()
     arms["eager_serial_s"] = _time_arm(eager_serial)
 
+    _cold_caches()
     before = materialization_count()
-    arms["lazy_serial_s"] = _time_arm(lambda: _study(model_names, batches).run())
-    lazy_materializations = materialization_count() - before
+    arms["cold_s"] = _time_arm(lambda: _study(model_names, batches).run())
+    cold_materializations = materialization_count() - before
 
-    # Pool arms always fan out (>= 2 workers) so the executor path is
-    # exercised even on single-core machines. Each pool gets one
-    # untimed warm-up sweep first: pools are persistent across sweeps,
-    # so spawn/import is a process-level cost and the steady state is
-    # what callers actually see.
-    pool_workers = max(2, workers)
-    _study(model_names, batches).run(workers=pool_workers, mode="thread")
-    arms["lazy_thread_s"] = _time_arm(
-        lambda: _study(model_names, batches).run(workers=pool_workers, mode="thread")
-    )
-    _study(model_names, batches).run(workers=pool_workers, mode="process")
-    arms["lazy_process_s"] = _time_arm(
-        lambda: _study(model_names, batches).run(workers=pool_workers, mode="process")
-    )
-
-    # Spec mode: cold builds the workload tables from verifier specs;
-    # warm replays the sweep out of the table cache + sweep memo.
-    specmode.clear_spec_caches()
     before = materialization_count()
-    arms["spec_cold_s"] = _time_arm(
-        lambda: _study(model_names, batches).run(profile_mode="spec")
-    )
-    arms["spec_warm_s"] = _time_arm(
-        lambda: _study(model_names, batches).run(profile_mode="spec"),
-        cold=False,
-    )
-    spec_materializations = materialization_count() - before
-
-    shutdown_sweep_pools()
+    arms["warm_s"] = _time_arm(lambda: _study(model_names, batches).run())
+    warm_materializations = materialization_count() - before
 
     result = {
         "benchmark": "full_sweep_selfspeed",
         "smoke": smoke,
         "models": model_names,
         "batch_sizes": batches,
-        "workers": workers,
-        "pool_workers": pool_workers,
         "cells": len(model_names) * 4 * len(batches),
-        "lazy_materializations": lazy_materializations,
-        "spec_materializations": spec_materializations,
+        "cold_materializations": cold_materializations,
+        "warm_materializations": warm_materializations,
         "arms": {k: round(v, 4) for k, v in arms.items()},
         "speedups": {
-            "lazy_serial_vs_eager": round(
-                arms["eager_serial_s"] / arms["lazy_serial_s"], 2
-            ),
-            "lazy_thread_vs_eager": round(
-                arms["eager_serial_s"] / arms["lazy_thread_s"], 2
-            ),
-            "lazy_process_vs_eager": round(
-                arms["eager_serial_s"] / arms["lazy_process_s"], 2
-            ),
-            "spec_cold_vs_lazy_serial": round(
-                arms["lazy_serial_s"] / arms["spec_cold_s"], 2
-            ),
-            "spec_vs_lazy_serial": round(
-                arms["lazy_serial_s"] / arms["spec_warm_s"], 2
-            ),
-            "lazy_process_vs_serial": round(
-                arms["lazy_serial_s"] / arms["lazy_process_s"], 2
-            ),
+            "cold_vs_eager": round(arms["eager_serial_s"] / arms["cold_s"], 2),
+            "warm_vs_cold": round(arms["cold_s"] / arms["warm_s"], 2),
         },
     }
     if output is not None:
@@ -168,34 +115,26 @@ def run_bench(
 def check_result(result: Dict) -> List[str]:
     """Return a list of human-readable gate failures (empty = pass)."""
     failures: List[str] = []
-    arms = result["arms"]
-    if result["spec_materializations"] != 0:
+    for arm in ("cold", "warm"):
+        count = result[f"{arm}_materializations"]
+        if count != 0:
+            failures.append(f"{arm} sweep materialized {count} tensors")
+    warm_speedup = result["speedups"]["warm_vs_cold"]
+    if warm_speedup < WARM_MIN_SPEEDUP:
         failures.append(
-            f"spec mode materialized {result['spec_materializations']} tensors"
+            f"warm sweep only {warm_speedup}x over cold "
+            f"(gate: >= {WARM_MIN_SPEEDUP}x)"
         )
-    spec_speedup = result["speedups"]["spec_vs_lazy_serial"]
-    if spec_speedup < SPEC_MIN_SPEEDUP:
-        failures.append(
-            f"spec mode only {spec_speedup}x over lazy serial "
-            f"(gate: >= {SPEC_MIN_SPEEDUP}x)"
-        )
-    if not result["smoke"]:
-        ratio = arms["lazy_process_s"] / arms["lazy_serial_s"]
-        if ratio > PROCESS_MAX_SLOWDOWN:
-            failures.append(
-                f"warm process pool {ratio:.2f}x slower than serial "
-                f"(gate: <= {PROCESS_MAX_SLOWDOWN}x)"
-            )
     return failures
 
 
 def test_selfspeed_smoke(write_output):
-    """Smoke bench: the lazy fast path profiles without materializing."""
-    result = run_bench(smoke=True, workers=2, output=None)
-    assert result["lazy_materializations"] == 0
-    assert result["spec_materializations"] == 0
-    assert result["arms"]["lazy_serial_s"] > 0
-    assert result["arms"]["spec_warm_s"] > 0
+    """Smoke bench: cold and warm sweeps profile without materializing."""
+    result = run_bench(smoke=True, output=None)
+    assert result["cold_materializations"] == 0
+    assert result["warm_materializations"] == 0
+    assert result["arms"]["cold_s"] > 0
+    assert result["arms"]["warm_s"] > 0
     write_output(
         "selfspeed_smoke",
         json.dumps(result, indent=2),
@@ -205,7 +144,6 @@ def test_selfspeed_smoke(write_output):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny config for CI")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
         "--check", action="store_true",
         help="exit 1 unless the speed gates hold (see module docstring)",
@@ -217,7 +155,6 @@ def main() -> int:
     args = parser.parse_args()
     result = run_bench(
         smoke=args.smoke,
-        workers=args.workers,
         output=pathlib.Path(args.output),
     )
     print(json.dumps(result, indent=2))

@@ -7,7 +7,6 @@ benchmarks its own figure. Every regenerated table is also written to
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -26,15 +25,8 @@ def models():
 
 @pytest.fixture(scope="session")
 def full_sweep(models):
-    """8 models x {1..16384} x 4 platforms end-to-end profiles.
-
-    Fanned out over the parallel sweep engine; results are identical to
-    a serial run (profiles merge in canonical order).
-    """
-    workers = min(8, os.cpu_count() or 1)
-    return SpeedupStudy(models=models, batch_sizes=paper_batch_sizes()).run(
-        workers=workers
-    )
+    """8 models x {1..16384} x 4 platforms end-to-end profiles."""
+    return SpeedupStudy(models=models, batch_sizes=paper_batch_sizes()).run()
 
 
 @pytest.fixture(scope="session")

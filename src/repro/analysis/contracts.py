@@ -244,25 +244,43 @@ def _specmode_examples() -> st.SearchStrategy:
 
 
 def _check_specmode(example: Mapping[str, Any]) -> None:
+    from repro.gpusim import GpuModel
+    from repro.hw import platform_by_name
+    from repro.runtime import graph_cache
     from repro.runtime.session import InferenceSession
+    from repro.uarch import CpuModel
 
     model = _build_model(example["model"])
-    session = InferenceSession(model, example["platform"])
-    numeric = session.profile(example["batch"], mode="numeric")
-    spec = session.profile(example["batch"], mode="spec")
+    batch = example["batch"]
+    platform = platform_by_name(example["platform"])
+    spec = InferenceSession(model, platform).profile(batch)
+    # Reference: the scalar per-node model walk over the same graph.
+    graph = graph_cache.get_graph(model, batch)
+    input_bytes = [d.spec.nbytes for d in model.input_descriptions(batch)]
+    if platform.kind == "cpu":
+        raw = CpuModel(platform).profile_graph(
+            graph, input_bytes=sum(input_bytes)
+        )
+        data_comm = raw.data_load_seconds
+    else:
+        raw = GpuModel(platform).profile_graph(
+            graph, input_tensor_bytes=input_bytes
+        )
+        data_comm = raw.data_comm_seconds
     _require(
-        numeric.compute_seconds == spec.compute_seconds,
-        f"compute_seconds drifted: numeric={numeric.compute_seconds!r} "
+        raw.compute_seconds == spec.compute_seconds,
+        f"compute_seconds drifted: numeric={raw.compute_seconds!r} "
         f"spec={spec.compute_seconds!r}",
     )
     _require(
-        numeric.data_comm_seconds == spec.data_comm_seconds,
-        f"data_comm_seconds drifted: numeric={numeric.data_comm_seconds!r} "
+        data_comm == spec.data_comm_seconds,
+        f"data_comm_seconds drifted: numeric={data_comm!r} "
         f"spec={spec.data_comm_seconds!r}",
     )
+    numeric_by_kind = raw.time_by_kind()
     _require(
-        numeric.op_time_by_kind == spec.op_time_by_kind,
-        f"op_time_by_kind drifted: numeric={numeric.op_time_by_kind!r} "
+        numeric_by_kind == spec.op_time_by_kind,
+        f"op_time_by_kind drifted: numeric={numeric_by_kind!r} "
         f"spec={spec.op_time_by_kind!r}",
     )
 
@@ -565,7 +583,7 @@ def _check_colocation(example: Mapping[str, Any]) -> None:
     model = build_model(example["model"])
     session = InferenceSession(model, "broadwell")
     stm = ServiceTimeModel.from_profiles([
-        session.profile(b, mode="spec") for b in (1, 64)
+        session.profile(b) for b in (1, 64)
     ])
     gather = ShardGatherModel(
         build_layout(model, 1),
@@ -680,7 +698,7 @@ CONTRACTS: Tuple[Contract, ...] = (
     ),
     Contract(
         "spec_numeric_equivalence",
-        "spec-mode profiles equal numeric-mode profiles exactly "
+        "session profiles equal the scalar CPU/GPU model walk exactly "
         "(compute, data-comm, per-kind op time)",
         _specmode_examples, _check_specmode, cost=0.02,
     ),

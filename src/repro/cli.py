@@ -54,6 +54,7 @@ from repro.models import MODEL_ORDER, build_all_models, build_model
 from repro.monitor.scenario import (
     SCENARIOS as _MONITOR_SCENARIOS,
     replica_scenario_names as _replica_scenario_names,
+    service_model_for,
     shard_scenario_names as _shard_scenario_names,
 )
 from repro.runtime import (
@@ -61,7 +62,6 @@ from repro.runtime import (
     InferenceSession,
     QueryScheduler,
     ScheduleResult,
-    ServiceTimeModel,
 )
 
 __all__ = ["main", "build_parser"]
@@ -96,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batches", nargs="*", type=int, default=[1, 16, 256, 4096, 16384]
     )
-    _add_workers_arg(p)
-    p.add_argument(
-        "--mode", choices=["numeric", "spec"], default="numeric",
-        help="profile mode: 'numeric' walks the scalar cost models, "
-        "'spec' evaluates cached workload tables (identical results, "
-        "no tensor data)",
-    )
     p.add_argument(
         "--record-dir", default=None, dest="record_dir",
         help="also append one run record per sweep cell to this ledger",
@@ -116,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batches", nargs="*", type=int, default=[1, 16, 256, 4096, 16384]
     )
-    _add_workers_arg(p)
 
     p = sub.add_parser("topdown", help="TopDown table on both CPUs (Fig 8)")
     p.add_argument("--batch", type=int, default=16)
@@ -550,13 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_workers_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel sweep workers (1 = serial; results are identical)",
-    )
-
-
 def _add_telemetry_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="rm2", help="model name (aliases ok)")
     p.add_argument("--platform", default="broadwell")
@@ -611,9 +596,7 @@ def _cmd_characterize(args) -> str:
 def _cmd_sweep(args) -> str:
     names = args.models if args.models else MODEL_ORDER
     models = {n: build_model(n) for n in names}
-    sweep = SpeedupStudy(models=models, batch_sizes=args.batches).run(
-        workers=args.workers, profile_mode=args.mode
-    )
+    sweep = SpeedupStudy(models=models, batch_sizes=args.batches).run()
     rows = []
     for model in names:
         for batch in args.batches:
@@ -636,7 +619,7 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_optimal(args) -> str:
-    sweep = SpeedupStudy(batch_sizes=args.batches).run(workers=args.workers)
+    sweep = SpeedupStudy(batch_sizes=args.batches).run()
     cells = {}
     for cell in SpeedupStudy.optimal_platform_grid(sweep):
         cells[(cell.model, cell.batch_size)] = f"{cell.platform} {cell.speedup:.1f}x"
@@ -704,9 +687,7 @@ def _traced_characterization(args) -> Tuple[
 
     service_model = None
     if args.queries > 0:
-        calibration = sorted({1, max(2, batch // 4), batch, 2 * batch})
-        profiles = [session.profile(b) for b in calibration]
-        service_model = ServiceTimeModel.from_profiles(profiles)
+        service_model = service_model_for(model, args.platform, batch)
 
     result = None
     with telemetry.capture() as (tracer, registry):
@@ -747,16 +728,12 @@ def _cmd_trace_scheduler(args) -> str:
         SheddingPolicy,
     )
 
+    batch = args.batch_size
     try:
         model = build_model(args.model)
-        session = InferenceSession(model, args.platform)
+        stm = service_model_for(model, args.platform, batch)
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}")
-    batch = args.batch_size
-    calibration = sorted({1, max(2, batch // 4), batch, 2 * batch})
-    stm = ServiceTimeModel.from_profiles(
-        [session.profile(b) for b in calibration]
-    )
     peak = batch / stm.seconds(batch)
     qps = args.qps if args.qps else 0.5 * peak
     queries = args.queries if args.queries > 0 else 512
@@ -784,7 +761,7 @@ def _cmd_trace_scheduler(args) -> str:
 
     out = args.output
     if out is None:
-        out = f"{session.model.name}_{args.platform}.{mode}.trace.json".replace(
+        out = f"{model.name}_{args.platform}.{mode}.trace.json".replace(
             " ", "_"
         )
     spans = tracer.sorted_spans()
@@ -792,7 +769,7 @@ def _cmd_trace_scheduler(args) -> str:
     try:
         telemetry.write_chrome_trace(
             out, spans,
-            process_name=f"repro {mode}: {session.model.name} on "
+            process_name=f"repro {mode}: {model.name} on "
             f"{args.platform}",
             metrics=snapshot,
         )
@@ -883,15 +860,6 @@ def _cmd_metrics(args) -> str:
     return telemetry.render_metrics(registry.snapshot(), args.format)
 
 
-def _service_model_for(model, platform: str, batch: int):
-    """Calibrate a ServiceTimeModel from a handful of targeted profiles."""
-    session = InferenceSession(model, platform)
-    calibration = sorted({1, max(2, batch // 4), batch, 2 * batch})
-    return ServiceTimeModel.from_profiles(
-        [session.profile(b) for b in calibration]
-    )
-
-
 def _cmd_resilience(args) -> str:
     from repro.core import SlaBudget
     from repro.models.dlrm import DLRM
@@ -910,15 +878,15 @@ def _cmd_resilience(args) -> str:
 
     try:
         model = build_model(args.model)
-        primary_stm = _service_model_for(model, args.platform, args.batch_size)
+        primary_stm = service_model_for(model, args.platform, args.batch_size)
         fallback_stm = None
         if args.fallback and args.fallback.lower() != "none":
-            fallback_stm = _service_model_for(
+            fallback_stm = service_model_for(
                 model, args.fallback, args.batch_size
             )
         degraded_stm = None
         if isinstance(model, DLRM):
-            degraded_stm = _service_model_for(
+            degraded_stm = service_model_for(
                 degraded_variant(model), args.platform, args.batch_size
             )
     except KeyError as exc:

@@ -52,11 +52,9 @@ from repro.core.regression import (
 from repro.core.report import format_seconds, render_grid, render_table, to_csv
 from repro.core.speedup import (
     BASELINE_PLATFORM,
-    PROCESS_POOL_MIN_WORK,
     OptimalCell,
     SpeedupStudy,
     SweepResult,
-    shutdown_sweep_pools,
 )
 from repro.core.topdown_analysis import (
     TOPDOWN_BATCH_SIZE,
@@ -101,8 +99,6 @@ __all__ = [
     "SweepResult",
     "OptimalCell",
     "BASELINE_PLATFORM",
-    "PROCESS_POOL_MIN_WORK",
-    "shutdown_sweep_pools",
     "OperatorBreakdown",
     "breakdown_for",
     "framework_comparison",

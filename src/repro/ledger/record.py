@@ -318,15 +318,18 @@ def record_profile(
     from repro.core import characterize
     from repro.models import build_model
     from repro.runtime import clear_graph_cache
+    from repro.runtime.specmode import clear_spec_caches
 
     if isinstance(model, str):
         model = build_model(model)
     fingerprint = fingerprint_for(model, platform, batch_size, seed)
     if with_metrics:
-        # Records must not depend on process history: a warm graph cache
-        # would flip hit/miss counters (and skip graph verification) in
-        # the captured snapshot, breaking byte-stable baselines.
+        # Records must not depend on process history: a warm graph or
+        # workload-table cache would flip hit/miss counters (and skip
+        # graph verification) in the captured snapshot, breaking
+        # byte-stable baselines.
         clear_graph_cache()
+        clear_spec_caches()
         with telemetry.capture() as (_, registry):
             report = characterize(model, platform, batch_size)
         metrics = registry.snapshot()
@@ -434,8 +437,8 @@ def record_run(
     and the batch-occupancy distribution on top of the profile stack.
     """
     from repro.models import build_model
-    from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
-    from repro.runtime.session import InferenceSession
+    from repro.monitor.scenario import service_model_for
+    from repro.runtime import BatchingPolicy, QueryScheduler
 
     if isinstance(model, str):
         model = build_model(model)
@@ -445,11 +448,7 @@ def record_run(
     )
     if queries <= 0:
         return base
-    session = InferenceSession(model, platform)
-    calibration = sorted({1, max(2, batch_size // 4), batch_size, 2 * batch_size})
-    service_model = ServiceTimeModel.from_profiles(
-        [session.profile(b) for b in calibration]
-    )
+    service_model = service_model_for(model, platform, batch_size)
     peak = batch_size / service_model.seconds(batch_size)
     arrival_qps = qps if qps else 0.5 * peak
     scheduler = QueryScheduler(
@@ -472,7 +471,7 @@ def record_sweep(
     """One profile record per (model, platform, batch) cell of a sweep.
 
     Sweep profiles don't carry a metrics capture (the sweep may have
-    run with telemetry off and in parallel), so these records hold the
+    run with telemetry off), so these records hold the
     scalar/operator stack only — still enough for ``repro diff``.
     """
     records: List[RunRecord] = []

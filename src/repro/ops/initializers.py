@@ -15,7 +15,7 @@ def seed_for(*key_parts: object) -> int:
 
     Uses BLAKE2b rather than Python's builtin ``hash``: the builtin is
     salted per process (``PYTHONHASHSEED``), which would materialize
-    *different* weights in every worker of a parallel sweep. A content
+    *different* weights in every interpreter. A content
     digest keeps the seed a pure function of the key text.
     """
     key = "\x1f".join(str(p) for p in key_parts).encode("utf-8")

@@ -107,8 +107,7 @@ class GraphCache:
 
         The build happens under the cache lock: with lazy parameters a
         build is cheap (shape inference only), and holding the lock
-        keeps concurrent sweep workers from building the same graph
-        twice.
+        keeps concurrent callers from building the same graph twice.
         """
         key = self._key(model, batch_size)
         with self._lock:
@@ -174,7 +173,7 @@ def bypass_graph_cache():
     global _bypass
     prev = _bypass
     # Benchmark-baseline toggle, flipped only from the benchmark's main
-    # thread before workers start; never raced against cache lookups.
+    # thread; never raced against cache lookups.
     _bypass = True  # repro: noqa(REP004)
     try:
         yield

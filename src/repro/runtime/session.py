@@ -19,11 +19,11 @@ import numpy as np
 from repro import telemetry
 from repro.graph import Graph, execute
 from repro.runtime import graph_cache
-from repro.gpusim import GpuGraphProfile, GpuModel
+from repro.gpusim import GpuGraphProfile
 from repro.hw import PlatformSpec, platform_by_name
 from repro.models import RecommendationModel
 from repro.telemetry import MODELED_TID, Span
-from repro.uarch import CpuGraphProfile, CpuModel, PmuEvents, UarchConstants
+from repro.uarch import CpuGraphProfile, PmuEvents, UarchConstants
 from repro.workloads import QueryGenerator
 
 __all__ = [
@@ -163,19 +163,18 @@ class InferenceSession:
         platform: Union[str, PlatformSpec],
         constants: Optional[UarchConstants] = None,
     ) -> None:
+        if not isinstance(model, RecommendationModel):
+            raise TypeError(
+                "model must be a RecommendationModel, "
+                f"got {type(model).__name__}"
+            )
         self.model = model
         self.platform = (
             platform_by_name(platform) if isinstance(platform, str) else platform
         )
+        if self.platform.kind != "cpu" and constants is not None:
+            raise ValueError("uarch constants only apply to CPU platforms")
         self._constants = constants
-        if self.platform.kind == "cpu":
-            self._cpu_model: Optional[CpuModel] = CpuModel(self.platform, constants)
-            self._gpu_model: Optional[GpuModel] = None
-        else:
-            if constants is not None:
-                raise ValueError("uarch constants only apply to CPU platforms")
-            self._cpu_model = None
-            self._gpu_model = GpuModel(self.platform)
 
     def graph(self, batch_size: int) -> Graph:
         return graph_cache.get_graph(self.model, batch_size)
@@ -207,39 +206,27 @@ class InferenceSession:
 
     # -- performance modeling --------------------------------------------------
 
-    def profile(
-        self, batch_size: int, mode: str = "numeric"
-    ) -> InferenceProfile:
+    def profile(self, batch_size: int) -> InferenceProfile:
         """Model one inference.
 
-        ``mode="numeric"`` walks the graph through the scalar uarch /
-        gpusim models. ``mode="spec"`` evaluates the same costs from
-        the cached workload table (:mod:`repro.runtime.specmode`) —
-        bit-identical results, no per-node Python model walk, and no
-        tensor data ever allocated.
+        Costs are evaluated from the cached workload table of
+        ``(model, batch_size)`` (:mod:`repro.runtime.specmode`): no
+        per-node Python model walk and no tensor data allocated. The
+        result equals the scalar :class:`~repro.uarch.CpuModel` /
+        :class:`~repro.gpusim.GpuModel` walk of :meth:`graph` bit for
+        bit.
         """
-        if mode not in ("numeric", "spec"):
-            raise ValueError(f"unknown profile mode {mode!r}")
-        if mode == "spec":
-            from repro.runtime import specmode
+        from repro.runtime import specmode
 
-            with telemetry.get_tracer().span(
-                "session.profile",
-                category="session",
-                model=self.model.name,
-                platform=self.platform.name,
-                batch_size=batch_size,
-                mode="spec",
-            ):
-                profile = specmode.profile_spec(
-                    self.model,
-                    self.platform,
-                    batch_size,
-                    constants=self._constants,
-                )
-            if telemetry.enabled():
-                self._record_profile_telemetry(profile)
-            return profile
+        if isinstance(batch_size, bool) or not isinstance(
+            batch_size, (int, np.integer)
+        ):
+            raise TypeError(
+                f"batch_size must be an int, got {type(batch_size).__name__}"
+            )
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        batch_size = int(batch_size)
         with telemetry.get_tracer().span(
             "session.profile",
             category="session",
@@ -247,41 +234,9 @@ class InferenceSession:
             platform=self.platform.name,
             batch_size=batch_size,
         ):
-            graph = self.graph(batch_size)
-            input_bytes = [
-                desc.spec.nbytes
-                for desc in self.model.input_descriptions(batch_size)
-            ]
-            if self._cpu_model is not None:
-                raw = self._cpu_model.profile_graph(
-                    graph, input_bytes=sum(input_bytes)
-                )
-                profile = InferenceProfile(
-                    model_name=self.model.name,
-                    platform_name=self.platform.name,
-                    platform_kind="cpu",
-                    batch_size=batch_size,
-                    compute_seconds=raw.compute_seconds,
-                    data_comm_seconds=raw.data_load_seconds,
-                    op_time_by_kind=raw.time_by_kind(),
-                    events=raw.events,
-                    raw=raw,
-                )
-            else:
-                raw = self._gpu_model.profile_graph(
-                    graph, input_tensor_bytes=input_bytes
-                )
-                profile = InferenceProfile(
-                    model_name=self.model.name,
-                    platform_name=self.platform.name,
-                    platform_kind="gpu",
-                    batch_size=batch_size,
-                    compute_seconds=raw.compute_seconds,
-                    data_comm_seconds=raw.data_comm_seconds,
-                    op_time_by_kind=raw.time_by_kind(),
-                    events=None,
-                    raw=raw,
-                )
+            profile = specmode.profile_spec(
+                self.model, self.platform, batch_size, constants=self._constants
+            )
         if telemetry.enabled():
             self._record_profile_telemetry(profile)
         return profile

@@ -1,17 +1,17 @@
 """Spec-mode profiling: numerics-free cost evaluation from workload tables.
 
-The numeric profile path walks every graph node in Python, calling the
-scalar uarch/gpusim models per operator — correct, but the sweep grid
-(models x batches x platforms) pays that Python cost per cell. Spec
-mode splits the work differently:
+Every session profile and sweep runs through this module. The scalar
+uarch/gpusim models walk every graph node in Python per operator —
+correct, and kept as the reference the tests compare against, but the
+sweep grid (models x batches x platforms) would pay that Python cost
+per cell. Spec mode splits the work differently:
 
 1. A :class:`WorkloadTable` is extracted once per ``(model, batch)``
-   from the *same* cached graph the numeric path profiles — the same
-   ``op.workload(input_specs)`` calls, so every field is identical by
+   from the cached graph — the same ``op.workload(input_specs)`` calls
+   the scalar models make, so every field is identical by
    construction — and holds the hardware-neutral quantities as flat
    float64/int64 arrays. Tables are platform-independent and cached in
-   a process-level LRU (numeric mode recomputes the workloads once per
-   platform).
+   a process-level LRU.
 2. :class:`StackedTables` pads all sweep cells into ``(cells, nodes)``
    and ``(cells, nodes, streams)`` arrays so one vectorized evaluation
    (:mod:`repro.uarch.vectorized`, :mod:`repro.gpusim.vectorized`)
@@ -117,8 +117,8 @@ def table_from_graph(
     """Extract a workload table from an already-built graph.
 
     Issues exactly the ``node.op.workload(input_specs)`` calls the
-    numeric profilers make, so the table's values are the numeric
-    path's values.
+    scalar profilers make, so the table's values are the scalar
+    models' values.
     """
     nodes = graph.nodes
     workloads = []
@@ -261,7 +261,7 @@ class _SweepMemo:
     cache, which in turn misses here — no staleness. Entries cache the
     stacked arrays and, per platform, the evaluated profile lists, so
     repeated identical sweeps (monitor loops, benchmark arms) skip the
-    vectorized evaluation the way numeric mode skips graph rebuilds.
+    vectorized evaluation the way the graph cache skips graph rebuilds.
     """
 
     def __init__(self, maxsize: int = 4) -> None:
@@ -606,8 +606,7 @@ def profile_spec_sweep(
 
     All (model, batch) tables are stacked once; each platform is then a
     single vectorized evaluation over every cell. The returned dict is
-    keyed and ordered exactly like the numeric sweep merge:
-    ``(model, platform, batch)`` in canonical serial order.
+    keyed and ordered ``(model, platform, batch)`` in canonical order.
 
     Repeated sweeps over unchanged models return memoized profile
     objects (the tables are immutable and the evaluation is a pure

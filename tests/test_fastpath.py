@@ -1,17 +1,14 @@
 """Tests for the profiling fast path.
 
-Covers the three tentpole pieces — lazy parameter materialization, the
-process-level shared graph cache, and the parallel sweep engine — plus
-the stable seeding that replaces salted ``hash()``:
+Covers lazy parameter materialization and the process-level shared
+graph cache, plus the stable seeding that replaces salted ``hash()``:
 
 * ``seed_for`` / ``rng_for`` are content digests, cross-checked against
   pinned values (they must survive interpreter restarts and any
   ``PYTHONHASHSEED``);
 * ``profile()`` materializes zero parameter arrays;
 * lazy ``run()`` is bit-identical to eager construction for every zoo
-  model;
-* parallel sweeps (thread and process) merge to exactly the serial
-  result.
+  model.
 """
 
 import numpy as np
@@ -158,83 +155,16 @@ class TestGraphCache:
         assert session.graph(4) is cached
 
 
-def _profiles_equal(a, b) -> bool:
-    fields = ("model_name", "platform_name", "platform_kind", "batch_size")
-    if any(getattr(a, f) != getattr(b, f) for f in fields):
-        return False
-    return (
-        a.compute_seconds == b.compute_seconds
-        and a.data_comm_seconds == b.data_comm_seconds
-        and a.op_time_by_kind == b.op_time_by_kind
-        and a.events == b.events
-    )
-
-
 class TestParallelSweep:
-    BATCHES = [1, 16, 256]
+    """Zoo model rebuilds are structurally deterministic.
 
-    def _study(self):
-        models = {name: build_model(name) for name in ("ncf", "rm2", "din")}
-        return SpeedupStudy(models=models, batch_sizes=self.BATCHES)
-
-    @pytest.mark.parametrize("mode", ["thread", "process", "auto"])
-    def test_parallel_matches_serial(self, mode):
-        serial = self._study().run()
-        parallel = self._study().run(workers=4, mode=mode)
-        assert list(serial.profiles) == list(parallel.profiles)
-        for key in serial.profiles:
-            assert _profiles_equal(serial.profiles[key], parallel.profiles[key])
-
-    def test_workers_one_is_serial(self):
-        a = self._study().run()
-        b = self._study().run(workers=1)
-        assert list(a.profiles) == list(b.profiles)
-        for key in a.profiles:
-            assert _profiles_equal(a.profiles[key], b.profiles[key])
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self._study().run(workers=2, mode="fiber")
+    The workload-table and graph caches key on ``graph_signature()``,
+    so two builds of the same zoo model must share every cache entry.
+    """
 
     def test_all_zoo_models_process_safe(self):
-        # Process mode rebuilds models by name in the workers; every
-        # factory model must round-trip to an identical signature.
         for name, factory in MODEL_FACTORIES.items():
             assert factory().graph_signature() == factory().graph_signature(), name
-
-    def _auto_pool_modes(self, study, workers=2):
-        from repro import telemetry
-
-        with telemetry.capture() as (_, registry):
-            study.run(workers=workers, mode="auto")
-        return [
-            (m["labels"].get("mode"), m["value"])
-            for m in registry.snapshot()
-            if m["name"] == "sweep.pool_mode"
-        ]
-
-    def test_auto_stays_on_threads_when_serialization_dominates(self):
-        # Cell work here (sum of batches = 273) is far below the
-        # threshold: pickling models across a process pool would cost
-        # more than the profiling itself, so auto must pick threads —
-        # and record the decision.
-        from repro.core.speedup import PROCESS_POOL_MIN_WORK
-
-        study = self._study()
-        assert sum(study.batch_sizes) < PROCESS_POOL_MIN_WORK
-        assert self._auto_pool_modes(study) == [("thread", 1.0)]
-
-    def test_auto_picks_processes_above_work_threshold(self, monkeypatch):
-        # Lower the threshold instead of profiling a 200k-query cell;
-        # the decision reads the module global at run time.
-        from repro.core import speedup as speedup_mod
-
-        monkeypatch.setattr(speedup_mod, "PROCESS_POOL_MIN_WORK", 10)
-        assert self._auto_pool_modes(self._study()) == [("process", 1.0)]
-
-    def test_auto_serial_run_records_no_pool_mode(self):
-        # workers=1 never consults the pool heuristic.
-        assert self._auto_pool_modes(self._study(), workers=1) == []
 
 
 class TestObserveMany:

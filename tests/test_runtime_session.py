@@ -79,3 +79,35 @@ class TestInferenceSession:
         session.run(feeds)
         assert profile.batch_size == 4
         assert set(profile.op_time_by_kind) == set(session.graph(4).kinds())
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("model", ["rm1", None, 3])
+    def test_model_must_be_a_recommendation_model(self, model):
+        with pytest.raises(TypeError, match="model"):
+            InferenceSession(model, "broadwell")
+
+    def test_service_model_for_rejects_model_name(self):
+        from repro.monitor.scenario import service_model_for
+
+        with pytest.raises(TypeError, match="model"):
+            service_model_for("rm1", "t4", 64)
+
+    @pytest.mark.parametrize("batch", [True, 2.5, "8", None, np.float64(8)])
+    def test_batch_size_must_be_an_int(self, batch):
+        session = InferenceSession(build_model("ncf"), "broadwell")
+        with pytest.raises(TypeError, match="batch_size"):
+            session.profile(batch)
+
+    @pytest.mark.parametrize("batch", [0, -1, np.int64(0)])
+    def test_batch_size_must_be_positive(self, batch):
+        session = InferenceSession(build_model("ncf"), "t4")
+        with pytest.raises(ValueError, match="batch_size"):
+            session.profile(batch)
+
+    def test_numpy_integer_batch_accepted(self):
+        session = InferenceSession(build_model("ncf"), "broadwell")
+        profile = session.profile(np.int64(16))
+        assert profile.batch_size == 16
+        assert type(profile.batch_size) is int
+        assert profile.total_seconds == session.profile(16).total_seconds

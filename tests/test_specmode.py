@@ -103,46 +103,47 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", MODEL_ORDER)
     def test_session_spec_mode_matches_numeric(self, name):
         model = build_model(name)
+        input_nbytes = [d.spec.nbytes for d in model.input_descriptions(64)]
         for platform_name in ("broadwell", "t4"):
             session = InferenceSession(model, platform_name)
-            num = session.profile(64)
-            spec = session.profile(64, mode="spec")
-            assert spec.compute_seconds == num.compute_seconds
-            assert spec.data_comm_seconds == num.data_comm_seconds
-            assert spec.op_time_by_kind == num.op_time_by_kind
-            assert (spec.events is None) == (num.events is None)
-            if num.events is not None:
-                assert spec.events.as_dict() == num.events.as_dict()
-            assert spec.model_name == num.model_name
-            assert spec.platform_name == num.platform_name
-            assert spec.platform_kind == num.platform_kind
-            assert spec.summary_scalars() == num.summary_scalars()
-
-    def test_session_rejects_unknown_mode(self):
-        session = InferenceSession(build_model("ncf"), "broadwell")
-        with pytest.raises(ValueError):
-            session.profile(8, mode="eager")
+            num = _numeric_profile(session.graph(64), platform_name, input_nbytes)
+            got = session.profile(64)
+            assert got.model_name == name
+            assert got.platform_name == session.platform.name
+            if session.platform.kind == "cpu":
+                assert got.platform_kind == "cpu"
+                assert got.data_comm_seconds == num.data_load_seconds
+                assert got.events.as_dict() == num.events.as_dict()
+                _assert_cpu_identical(got.raw, num)
+            else:
+                assert got.platform_kind == "gpu"
+                assert got.data_comm_seconds == num.data_comm_seconds
+                assert got.events is None
+                _assert_gpu_identical(got.raw, num)
+            assert got.compute_seconds == num.compute_seconds
+            assert got.op_time_by_kind == num.time_by_kind()
 
     def test_sweep_spec_mode_matches_serial(self):
         models = {n: build_model(n) for n in MODEL_ORDER}
-        serial = SpeedupStudy(models=models, batch_sizes=[1, 64]).run()
-        spec = SpeedupStudy(models=models, batch_sizes=[1, 64]).run(
-            profile_mode="spec"
-        )
-        assert list(serial.profiles) == list(spec.profiles)
-        for key, num in serial.profiles.items():
-            got = spec.profiles[key]
+        batches = [1, 64]
+        sweep = SpeedupStudy(models=models, batch_sizes=batches).run()
+        assert list(sweep.profiles) == [
+            (m, p, b) for m in models for p in PLATFORM_ORDER for b in batches
+        ]
+        for (name, platform_name, batch), got in sweep.profiles.items():
+            model = models[name]
+            num = _numeric_profile(
+                model.build_graph(batch),
+                platform_name,
+                [d.spec.nbytes for d in model.input_descriptions(batch)],
+            )
             assert got.compute_seconds == num.compute_seconds
-            assert got.data_comm_seconds == num.data_comm_seconds
-            assert got.op_time_by_kind == num.op_time_by_kind
-            if num.events is not None:
+            assert got.op_time_by_kind == num.time_by_kind()
+            if got.platform_kind == "cpu":
+                assert got.data_comm_seconds == num.data_load_seconds
                 assert got.events.as_dict() == num.events.as_dict()
-
-    def test_sweep_rejects_unknown_profile_mode(self):
-        with pytest.raises(ValueError):
-            SpeedupStudy(
-                models={"ncf": build_model("ncf")}, batch_sizes=[1]
-            ).run(profile_mode="tensor")
+            else:
+                assert got.data_comm_seconds == num.data_comm_seconds
 
 
 class TestNoTensorData:
