@@ -362,3 +362,74 @@ class TestTraceSchedulerModes:
     def test_modes_are_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "--scheduler", "--resilience"])
+
+
+#: sha256 of the full stdout of each scenario subcommand. These pin the
+#: rendered output byte for byte, so any refactor of the scenario
+#: pipeline behind them must leave every row, digit and key unchanged.
+_STDOUT_PINS = [
+    (
+        ["resilience", "--model", "rm1", "--queries", "300", "--seed", "7",
+         "--scenario", "mixed"],
+        "38b8f6b5d7c207f592147f69d2246261a34917b57b84230e7be34c4fae1c6393",
+    ),
+    (
+        # No degraded variant and no fallback: the hedge, breaker and
+        # degrade rows drop out of the matrix.
+        ["resilience", "--model", "ncf", "--fallback", "none",
+         "--queries", "200", "--seed", "7", "--scenario", "crash"],
+        "2be7dd3b299016b18dd5c3072e155f69216ce5aee45fd530c4119f4f0c8d1e64",
+    ),
+    (
+        ["monitor", "--model", "rm1", "--platform", "t4", "--scenario",
+         "slowdown", "--slowdown-multiplier", "5.0"],
+        "f04174eb7deac97e16e6e911e5ffa0d797038c159a2f3251bbc37533ee97a573",
+    ),
+    (
+        ["monitor", "--model", "rm1", "--platform", "t4", "--scenario",
+         "slowdown", "--slowdown-multiplier", "5.0", "--format", "json"],
+        "a2d98844ac9c3b4f75e46c2ba423a3877e1717de202061190c883e30f0908584",
+    ),
+    (
+        ["monitor", "--model", "rm2", "--platform", "broadwell",
+         "--scenario", "shard_slowdown", "--queries", "600"],
+        "510b0326706d5b71e087aa3339b2e20c3b62d0697043c92c7cb240667a90178d",
+    ),
+    (
+        ["explain", "--what-if", "all", "--format", "json"],
+        "a4d16792d02e893c497274c5fd7411a1c897b9cd0010121da9abc2ac08ebf0dc",
+    ),
+    (
+        ["shard", "--format", "json"],
+        "4ddc83bca3b16a8bb61b08e54da12667ccf91ae5fb49df10a0dc31bac176a8a4",
+    ),
+]
+
+
+class TestScenarioOutputPins:
+    @pytest.mark.parametrize(
+        "argv,digest", _STDOUT_PINS, ids=[" ".join(a) for a, _ in _STDOUT_PINS]
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        import hashlib
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    def test_trace_resilience_summary_lines(self, capsys, tmp_path):
+        # Span times are wall clock; only the simulation summary is
+        # deterministic.
+        assert main([
+            "trace", "--resilience", "--model", "rm1", "--queries", "200",
+            "-o", str(tmp_path / "res.trace.json"),
+        ]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("resilience:", "injected:"))
+        ]
+        assert lines == [
+            "resilience: 200/200 completed at 41563 QPS, p50/p99 = "
+            "1.619 / 2.349 ms",
+            "injected: none",
+        ]
