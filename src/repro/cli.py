@@ -31,14 +31,24 @@ Commands mirror the characterization workflow:
   paths (text/JSON output; nonzero exit for CI gating).
 * ``verify`` — statically verify every zoo model graph (raw and
   optimized) with the shape/dtype verifier.
+* ``claims`` — check every encoded paper claim against the models.
+* ``explain`` — critical-path latency attribution of one fault
+  scenario, with what-if bounds.
+* ``shard`` — sharded-gather placement × gather-policy matrix under
+  injected shard faults.
+* ``fuzz`` — differential fuzzing of the cross-implementation
+  contracts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from pathlib import Path
+from typing import Iterable, List, Optional, Tuple
 
 from repro import telemetry
 from repro.core import (
@@ -49,13 +59,36 @@ from repro.core import (
     render_grid,
     render_table,
 )
+from repro.distserve import matrix_records, run_shard_matrix
 from repro.hw import PLATFORM_ORDER, PLATFORMS
+from repro.ledger import (
+    DEFAULT_TOLERANCE,
+    RunLedger,
+    diff_against_baselines,
+    diff_records,
+    evaluate,
+    fingerprint_for,
+    load_records,
+    load_rules,
+    record_run,
+    record_schedule,
+    record_sweep,
+)
 from repro.models import MODEL_ORDER, build_all_models, build_model
+from repro.monitor import (
+    MonitorReport,
+    detect_regime_shifts,
+    detect_tail_excursions,
+    evaluate_burn_rates,
+)
 from repro.monitor.scenario import (
-    SCENARIOS as _MONITOR_SCENARIOS,
-    replica_scenario_names as _replica_scenario_names,
+    SCENARIOS,
+    build_scenario,
+    replica_scenario_names,
+    run_monitored_scenario,
+    run_policy_matrix,
     service_model_for,
-    shard_scenario_names as _shard_scenario_names,
+    shard_scenario_names,
 )
 from repro.runtime import (
     BatchingPolicy,
@@ -65,12 +98,6 @@ from repro.runtime import (
 )
 
 __all__ = ["main", "build_parser"]
-
-#: ``monitor`` accepts every scenario; ``resilience`` only the
-#: replica-level ones and ``shard`` only the shard-level ones.
-_SCENARIO_NAMES = tuple(_MONITOR_SCENARIOS)
-_REPLICA_SCENARIOS = _replica_scenario_names()
-_SHARD_SCENARIOS = _shard_scenario_names()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batches", nargs="*", type=int, default=[1, 16, 256, 4096, 16384]
     )
-    p.add_argument(
-        "--record-dir", default=None, dest="record_dir",
-        help="also append one run record per sweep cell to this ledger",
+    _add_outputs(
+        p, record_dir="also append one run record per sweep cell to this ledger"
     )
     p.add_argument(
         "--seed", type=int, default=2020,
@@ -159,63 +185,26 @@ def build_parser() -> argparse.ArgumentParser:
         "resilience",
         help="policy matrix under injected faults: p99 with each policy on/off",
     )
-    p.add_argument("--model", default="rm2", help="model name (aliases ok)")
-    p.add_argument("--platform", default="t4", help="primary platform")
-    p.add_argument(
-        "--fallback", default="broadwell",
-        help="standby platform for failover/hedging ('none' disables)",
-    )
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--queries", type=int, default=800)
-    p.add_argument(
-        "--qps", type=float, default=None,
-        help="arrival rate (default: 40%% of the primary's peak capacity)",
-    )
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument(
-        "--scenario", default="slowdown", choices=sorted(_REPLICA_SCENARIOS),
+    _add_scenario_args(
+        p, model="rm2", queries=800, fallback="broadwell",
+        scenarios=("slowdown", replica_scenario_names()),
     )
     p.add_argument(
         "--deadline-ms", type=float, default=None, dest="deadline_ms",
         help="SLA deadline (default: 10x the batch service time)",
     )
-    p.add_argument(
-        "--trace", default=None,
-        help="write a Perfetto trace of the all-policies run to this path",
-    )
-    p.add_argument(
-        "--record-dir", default=None, dest="record_dir",
-        help="append a run record of the all-policies run to this ledger",
+    _add_outputs(
+        p, trace="write a Perfetto trace of the all-policies run to this path",
+        record_dir="append a run record of the all-policies run to this ledger",
     )
 
     p = sub.add_parser(
         "monitor",
         help="windowed serving timeline with regime/tail/burn-rate alerts",
     )
-    p.add_argument("--model", default="rm1", help="model name (aliases ok)")
-    p.add_argument("--platform", default="t4", help="primary platform")
-    p.add_argument(
-        "--fallback", default=None,
-        help="standby platform for failover/hedging (default: none)",
-    )
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--queries", type=int, default=1200)
-    p.add_argument(
-        "--qps", type=float, default=None,
-        help="arrival rate (default: 40%% of the primary's peak capacity)",
-    )
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument(
-        "--scenario", default="slowdown", choices=sorted(_SCENARIO_NAMES),
-    )
-    p.add_argument(
-        "--slowdown-multiplier", type=float, default=None,
-        dest="slowdown_multiplier",
-        help="override the scenario's GPU-throttle multiplier",
-    )
-    p.add_argument(
-        "--window-ms", type=float, default=None, dest="window_ms",
-        help="telemetry window (default: horizon / 24 windows)",
+    _add_scenario_args(
+        p, fallback=None, scenarios=("slowdown", SCENARIOS),
+        fault_knobs=True,
     )
     p.add_argument(
         "--rules", default=None,
@@ -223,19 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fast/slow burn-rate evaluation",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument(
-        "--trace", default=None,
-        help="write a Perfetto trace (spans + time-series counter "
+    _add_outputs(
+        p, trace="write a Perfetto trace (spans + time-series counter "
         "tracks) to this path",
-    )
-    p.add_argument(
-        "--record-dir", default=None, dest="record_dir",
-        help="append a run record (with its compact time-series "
+        record_dir="append a run record (with its compact time-series "
         "section) to this ledger",
-    )
-    p.add_argument(
-        "--report", default=None, dest="report",
-        help="also write a dashboard to this path (.html -> HTML, "
+        report="also write a dashboard to this path (.html -> HTML, "
         "else markdown)",
     )
     p.add_argument(
@@ -249,31 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="critical-path latency attribution for one fault scenario",
     )
-    p.add_argument("--model", default="rm1", help="model name (aliases ok)")
-    p.add_argument("--platform", default="t4", help="primary platform")
-    p.add_argument(
-        "--fallback", default=None,
-        help="standby platform for failover/hedging (default: none)",
-    )
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--queries", type=int, default=1200)
-    p.add_argument(
-        "--qps", type=float, default=None,
-        help="arrival rate (default: 40%% of the primary's peak capacity)",
-    )
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument(
-        "--scenario", default="slowdown", choices=sorted(_SCENARIO_NAMES),
-    )
-    p.add_argument(
-        "--slowdown-multiplier", type=float, default=None,
-        dest="slowdown_multiplier",
-        help="override the scenario's GPU-throttle multiplier",
-    )
-    p.add_argument(
-        "--window-ms", type=float, default=None, dest="window_ms",
-        help="telemetry window (default: horizon / 24 windows); also "
-        "the fault-overlap slack",
+    _add_scenario_args(
+        p, fallback=None, scenarios=("slowdown", SCENARIOS),
+        fault_knobs=True,
     )
     p.add_argument(
         "--what-if", default=None, dest="what_if",
@@ -299,19 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard cap on retained query records (reservoir bound)",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument(
-        "--trace", default=None,
-        help="write a Perfetto trace with per-query flow events "
+    _add_outputs(
+        p, trace="write a Perfetto trace with per-query flow events "
         "threading each query across its attempts",
-    )
-    p.add_argument(
-        "--record-dir", default=None, dest="record_dir",
-        help="append a run record carrying the attribution section "
+        record_dir="append a run record carrying the attribution section "
         "to this ledger",
-    )
-    p.add_argument(
-        "--report", default=None, dest="report",
-        help="also write an explain report to this path (.html -> "
+        report="also write an explain report to this path (.html -> "
         "HTML, else markdown)",
     )
     p.add_argument(
@@ -327,26 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded-gather placement x gather-policy matrix under "
         "injected shard faults",
     )
-    p.add_argument("--model", default="rm2", help="model name (aliases ok)")
-    p.add_argument("--platform", default="broadwell", help="serving platform")
+    _add_scenario_args(
+        p, model="rm2", platform="broadwell", queries=1500,
+        load="80%% of the sharded peak — model compute plus the healthy "
+        "blind gather",
+        scenarios=("shard_slowdown", shard_scenario_names()),
+    )
     p.add_argument(
         "--shards", type=int, default=4,
         help="simulated shard servers holding the embedding tables",
     )
     p.add_argument(
         "--sharding", choices=["row", "table", "column"], default="row",
-    )
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--queries", type=int, default=1500)
-    p.add_argument(
-        "--qps", type=float, default=None,
-        help="arrival rate (default: 80%% of the sharded peak — model "
-        "compute plus the healthy blind gather)",
-    )
-    p.add_argument("--seed", type=int, default=2020)
-    p.add_argument(
-        "--scenario", default="shard_slowdown",
-        choices=sorted(_SHARD_SCENARIOS),
     )
     p.add_argument(
         "--alpha", type=float, default=1.1,
@@ -361,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="holders a replicated read races (fastest-of-R)",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument(
-        "--record-dir", default=None, dest="record_dir",
-        help="write one tagged run record per matrix row to this ledger",
+    _add_outputs(
+        p, record_dir="write one tagged run record per matrix row to this ledger"
     )
     p.add_argument(
         "--split", action="store_true",
@@ -543,28 +487,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_telemetry_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default="rm2", help="model name (aliases ok)")
-    p.add_argument("--platform", default="broadwell")
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument(
-        "--queries", type=int, default=512,
-        help="queries in the scheduler simulation (0 disables it)",
-    )
-    p.add_argument(
-        "--qps", type=float, default=None,
-        help="arrival rate (default: half the server's peak capacity)",
+    _add_scenario_args(
+        p, model="rm2", platform="broadwell", queries=512,
+        queries_help="queries in the scheduler simulation (0 disables it)",
+        load="half the server's peak capacity",
     )
     p.add_argument(
         "--no-run", action="store_true",
         help="skip the functional NumPy execution of one batch",
     )
+
+
+def _add_outputs(p: argparse.ArgumentParser, **helps: str) -> None:
+    """Optional output paths (``trace``, ``record_dir``, ``report``),
+    each with its subcommand's help text."""
+    for dest, text in helps.items():
+        p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, help=text)
+
+
+#: ``_add_scenario_args(fallback=...)`` default: the subcommand has no
+#: ``--fallback`` flag.
+_NO_FALLBACK_FLAG = "-"
+
+
+def _add_scenario_args(
+    p: argparse.ArgumentParser,
+    *,
+    model: str = "rm1",
+    platform: str = "t4",
+    queries: int = 1200,
+    queries_help: Optional[str] = None,
+    load: str = "40%% of the primary's peak capacity",
+    fallback: Optional[str] = _NO_FALLBACK_FLAG,
+    scenarios: Optional[Tuple[str, Iterable[str]]] = None,
+    fault_knobs: bool = False,
+) -> None:
+    """The serving-scenario flags, shared by every subcommand that runs
+    one. ``scenarios`` is ``(default, choices)``; ``fault_knobs`` adds
+    ``--slowdown-multiplier`` and ``--window-ms``."""
+    p.add_argument("--model", default=model, help="model name (aliases ok)")
+    p.add_argument("--platform", default=platform, help="primary platform")
+    if fallback != _NO_FALLBACK_FLAG:
+        p.add_argument(
+            "--fallback", default=fallback,
+            help="standby platform for failover/hedging ('none' "
+            "disables; default: %(default)s)",
+        )
+    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
+    p.add_argument("--queries", type=int, default=queries, help=queries_help)
     p.add_argument(
-        "--seed", type=int, default=2020,
-        help="scheduler-simulation seed",
+        "--qps", type=float, default=None,
+        help=f"arrival rate (default: {load})",
     )
+    p.add_argument("--seed", type=int, default=2020)
+    if scenarios is not None:
+        default, choices = scenarios
+        p.add_argument("--scenario", default=default, choices=sorted(choices))
+    if fault_knobs:
+        p.add_argument(
+            "--slowdown-multiplier", type=float, default=None,
+            dest="slowdown_multiplier",
+            help="override the scenario's GPU-throttle multiplier",
+        )
+        p.add_argument(
+            "--window-ms", type=float, default=None, dest="window_ms",
+            help="telemetry window, and explain's fault-overlap slack "
+            "(default: horizon / 24 windows)",
+        )
 
 
-def _cmd_models() -> str:
+def _cmd_models(args) -> str:
     rows = [
         [m.info.display_name, name, m.info.application_domain,
          m.total_embedding_tables(), f"{m.lookups_per_table():.0f}"]
@@ -575,7 +567,7 @@ def _cmd_models() -> str:
     )
 
 
-def _cmd_platforms() -> str:
+def _cmd_platforms(args) -> str:
     rows = [
         [key, spec.name, spec.microarchitecture, spec.kind,
          f"{spec.dram_bandwidth_gbps} GB/s", f"{spec.tdp_w} W"]
@@ -608,8 +600,6 @@ def _cmd_sweep(args) -> str:
         ["model", "batch"] + list(PLATFORM_ORDER), rows, float_format="{:.2f}"
     )
     if args.record_dir:
-        from repro.ledger import RunLedger, record_sweep
-
         ledger = RunLedger(args.record_dir)
         records = record_sweep(sweep, seed=args.seed)
         for record in records:
@@ -675,14 +665,8 @@ def _traced_characterization(args) -> Tuple[
     taken with telemetry off so the exported trace carries exactly one
     modeled timeline — the requested batch size's.
     """
-    try:
-        model = build_model(args.model)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
-    try:
-        session = InferenceSession(model, args.platform)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
+    model = _or_exit(build_model, args.model)
+    session = _or_exit(InferenceSession, model, args.platform)
     batch = args.batch_size
 
     service_model = None
@@ -715,89 +699,42 @@ def _cmd_trace_scheduler(args) -> str:
     The legacy :class:`QueryScheduler` simulation emits metrics but no
     per-batch spans, so both modes drive a single-replica
     :class:`ResilientScheduler` (which instruments every server busy
-    period). ``--resilience`` additionally injects a mixed slowdown +
-    straggler fault scenario with retry/shedding enabled so the
-    exported trace shows fault windows and policy reactions.
+    period), at half the primary's peak rate. ``--resilience`` runs the
+    ``slowdown`` scenario plus 5% stragglers under retry and shedding so
+    the exported trace shows fault windows and policy reactions.
     """
-    from repro.resilience import (
-        FaultPlan,
-        Replica,
-        ResiliencePolicy,
-        ResilientScheduler,
-        RetryPolicy,
-        SheddingPolicy,
-    )
-
-    batch = args.batch_size
-    try:
-        model = build_model(args.model)
-        stm = service_model_for(model, args.platform, batch)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
-    peak = batch / stm.seconds(batch)
-    qps = args.qps if args.qps else 0.5 * peak
-    queries = args.queries if args.queries > 0 else 512
-
     mode = "resilience" if args.resilience else "scheduler"
-    plan = None
-    policy = ResiliencePolicy.none()
-    if args.resilience:
-        deadline = max(10.0 * stm.seconds(batch), 0.02)
-        plan = FaultPlan.synthesize(
-            args.seed, [args.platform], queries / qps,
-            slowdown_windows=1, slowdown_multiplier=4.0,
-            straggler_probability=0.05,
-        )
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(deadline_s=deadline, max_retries=2),
-            shed=SheddingPolicy(deadline_s=deadline),
-        )
-    scheduler = ResilientScheduler(
-        [Replica(args.platform, stm)], BatchingPolicy(max_batch=batch),
-        resilience=policy, fault_plan=plan, seed=args.seed,
+    setup = _or_exit(
+        build_scenario, args.model, args.platform, "slowdown",
+        batch_size=args.batch_size,
+        queries=args.queries if args.queries > 0 else 512,
+        qps=args.qps, seed=args.seed, load=0.5,
+        scenario_overrides={"straggler_probability": 0.05},
+    )
+    scheduler = setup.scheduler(
+        setup.policy_with("retry", "shed") if args.resilience
+        else setup.policy_with(),
+        faults=args.resilience,
     )
     with telemetry.capture() as (tracer, registry):
-        result = scheduler.run(qps, num_queries=queries)
+        result = scheduler.run(setup.qps, num_queries=setup.queries)
 
+    name = setup.replicas[0].service_model.model
     out = args.output
     if out is None:
-        out = f"{model.name}_{args.platform}.{mode}.trace.json".replace(
-            " ", "_"
-        )
-    spans = tracer.sorted_spans()
-    snapshot = registry.snapshot()
-    try:
-        telemetry.write_chrome_trace(
-            out, spans,
-            process_name=f"repro {mode}: {model.name} on "
-            f"{args.platform}",
-            metrics=snapshot,
-        )
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write trace output: {exc}")
-
-    lines = [
-        f"trace:   {out}  ({len(spans)} spans; open in chrome://tracing "
-        "or ui.perfetto.dev)",
-        "",
-        "hottest spans (by total seconds):",
-    ]
-    for entry in telemetry.summarize_spans(spans, top=8):
-        lines.append(
-            f"  {entry['name'][:28]:28s} {entry['category']:18s} "
-            f"x{entry['count']:<4d} {entry['seconds'] * 1e6:12.1f} us"
-        )
+        out = f"{name}_{args.platform}.{mode}.trace.json".replace(" ", "_")
+    _write_trace(
+        out, tracer, registry, f"repro {mode}: {name} on {args.platform}"
+    )
+    lines = _span_summary(out, tracer.sorted_spans())
     lines.append("")
     lines.append(
         f"{mode}: {result.completed}/{result.queries} completed at "
-        f"{qps:.0f} QPS, p50/p99 = {result.p50 * 1e3:.3f} / "
+        f"{setup.qps:.0f} QPS, p50/p99 = {result.p50 * 1e3:.3f} / "
         f"{result.p99 * 1e3:.3f} ms"
     )
-    if plan is not None:
-        injected = ", ".join(
-            f"{k}={v}" for k, v in result.fault_counts.items() if v
-        )
-        lines.append(f"injected: {injected or 'none'}")
+    if args.resilience:
+        lines.append(f"injected: {_injected(result)}")
     return "\n".join(lines)
 
 
@@ -818,31 +755,14 @@ def _cmd_trace(args) -> str:
         metrics_out = f"{stem}.metrics.json"
 
     snapshot = registry.snapshot()
-    spans = tracer.sorted_spans()
-    try:
-        telemetry.write_chrome_trace(
-            out,
-            spans,
-            process_name=f"repro: {session.model.name} on "
-            f"{session.platform.name}",
-            metrics=snapshot,
-        )
-        telemetry.write_metrics_report(metrics_out, snapshot)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write trace output: {exc}")
+    _write_trace(
+        out, tracer, registry,
+        f"repro: {session.model.name} on {session.platform.name}",
+    )
+    _write("trace", telemetry.write_metrics_report, metrics_out, snapshot)
 
-    lines = [
-        f"trace:   {out}  ({len(spans)} spans; open in chrome://tracing "
-        "or ui.perfetto.dev)",
-        f"metrics: {metrics_out}  ({len(snapshot)} metrics)",
-        "",
-        "hottest spans (by total seconds):",
-    ]
-    for entry in telemetry.summarize_spans(spans, top=8):
-        lines.append(
-            f"  {entry['name'][:28]:28s} {entry['category']:18s} "
-            f"x{entry['count']:<4d} {entry['seconds'] * 1e6:12.1f} us"
-        )
+    lines = _span_summary(out, tracer.sorted_spans())
+    lines.insert(1, f"metrics: {metrics_out}  ({len(snapshot)} metrics)")
     if result is not None:
         lines.append("")
         lines.append(
@@ -855,193 +775,97 @@ def _cmd_trace(args) -> str:
     return "\n".join(lines)
 
 
+def _span_summary(out: str, spans) -> List[str]:
+    """The ``trace:`` line plus the hottest-spans table."""
+    lines = [
+        f"trace:   {out}  ({len(spans)} spans; open in chrome://tracing "
+        "or ui.perfetto.dev)",
+        "",
+        "hottest spans (by total seconds):",
+    ]
+    for entry in telemetry.summarize_spans(spans, top=8):
+        lines.append(
+            f"  {entry['name'][:28]:28s} {entry['category']:18s} "
+            f"x{entry['count']:<4d} {entry['seconds'] * 1e6:12.1f} us"
+        )
+    return lines
+
+
 def _cmd_metrics(args) -> str:
     _, _, _, registry = _traced_characterization(args)
     return telemetry.render_metrics(registry.snapshot(), args.format)
 
 
 def _cmd_resilience(args) -> str:
-    from repro.core import SlaBudget
-    from repro.models.dlrm import DLRM
-    from repro.models.variants import degraded_variant
-    from repro.resilience import (
-        CircuitBreakerPolicy,
-        DegradationPolicy,
-        FaultPlan,
-        HedgePolicy,
-        Replica,
-        ResiliencePolicy,
-        ResilientScheduler,
-        RetryPolicy,
-        SheddingPolicy,
+    matrix = _or_exit(
+        run_policy_matrix, args.model, args.platform, args.scenario,
+        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
+        seed=args.seed, fallback=args.fallback,
+        deadline_s=(
+            None if args.deadline_ms is None else args.deadline_ms * 1e-3
+        ),
     )
-
-    try:
-        model = build_model(args.model)
-        primary_stm = service_model_for(model, args.platform, args.batch_size)
-        fallback_stm = None
-        if args.fallback and args.fallback.lower() != "none":
-            fallback_stm = service_model_for(
-                model, args.fallback, args.batch_size
-            )
-        degraded_stm = None
-        if isinstance(model, DLRM):
-            degraded_stm = service_model_for(
-                degraded_variant(model), args.platform, args.batch_size
-            )
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
-
-    batch = args.batch_size
-    peak = batch / primary_stm.seconds(batch)
-    qps = args.qps if args.qps else 0.4 * peak
-    deadline = (
-        args.deadline_ms * 1e-3
-        if args.deadline_ms
-        else max(10.0 * primary_stm.seconds(batch), 0.02)
-    )
-    budget = SlaBudget(deadline, queue_fraction=0.5)
-    horizon = args.queries / qps
-
-    from repro.monitor.scenario import scenario_kwargs
-
-    names = [args.platform] + ([args.fallback] if fallback_stm else [])
-    plan = FaultPlan.synthesize(
-        args.seed, names, horizon, **scenario_kwargs(args.scenario)
-    )
-
-    retry = RetryPolicy(deadline_s=deadline, max_retries=2)
-    hedge = HedgePolicy(delay_s=0.5 * budget.queue_budget_s)
-    breaker = CircuitBreakerPolicy(failure_threshold=2, cooldown_s=deadline)
-    shed = SheddingPolicy(deadline_s=deadline)
-    degrade = DegradationPolicy(queue_budget_s=budget.queue_budget_s)
-
-    matrix = [("no faults", None, ResiliencePolicy.none())]
-    matrix.append(("faults, no policy", plan, ResiliencePolicy.none()))
-    matrix.append(("faults + retry", plan, ResiliencePolicy(retry=retry)))
-    if fallback_stm is not None:
-        matrix.append(("faults + hedge", plan, ResiliencePolicy(hedge=hedge)))
-        matrix.append(
-            ("faults + failover", plan,
-             ResiliencePolicy(retry=retry, breaker=breaker))
-        )
-    if degraded_stm is not None:
-        matrix.append(
-            ("faults + degrade/shed", plan,
-             ResiliencePolicy(shed=shed, degrade=degrade))
-        )
-    matrix.append(
-        ("faults + all", plan,
-         ResiliencePolicy(retry=retry,
-                          hedge=hedge if fallback_stm is not None else None,
-                          breaker=breaker if fallback_stm is not None else None,
-                          shed=shed, degrade=degrade))
-    )
-
-    replicas = [Replica(args.platform, primary_stm, degraded_model=degraded_stm)]
-    if fallback_stm is not None:
-        replicas.append(Replica(args.fallback, fallback_stm))
-
+    setup = matrix.setup
+    fleet = "+".join(r.name for r in setup.replicas)
     rows = []
-    last_result = None
-    for label, row_plan, policy in matrix:
-        fleet = replicas if row_plan is not None else replicas[:1]
-        scheduler = ResilientScheduler(
-            fleet, BatchingPolicy(max_batch=batch),
-            resilience=policy, fault_plan=row_plan, seed=args.seed,
-        )
-        if label == "faults + all" and args.trace:
-            with telemetry.capture() as (tracer, registry):
-                result = scheduler.run(qps, num_queries=args.queries)
-            try:
-                telemetry.write_chrome_trace(
-                    args.trace, tracer.sorted_spans(),
-                    process_name=f"repro resilience: {args.model} on "
-                    f"{'+'.join(names)}",
-                    metrics=registry.snapshot(),
-                )
-            except OSError as exc:
-                raise SystemExit(f"error: cannot write trace output: {exc}")
-        else:
-            result = scheduler.run(qps, num_queries=args.queries)
-        last_result = result
-        p99 = result.p99 * 1e3 if result.completed else float("nan")
-        p50 = result.p50 * 1e3 if result.completed else float("nan")
+    for label, result in matrix.rows.items():
         rows.append(
             [label, result.completed, result.shed, result.dropped,
-             f"{p50:.2f}", f"{p99:.2f}",
+             *_p50_p99_ms(result),
              result.retries, result.hedges, result.failovers,
              result.degraded_queries]
         )
 
+    all_policies = matrix.rows["faults + all"]
     lines = [
-        f"scenario '{args.scenario}' on {args.model}/{'+'.join(names)}: "
-        f"{args.queries} queries at {qps:.0f} QPS "
-        f"(deadline {deadline * 1e3:.1f} ms, seed {args.seed})",
+        f"scenario '{args.scenario}' on {args.model}/{fleet}: "
+        f"{args.queries} queries at {setup.qps:.0f} QPS "
+        f"(deadline {setup.deadline_s * 1e3:.1f} ms, seed {args.seed})",
         render_table(
             ["policy", "ok", "shed", "drop", "p50 ms", "p99 ms",
              "retries", "hedges", "failover", "degraded"],
             rows,
         ),
     ]
-    if last_result is not None and last_result.fault_counts:
-        injected = ", ".join(
-            f"{k}={v}" for k, v in last_result.fault_counts.items() if v
-        )
-        lines.append(f"injected (all-policies run): {injected or 'none'}")
-    if args.trace:
+    if all_policies.fault_counts:
         lines.append(
-            f"trace: {args.trace}  (open in chrome://tracing or "
-            "ui.perfetto.dev)"
+            f"injected (all-policies run): {_injected(all_policies)}"
         )
-    if args.record_dir and last_result is not None:
-        from repro.ledger import RunLedger, fingerprint_for, record_schedule
-
-        record = record_schedule(
-            last_result,
-            fingerprint_for(model, args.platform, batch, args.seed),
-            max_batch=batch,
-            kind="resilience",
+    if args.trace:
+        # The engine is deterministic, so re-running the all-policies
+        # row under span capture traces exactly the run tabled above.
+        with telemetry.capture() as (tracer, registry):
+            setup.scheduler(setup.policy).run(
+                setup.qps, num_queries=setup.queries
+            )
+        _write_trace(
+            args.trace, tracer, registry,
+            f"repro resilience: {args.model} on {fleet}",
         )
-        record.scalars["arrival_qps"] = qps
-        path = RunLedger(args.record_dir).append(record)
+        lines.append(_trace_line(args.trace))
+    if args.record_dir:
+        path = _record(args, all_policies, setup.qps, "resilience")
         lines.append(f"recorded all-policies run -> {path}")
     return "\n".join(lines)
 
 
 def _cmd_shard(args) -> Tuple[str, int]:
-    from repro.distserve import matrix_records, run_shard_matrix
-
-    try:
-        matrix = run_shard_matrix(
-            args.model,
-            args.platform,
-            args.scenario,
-            shards=args.shards,
-            sharding=args.sharding,
-            batch_size=args.batch_size,
-            queries=args.queries,
-            qps=args.qps,
-            seed=args.seed,
-            alpha=args.alpha,
-            hot_k=args.hot_k,
-            replicas=args.replicas,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
+    matrix = _or_exit(
+        run_shard_matrix, args.model, args.platform, args.scenario,
+        shards=args.shards, sharding=args.sharding,
+        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
+        seed=args.seed, alpha=args.alpha, hot_k=args.hot_k,
+        replicas=args.replicas,
+    )
 
     rows = []
     for r in matrix.rows:
-        result = r.result
-        p50 = result.p50 * 1e3 if result.completed else float("nan")
-        p99 = result.p99 * 1e3 if result.completed else float("nan")
         rows.append(
             [
                 r.label,
                 r.layout.num_shards,
-                result.completed,
-                f"{p50:.2f}",
-                f"{p99:.2f}",
+                r.result.completed,
+                *_p50_p99_ms(r.result),
                 f"{r.layout.load_imbalance():.2f}",
                 int(r.gather_count("hedged_rpcs")),
                 int(r.gather_count("replicated_reads")),
@@ -1071,8 +895,6 @@ def _cmd_shard(args) -> Tuple[str, int]:
         f"{aware_p99:.2f} ms -> locality win: {'yes' if win else 'NO'}"
     )
     if args.record_dir:
-        from repro.ledger import RunLedger
-
         ledger = RunLedger(args.record_dir)
         for record in matrix_records(matrix):
             path = (
@@ -1086,8 +908,6 @@ def _cmd_shard(args) -> Tuple[str, int]:
         )
         code = 1
     if args.format == "json":
-        import json as _json
-
         payload = {
             "model": matrix.model,
             "platform": matrix.platform,
@@ -1108,18 +928,12 @@ def _cmd_shard(args) -> Tuple[str, int]:
                 for r in matrix.rows
             ],
         }
-        return _json.dumps(payload, indent=2), code
+        return json.dumps(payload, indent=2), code
     return "\n".join(lines), code
 
 
 def _monitor_alerts(summary, source, rules):
     """All windowed analyses over one summary, in a stable order."""
-    from repro.monitor import (
-        detect_regime_shifts,
-        detect_tail_excursions,
-        evaluate_burn_rates,
-    )
-
     alerts = list(detect_regime_shifts(summary))
     alerts += detect_tail_excursions(summary)
     if rules:
@@ -1127,43 +941,27 @@ def _monitor_alerts(summary, source, rules):
     return alerts
 
 
-def _cmd_monitor(args) -> Tuple[str, int]:
-    from repro.monitor import MonitorReport, run_monitored_scenario
-
-    rules = []
-    if args.rules:
-        from repro.ledger import load_rules
-
-        try:
-            rules = load_rules(args.rules)
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}")
-
-    overrides = {}
-    if args.slowdown_multiplier is not None:
-        overrides["slowdown_multiplier"] = args.slowdown_multiplier
+def _monitored_kwargs(args) -> dict:
+    """The ``monitor`` / ``explain`` scenario flags as run keywords."""
     kwargs = dict(
         batch_size=args.batch_size, queries=args.queries, qps=args.qps,
-        seed=args.seed,
-        window_s=args.window_ms * 1e-3 if args.window_ms else None,
-        fallback=args.fallback, scenario_overrides=overrides or None,
+        seed=args.seed, fallback=args.fallback,
+        window_s=None if args.window_ms is None else args.window_ms * 1e-3,
     )
-    try:
-        if args.trace:
-            # Capture spans for the Perfetto export; telemetry is
-            # read-only w.r.t. the simulation, so results are identical
-            # either way.
-            with telemetry.capture() as (tracer, registry):
-                ms = run_monitored_scenario(
-                    args.model, args.platform, args.scenario, **kwargs
-                )
-        else:
-            tracer = registry = None
-            ms = run_monitored_scenario(
-                args.model, args.platform, args.scenario, **kwargs
-            )
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
+    if args.slowdown_multiplier is not None:
+        kwargs["scenario_overrides"] = {
+            "slowdown_multiplier": args.slowdown_multiplier
+        }
+    return kwargs
+
+
+def _cmd_monitor(args) -> Tuple[str, int]:
+    rules = _load_rules(args.rules)
+    with _capturing(args.trace) as (tracer, registry):
+        ms = _or_exit(
+            run_monitored_scenario, args.model, args.platform, args.scenario,
+            **_monitored_kwargs(args),
+        )
 
     summary = ms.timeseries.summary()
     # Burn rates read the live TimeSeries: per-window histograms make
@@ -1174,11 +972,10 @@ def _cmd_monitor(args) -> Tuple[str, int]:
         summary,
         alerts,
         meta={
-            "model": ms.model, "platform": ms.platform,
-            "fallback": ms.fallback, "scenario": ms.scenario,
-            "qps": ms.qps, "seed": ms.seed, "queries": ms.queries,
-            "batch_size": args.batch_size,
-            "deadline_s": ms.deadline_s,
+            key: getattr(ms, key) for key in (
+                "model", "platform", "fallback", "scenario", "qps", "seed",
+                "queries", "batch_size", "deadline_s",
+            )
         },
         scalars={
             "completed": float(result.completed),
@@ -1199,44 +996,23 @@ def _cmd_monitor(args) -> Tuple[str, int]:
             "the retained windows only"
         )
     if args.trace:
-        try:
-            telemetry.write_chrome_trace(
-                args.trace, tracer.sorted_spans(),
-                process_name=f"repro monitor: {ms.model} on {ms.platform}",
-                metrics=registry.snapshot(),
-                timeseries=ms.timeseries,
-            )
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write trace output: {exc}")
-        extra.append(
-            f"trace: {args.trace}  (open in chrome://tracing or "
-            "ui.perfetto.dev)"
-        )
-    if args.record_dir:
-        from repro.ledger import RunLedger, fingerprint_for, record_schedule
-
-        record = record_schedule(
-            result,
-            fingerprint_for(
-                args.model, args.platform, args.batch_size, args.seed
-            ),
-            max_batch=args.batch_size,
-            kind="monitor",
+        _write_trace(
+            args.trace, tracer, registry,
+            f"repro monitor: {ms.model} on {ms.platform}",
             timeseries=ms.timeseries,
         )
-        record.scalars["arrival_qps"] = ms.qps
-        path = RunLedger(args.record_dir).append(record)
+        extra.append(_trace_line(args.trace))
+    if args.record_dir:
+        path = _record(
+            args, result, ms.qps, "monitor", timeseries=ms.timeseries
+        )
         extra.append(f"recorded monitored run -> {path}")
     if args.report:
-        doc = (
+        _write_report(
+            args.report,
             report.render_html() if args.report.endswith(".html")
-            else report.render_markdown()
+            else report.render_markdown(),
         )
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write report output: {exc}")
         extra.append(f"dashboard: {args.report}")
 
     fault_alerts = sum(1 for a in alerts if a.fault_correlated)
@@ -1246,10 +1022,7 @@ def _cmd_monitor(args) -> Tuple[str, int]:
         code = 1
     if args.format == "json":
         return report.to_json(), code
-    text = report.render_text()
-    if extra:
-        text += "\n" + "\n".join(extra)
-    return text, code
+    return "\n".join([report.render_text()] + extra), code
 
 
 def _cmd_explain(args) -> Tuple[str, int]:
@@ -1273,76 +1046,33 @@ def _cmd_explain(args) -> Tuple[str, int]:
         seed=args.seed,
         max_queries=args.max_queries,
     )
-    overrides = {}
-    if args.slowdown_multiplier is not None:
-        overrides["slowdown_multiplier"] = args.slowdown_multiplier
-    kwargs = dict(
-        capture=capture,
-        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
-        seed=args.seed,
-        window_s=args.window_ms * 1e-3 if args.window_ms else None,
-        fallback=args.fallback, scenario_overrides=overrides or None,
-    )
-    try:
-        if args.trace:
-            # Span capture for the Perfetto export; both the span
-            # tracer and the query-trace capture are read-only w.r.t.
-            # the simulation, so results are identical either way.
-            with telemetry.capture() as (tracer, registry):
-                exp, ms = explain_scenario(
-                    args.model, args.platform, args.scenario, **kwargs
-                )
-        else:
-            tracer = registry = None
-            exp, ms = explain_scenario(
-                args.model, args.platform, args.scenario, **kwargs
-            )
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
+    with _capturing(args.trace) as (tracer, registry):
+        exp, ms = _or_exit(
+            explain_scenario, args.model, args.platform, args.scenario,
+            capture=capture, **_monitored_kwargs(args),
+        )
 
     extra = []
     if args.trace:
-        try:
-            telemetry.write_chrome_trace(
-                args.trace, tracer.sorted_spans(),
-                process_name=f"repro explain: {ms.model} on {ms.platform}",
-                metrics=registry.snapshot(),
-                timeseries=ms.timeseries,
-                querytrace=capture,
-            )
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write trace output: {exc}")
+        _write_trace(
+            args.trace, tracer, registry,
+            f"repro explain: {ms.model} on {ms.platform}",
+            timeseries=ms.timeseries, querytrace=capture,
+        )
         extra.append(
-            f"trace: {args.trace}  (open in chrome://tracing or "
-            "ui.perfetto.dev; flow arrows thread each query)"
+            _trace_line(args.trace, "; flow arrows thread each query")
         )
     if args.record_dir:
-        from repro.ledger import RunLedger, fingerprint_for, record_schedule
-
-        record = record_schedule(
-            ms.result,
-            fingerprint_for(
-                args.model, args.platform, args.batch_size, args.seed
-            ),
-            max_batch=args.batch_size,
-            kind="explain",
-            timeseries=ms.timeseries,
+        path = _record(
+            args, ms.result, ms.qps, "explain", timeseries=ms.timeseries,
             attribution=exp.attribution_section(),
         )
-        record.scalars["arrival_qps"] = ms.qps
-        path = RunLedger(args.record_dir).append(record)
         extra.append(f"recorded explained run -> {path}")
     if args.report:
-        doc = (
-            render_html(exp, top_queries=args.top_queries)
-            if args.report.endswith(".html")
-            else render_markdown(exp, top_queries=args.top_queries)
+        render = (
+            render_html if args.report.endswith(".html") else render_markdown
         )
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write report output: {exc}")
+        _write_report(args.report, render(exp, top_queries=args.top_queries))
         extra.append(f"report: {args.report}")
     if args.what_if and args.what_if != "all":
         wi = exp.what_if(args.what_if, 99.0)
@@ -1375,30 +1105,95 @@ def _cmd_explain(args) -> Tuple[str, int]:
             )
             code = 1
     if args.format == "json":
-        import json as _json
-
         doc = exp.to_dict()
         if args.expect_fault_attribution:
             doc["gate"] = {"ok": code == 0}
-        return _json.dumps(doc, indent=2, sort_keys=True), code
+        return json.dumps(doc, indent=2, sort_keys=True), code
     text = render_explain_text(exp, top_queries=args.top_queries)
-    if extra:
-        text += "\n" + "\n".join(extra)
-    return text, code
+    return "\n".join([text] + extra), code
+
+
+# -- shared output helpers -----------------------------------------------------
+
+
+def _or_exit(fn, *args, **kwargs):
+    """Call ``fn``; a bad input (unknown name, wrong type or value)
+    exits with ``error: <message>`` instead of a traceback."""
+    try:
+        return fn(*args, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"error: {exc.args[0]}")
+
+
+def _capturing(enabled):
+    """``telemetry.capture()`` when ``enabled``, else ``(None, None)``:
+    telemetry only observes the simulation, so results are identical."""
+    if enabled:
+        return telemetry.capture()
+    return contextlib.nullcontext((None, None))
+
+
+def _write(what: str, writer, *args, **kwargs) -> None:
+    """Run one output writer; an unwritable path exits cleanly."""
+    try:
+        writer(*args, **kwargs)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {what} output: {exc}")
+
+
+def _write_trace(path, tracer, registry, process_name, **sinks) -> None:
+    _write(
+        "trace", telemetry.write_chrome_trace, path, tracer.sorted_spans(),
+        process_name=process_name, metrics=registry.snapshot(), **sinks,
+    )
+
+
+def _write_report(path: str, doc: str) -> None:
+    _write("report", Path(path).write_text, doc, encoding="utf-8")
+
+
+def _trace_line(path: str, note: str = "") -> str:
+    return f"trace: {path}  (open in chrome://tracing or ui.perfetto.dev{note})"
+
+
+def _p50_p99_ms(result) -> List[str]:
+    """p50 and p99 in ms for a table row; ``nan`` if none completed."""
+    if not result.completed:
+        return ["nan", "nan"]
+    return [f"{result.p50 * 1e3:.2f}", f"{result.p99 * 1e3:.2f}"]
+
+
+def _injected(result) -> str:
+    """The nonzero injected-fault counters of one resilient run."""
+    counts = ", ".join(f"{k}={v}" for k, v in result.fault_counts.items() if v)
+    return counts or "none"
+
+
+def _record(args, result, qps: float, kind: str, **sections) -> str:
+    """Append one scenario run to ``args.record_dir``; returns the path."""
+    record = record_schedule(
+        result,
+        fingerprint_for(args.model, args.platform, args.batch_size, args.seed),
+        max_batch=args.batch_size,
+        kind=kind,
+        **sections,
+    )
+    record.scalars["arrival_qps"] = qps
+    return RunLedger(args.record_dir).append(record)
+
+
+def _load_rules(path: Optional[str]) -> list:
+    """The ``--rules`` file, or no rules; a bad file exits cleanly."""
+    if not path:
+        return []
+    try:
+        return load_rules(path)
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _cmd_report(args) -> str:
-    from repro.ledger import load_records
-    from repro.monitor import MonitorReport
-
-    rules = []
-    if args.rules:
-        from repro.ledger import load_rules
-
-        try:
-            rules = load_rules(args.rules)
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}")
+    rules = _load_rules(args.rules)
     try:
         records = load_records(args.records)
     except (FileNotFoundError, ValueError) as exc:
@@ -1455,11 +1250,7 @@ def _cmd_report(args) -> str:
         "json": report.to_json,
     }[fmt]()
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write report output: {exc}")
+        _write_report(args.output, doc)
         extras = len(windowed) - 1
         note = f" (+{extras} more windowed record(s) ignored)" if extras else ""
         return f"dashboard: {args.output}  [{record.fingerprint.key}]{note}"
@@ -1478,8 +1269,6 @@ def _window_ranges(indices):
 
 
 def _cmd_record(args) -> str:
-    from repro.ledger import RunLedger, record_run
-
     names = args.models if args.models else MODEL_ORDER
     ledger = RunLedger(args.out)
     lines = []
@@ -1510,15 +1299,6 @@ def _cmd_record(args) -> str:
 
 
 def _cmd_diff(args) -> Tuple[str, int]:
-    import json as _json
-
-    from repro.ledger import (
-        DEFAULT_TOLERANCE,
-        diff_against_baselines,
-        diff_records,
-        load_records,
-    )
-
     tolerance = (
         args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     )
@@ -1558,7 +1338,7 @@ def _cmd_diff(args) -> Tuple[str, int]:
             "unmatched": unmatched,
             "diffs": [d.to_dict() for d in diffs],
         }
-        return _json.dumps(payload, indent=2, sort_keys=True), int(failed)
+        return json.dumps(payload, indent=2, sort_keys=True), int(failed)
     lines = [d.render_text(verbose=args.verbose) for d in diffs]
     lines.extend(f"! {u}" for u in unmatched)
     lines.append(
@@ -1572,8 +1352,6 @@ def _cmd_diff(args) -> Tuple[str, int]:
 
 
 def _cmd_check(args) -> Tuple[str, int]:
-    from repro.ledger import evaluate, load_records, load_rules
-
     try:
         rules = load_rules(args.rules)
         records = load_records(args.records)
@@ -1607,15 +1385,13 @@ def _cmd_lint(args) -> Tuple[str, int]:
 
 
 def _cmd_fuzz(args) -> Tuple[str, int]:
-    import json as _json
-
     from repro.analysis.contracts import CONTRACTS, contract_by_name
     from repro.analysis.fuzz import run_fuzz
 
     if args.list:
         rows = [c.describe() for c in CONTRACTS]
         if args.json:
-            return _json.dumps(rows, indent=2, sort_keys=True), 0
+            return json.dumps(rows, indent=2, sort_keys=True), 0
         table = render_table(
             ["contract", "cost_s", "invariant"],
             [[r["name"], r["cost_s"], r["invariant"]] for r in rows],
@@ -1635,15 +1411,13 @@ def _cmd_fuzz(args) -> Tuple[str, int]:
         corpus_dir=args.corpus_dir,
     )
     text = (
-        _json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        json.dumps(report.to_dict(), indent=2, sort_keys=True)
         if args.json else report.render_text()
     )
     return text, 0 if report.ok else 1
 
 
 def _cmd_verify(args) -> Tuple[str, int]:
-    import json as _json
-
     from repro.analysis import verify_graph
     from repro.graph import optimize
 
@@ -1672,7 +1446,7 @@ def _cmd_verify(args) -> Tuple[str, int]:
                     "diagnostics": [d.to_dict() for d in report],
                 })
     if args.format == "json":
-        return _json.dumps(records, indent=2, sort_keys=True), int(failures > 0)
+        return json.dumps(records, indent=2, sort_keys=True), int(failures > 0)
     table = render_table(
         ["model", "batch", "graph", "nodes", "status", "diagnostics"],
         rows,
@@ -1681,7 +1455,7 @@ def _cmd_verify(args) -> Tuple[str, int]:
     return table, int(failures > 0)
 
 
-def _cmd_claims() -> str:
+def _cmd_claims(args) -> str:
     from repro.core import evaluate_claims
 
     results = evaluate_claims()
@@ -1705,31 +1479,9 @@ def _cmd_claims() -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "models": lambda: _cmd_models(),
-        "platforms": lambda: _cmd_platforms(),
-        "characterize": lambda: _cmd_characterize(args),
-        "sweep": lambda: _cmd_sweep(args),
-        "optimal": lambda: _cmd_optimal(args),
-        "topdown": lambda: _cmd_topdown(args),
-        "breakdown": lambda: _cmd_breakdown(args),
-        "claims": lambda: _cmd_claims(),
-        "trace": lambda: _cmd_trace(args),
-        "metrics": lambda: _cmd_metrics(args),
-        "resilience": lambda: _cmd_resilience(args),
-        "monitor": lambda: _cmd_monitor(args),
-        "explain": lambda: _cmd_explain(args),
-        "shard": lambda: _cmd_shard(args),
-        "report": lambda: _cmd_report(args),
-        "record": lambda: _cmd_record(args),
-        "diff": lambda: _cmd_diff(args),
-        "check": lambda: _cmd_check(args),
-        "lint": lambda: _cmd_lint(args),
-        "fuzz": lambda: _cmd_fuzz(args),
-        "verify": lambda: _cmd_verify(args),
-    }
     try:
-        result = handlers[args.command]()
+        # Every subcommand is one ``_cmd_<name>(args)`` renderer.
+        result = globals()[f"_cmd_{args.command}"](args)
         # Gate commands return (text, exit_code); the rest return text.
         text, code = result if isinstance(result, tuple) else (result, 0)
         print(text)

@@ -50,8 +50,10 @@ from repro.distserve.scenario import (
     ShardCaseResult,
     ShardMatrix,
     default_shard_scenarios,
+    hottest_shard_plan,
     matrix_records,
     run_shard_matrix,
+    shard_layout,
     split_shard_kwargs,
     synthesize_shard_plan,
 )
@@ -83,5 +85,7 @@ __all__ = [
     "matrix_records",
     "synthesize_shard_plan",
     "split_shard_kwargs",
+    "shard_layout",
+    "hottest_shard_plan",
     "default_shard_scenarios",
 ]

@@ -47,6 +47,8 @@ __all__ = [
     "SHARD_SETUP_KEYS",
     "split_shard_kwargs",
     "synthesize_shard_plan",
+    "shard_layout",
+    "hottest_shard_plan",
     "ShardCaseResult",
     "ShardMatrix",
     "run_shard_matrix",
@@ -132,15 +134,42 @@ def synthesize_shard_plan(
     return FaultPlan(seed=seed, servers=servers)
 
 
+def shard_layout(
+    model, setup: Dict[str, Any], placement, num_shards: Optional[int] = None
+) -> ShardLayout:
+    """Place ``model`` per a shard scenario's layout ``setup`` keys.
+
+    With :func:`hottest_shard_plan`, the one place a shard scenario
+    becomes layouts and fault plans — :func:`run_shard_matrix` and the
+    monitored shard scenario (:func:`repro.monitor.build_scenario`)
+    both build through them. Defaults: 4 row-sharded shards, Zipf 1.1.
+    """
+    return build_layout(
+        model,
+        int(setup.get("shards", 4)) if num_shards is None else num_shards,
+        sharding=str(setup.get("sharding", "row")),
+        placement=placement,
+        distribution=ZipfIndices(alpha=float(setup.get("alpha", 1.1))),
+    )
+
+
+def hottest_shard_plan(
+    layout: ShardLayout, seed: int, horizon_s: float, fault_kwargs
+) -> FaultPlan:
+    """The seeded shard plan, windows aimed at ``layout``'s hottest shard."""
+    return synthesize_shard_plan(
+        seed, layout.names, horizon_s,
+        target=layout.hottest().name, **fault_kwargs,
+    )
+
+
 @dataclass
 class ShardCaseResult:
     """One matrix row: a placement/policy combination's run."""
 
     label: str
     layout: ShardLayout
-    gather_policy: GatherPolicy
     result: Any  # ResilientScheduleResult
-    timeseries: Any = None
 
     @property
     def p99_ms(self) -> float:
@@ -167,8 +196,6 @@ class ShardMatrix:
     batch_size: int
     shards: int
     sharding: str
-    horizon_s: float
-    plan: FaultPlan
     rows: List[ShardCaseResult]
 
     def row(self, label: str) -> ShardCaseResult:
@@ -215,11 +242,6 @@ def run_shard_matrix(
     alpha: float = 1.1,
     hot_k: int = 1024,
     replicas: int = 2,
-    network: Optional[NetworkModel] = None,
-    service_model=None,
-    scenario_overrides: Optional[Dict[str, Any]] = None,
-    with_timeseries: bool = False,
-    window_s: Optional[float] = None,
 ) -> ShardMatrix:
     """Run the placement × gather-policy matrix under one shard scenario.
 
@@ -229,49 +251,49 @@ def run_shard_matrix(
     at each layout's hottest shard.
     """
     from repro.models import build_model
-    from repro.monitor.scenario import scenario_kwargs, service_model_for
+    from repro.monitor.scenario import (
+        check_scenario_inputs,
+        scenario_kwargs,
+        service_model_for,
+    )
     from repro.resilience import Replica, ResilientScheduler
     from repro.runtime import BatchingPolicy
-    from repro.telemetry import TimeSeries
 
-    model = build_model(model_name)
-    if service_model is None:
-        service_model = service_model_for(model, platform, batch_size)
-    if network is None:
-        network = NetworkModel()
-
-    kwargs = scenario_kwargs(scenario, **(scenario_overrides or {}))
-    is_shard, setup, synth_kwargs = split_shard_kwargs(kwargs)
+    check_scenario_inputs(batch_size=batch_size, queries=queries, qps=qps)
+    is_shard, entry, fault_kwargs = split_shard_kwargs(
+        scenario_kwargs(scenario)
+    )
     if not is_shard:
         raise ValueError(
             f"scenario {scenario!r} is not a shard scenario "
             f"(no {SHARD_FAULTS_KEY!r} marker)"
         )
-    shards = int(setup.get("shards", shards))
-    sharding = str(setup.get("sharding", sharding))
-    alpha = float(setup.get("alpha", alpha))
-    hot_k = int(setup.get("hot_k", hot_k))
-    replicas = int(setup.get("replicas", replicas))
+    # Scenario entry keys override the arguments.
+    setup = {
+        **dict(shards=shards, sharding=sharding, alpha=alpha, hot_k=hot_k,
+               replicas=replicas),
+        **entry,
+    }
+    model = build_model(model_name)
+    service_model = service_model_for(model, platform, batch_size)
+    # Explicit even for the single-node row, which would otherwise get
+    # the colocated ``NetworkModel.local()`` default.
+    network = NetworkModel()
 
-    distribution = ZipfIndices(alpha=alpha)
-
-    blind = RoundRobinPlacement()
+    single = shard_layout(model, setup, RoundRobinPlacement(), 1)
+    blind = shard_layout(model, setup, RoundRobinPlacement())
     # The hot set is replicated on every shard (it is tiny); ``replicas``
     # only sets the replicated-*read* fan-out, so the aware layout stays
     # load-balanced regardless of how many holders a read races.
-    aware = LocalityAwarePlacement(hot_k=hot_k)
-
-    def layout_for(n: int, placement) -> ShardLayout:
-        return build_layout(
-            model, n, sharding=sharding, placement=placement,
-            distribution=distribution,
-        )
+    aware = shard_layout(
+        model, setup, LocalityAwarePlacement(hot_k=int(setup["hot_k"]))
+    )
 
     # Policy time constants derive from the healthy gather cost of the
     # blind layout, so they are deterministic and scale with the model.
-    probe = ShardGatherModel(
-        layout_for(shards, blind), network=network
-    ).start_run().gather(batch_size, 0.0)
+    probe = ShardGatherModel(blind, network=network).start_run().gather(
+        batch_size, 0.0
+    )
     healthy_gather_s = max(probe.seconds, 1e-5)
     hedge = GatherHedgePolicy(delay_s=2.0 * healthy_gather_s)
     partial = PartialGatherPolicy(wait_budget_s=4.0 * healthy_gather_s)
@@ -283,49 +305,40 @@ def run_shard_matrix(
     # time so batches run near-full — gather fan-out cost scales with
     # batch size, and half-empty batches would hide it.
     peak = batch_size / (service_model.seconds(batch_size) + healthy_gather_s)
-    qps = qps if qps else 0.8 * peak
+    qps = qps if qps is not None else 0.8 * peak
     horizon = queries / qps
     batch_timeout_s = batch_size / qps
 
+    def plan_for(layout: ShardLayout) -> FaultPlan:
+        # A colocated single node has no shard servers to fault.
+        if layout.num_shards == 1:
+            return FaultPlan.none()
+        return hottest_shard_plan(layout, seed, horizon, fault_kwargs)
+
+    blind_plan, aware_plan = plan_for(blind), plan_for(aware)
     cases = [
-        (_CASE_SINGLE, 1, blind, GatherPolicy.none()),
-        (_CASE_BLIND, shards, blind, GatherPolicy.none()),
-        (_CASE_BLIND_HEDGE, shards, blind, GatherPolicy(hedge=hedge)),
-        (_CASE_AWARE, shards, aware, GatherPolicy.none()),
+        (_CASE_SINGLE, single, FaultPlan.none(), GatherPolicy.none()),
+        (_CASE_BLIND, blind, blind_plan, GatherPolicy.none()),
+        (_CASE_BLIND_HEDGE, blind, blind_plan, GatherPolicy(hedge=hedge)),
+        (_CASE_AWARE, aware, aware_plan, GatherPolicy.none()),
         (
             _CASE_AWARE_FULL,
-            shards,
             aware,
+            aware_plan,
             GatherPolicy(
-                replicate=ReplicatedReadPolicy(replicas=replicas),
+                replicate=ReplicatedReadPolicy(replicas=int(setup["replicas"])),
                 hedge=hedge,
                 partial=partial,
             ),
         ),
     ]
 
-    matrix_plan: Optional[FaultPlan] = None
     rows: List[ShardCaseResult] = []
-    for label, n, placement, gather_policy in cases:
-        layout = layout_for(n, placement)
-        if n == 1:
-            plan = FaultPlan.none()
-        else:
-            plan = synthesize_shard_plan(
-                seed, layout.names, horizon,
-                target=layout.hottest().name, **synth_kwargs,
-            )
-            if matrix_plan is None:
-                matrix_plan = plan
+    for label, layout, plan, gather_policy in cases:
         gather = ShardGatherModel(
             layout, network=network, policy=gather_policy,
             fault_plan=plan, seed=seed,
         )
-        ts = None
-        if with_timeseries:
-            ts = TimeSeries(
-                window_s=window_s if window_s else horizon / 24.0
-            )
         scheduler = ResilientScheduler(
             [Replica(platform, service_model)],
             BatchingPolicy(
@@ -333,17 +346,13 @@ def run_shard_matrix(
             ),
             fault_plan=None,
             seed=seed,
-            timeseries=ts,
             gather=gather,
         )
-        result = scheduler.run(qps, num_queries=queries)
         rows.append(
             ShardCaseResult(
                 label=label,
                 layout=layout,
-                gather_policy=gather_policy,
-                result=result,
-                timeseries=ts,
+                result=scheduler.run(qps, num_queries=queries),
             )
         )
 
@@ -355,10 +364,8 @@ def run_shard_matrix(
         queries=queries,
         qps=qps,
         batch_size=batch_size,
-        shards=shards,
-        sharding=sharding,
-        horizon_s=horizon,
-        plan=matrix_plan if matrix_plan is not None else FaultPlan.none(),
+        shards=blind.num_shards,
+        sharding=blind.sharding,
         rows=rows,
     )
 
@@ -384,7 +391,6 @@ def matrix_records(matrix: ShardMatrix):
             fp,
             matrix.batch_size,
             kind="shard",
-            timeseries=row.timeseries,
         )
         record.scalars["arrival_qps"] = matrix.qps
         for key, value in row.layout.scalars().items():

@@ -512,7 +512,6 @@ def explain_scenario(
     scenario: str,
     *,
     capture: Optional[QueryTraceCapture] = None,
-    fault_slack_s: Optional[float] = None,
     **scenario_kwargs: Any,
 ) -> Tuple[Explanation, Any]:
     """Run one monitored scenario under query-trace capture and explain
@@ -520,7 +519,7 @@ def explain_scenario(
     the CLI and the golden tests both call, mirroring
     :func:`~repro.monitor.run_monitored_scenario`.
 
-    ``fault_slack_s`` defaults to the scenario's telemetry window, so
+    The fault-overlap slack is the scenario's telemetry window, so
     batches that started inside a fault window but finished just after
     it still count as overlapping.
     """
@@ -530,23 +529,15 @@ def explain_scenario(
     ms = run_monitored_scenario(
         model, platform, scenario, querytrace=qt, **scenario_kwargs
     )
-    slack = ms.window_s if fault_slack_s is None else fault_slack_s
-    meta = {
-        "model": ms.model,
-        "platform": ms.platform,
-        "scenario": ms.scenario,
-        "seed": ms.seed,
-        "queries": ms.queries,
-        "qps": ms.qps,
-        "deadline_s": ms.deadline_s,
-        "horizon_s": ms.horizon_s,
-        "fallback": ms.fallback,
-    }
+    meta_keys = (
+        "model", "platform", "scenario", "seed", "queries", "qps",
+        "deadline_s", "horizon_s", "fallback",
+    )
     exp = Explanation(
         qt,
         ms.result,
         fault_windows=ms.fault_windows(),
-        meta=meta,
-        fault_slack_s=slack,
+        meta={key: getattr(ms, key) for key in meta_keys},
+        fault_slack_s=ms.window_s,
     )
     return exp, ms

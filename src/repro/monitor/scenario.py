@@ -1,21 +1,32 @@
-"""Named fault scenarios and the monitored-run harness.
+"""Named fault scenarios and the one serving-scenario pipeline.
 
-The scenario table is the single source of truth for what ``repro
-resilience`` and ``repro monitor`` inject (the CLI imports it from
-here), and :func:`run_monitored_scenario` is the shared glue the CLI
-and the golden tests both call: build the service-time models,
-synthesize the seeded fault plan, attach a
-:class:`~repro.telemetry.timeseries.TimeSeries`, and run the resilient
-engine once under the full policy set. Everything downstream — the
-timeline, the alerts, the dashboard — derives from the returned
-bundle, so CLI output and test pins cannot drift apart.
+The scenario table is the single source of truth for what the serving
+subcommands inject, and :func:`build_scenario` is the one place a named
+scenario becomes a fleet, a fault plan and a policy set. The runners —
+:func:`run_monitored_scenario` (``repro monitor`` / ``explain``) and
+:func:`run_policy_matrix` (``repro resilience``) — are thin layers over
+it, and the CLI only renders what they return, so CLI output and test
+pins cannot drift apart.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.resilience import (
+    CircuitBreakerPolicy,
+    DegradationPolicy,
+    FaultPlan,
+    HedgePolicy,
+    Replica,
+    ResiliencePolicy,
+    ResilientScheduler,
+    RetryPolicy,
+    SheddingPolicy,
+)
 from repro.telemetry.timeseries import TimeSeries
 
 __all__ = [
@@ -25,8 +36,13 @@ __all__ = [
     "is_shard_scenario",
     "shard_scenario_names",
     "replica_scenario_names",
+    "check_scenario_inputs",
+    "ScenarioSetup",
+    "build_scenario",
     "MonitoredScenario",
     "run_monitored_scenario",
+    "PolicyMatrix",
+    "run_policy_matrix",
 ]
 
 #: FaultPlan.synthesize kwargs per named scenario. ``slowdown`` is the
@@ -95,23 +111,59 @@ def service_model_for(model, platform: str, batch: int):
     )
 
 
+def check_scenario_inputs(
+    *, batch_size, queries, qps=None, window_s=None, deadline_s=None
+) -> None:
+    """Reject bad scenario inputs before any calibration, naming them.
+
+    ``batch_size`` and ``queries`` must be positive integers; ``qps``,
+    ``window_s`` and ``deadline_s`` are ``None`` (the default) or
+    positive finite numbers.
+    """
+    for name, value in (("batch_size", batch_size), ("queries", queries)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value in (
+        ("qps", qps), ("window_s", window_s), ("deadline_s", deadline_s)
+    ):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"{name} must be positive and finite, got {value!r}"
+            )
+
+
 @dataclass
-class MonitoredScenario:
-    """One monitored run: the result plus everything needed to explain it."""
+class ScenarioSetup:
+    """One named scenario, assembled: everything a run needs but sinks.
+
+    ``plan`` is the injected plan: on the replicas, or — for shard
+    scenarios — on the shard servers behind ``gather``, with the replica
+    fleet healthy. ``policy`` holds the five policy parts; hedge and
+    breaker are ``None`` without a fallback, degrade without a degraded
+    model variant.
+    """
 
     model: str
     platform: str
     scenario: str
     seed: int
+    batch_size: int
     queries: int
     qps: float
     deadline_s: float
     window_s: float
     horizon_s: float
-    result: Any  # ResilientScheduleResult
-    timeseries: TimeSeries
-    plan: Any  # FaultPlan
-    fallback: Optional[str] = None
+    plan: FaultPlan
+    fallback: Optional[str]
+    replicas: List[Replica]
+    policy: ResiliencePolicy
+    gather: Any  # ShardGatherModel, or None
 
     def fault_windows(self):
         """All injected (start_s, end_s, kind) windows, sorted by start."""
@@ -124,6 +176,142 @@ class MonitoredScenario:
             for w in faults.pcie:
                 windows.append((w.start_s, w.end_s, f"{name}.pcie"))
         return sorted(windows)
+
+    def policy_with(self, *parts: str) -> ResiliencePolicy:
+        """The scenario's policy restricted to ``parts`` (none: off)."""
+        return ResiliencePolicy(**{p: getattr(self.policy, p) for p in parts})
+
+    def scheduler(
+        self, policy: ResiliencePolicy, *, faults: bool = True, **sinks: Any
+    ) -> ResilientScheduler:
+        """A fresh engine over this setup; ``faults=False`` is the
+        healthy baseline (the primary alone, nothing injected)."""
+        from repro.runtime import BatchingPolicy
+
+        return ResilientScheduler(
+            self.replicas if faults else self.replicas[:1],
+            BatchingPolicy(max_batch=self.batch_size),
+            resilience=policy,
+            fault_plan=self.plan if faults and self.gather is None else None,
+            seed=self.seed,
+            gather=self.gather if faults else None,
+            **sinks,
+        )
+
+
+def build_scenario(
+    model_name: str,
+    platform: str,
+    scenario: str,
+    *,
+    batch_size: int = 64,
+    queries: int = 2000,
+    qps: Optional[float] = None,
+    seed: int = 2020,
+    window_s: Optional[float] = None,
+    fallback: Optional[str] = None,
+    scenario_overrides: Optional[Dict[str, Any]] = None,
+    deadline_s: Optional[float] = None,
+    load: float = 0.4,
+) -> ScenarioSetup:
+    """Assemble one named scenario.
+
+    Calibrates the primary, the ``fallback`` platform (``None`` or
+    ``"none"``: no fallback) and, for DLRM, the degraded variant.
+    Defaults: ``qps`` is ``load`` × the primary's peak rate, the
+    deadline 10× the full-batch service time (at least 20 ms), and the
+    telemetry window a 24th of the horizon.
+    """
+    from repro.core import SlaBudget
+    from repro.models import build_model
+    from repro.models.dlrm import DLRM
+    from repro.models.variants import degraded_variant
+
+    check_scenario_inputs(
+        batch_size=batch_size, queries=queries, qps=qps,
+        window_s=window_s, deadline_s=deadline_s,
+    )
+    synth_kwargs = scenario_kwargs(scenario, **(scenario_overrides or {}))
+    if fallback is not None and fallback.lower() == "none":
+        fallback = None
+
+    model = build_model(model_name)
+    primary_stm = service_model_for(model, platform, batch_size)
+    standby = [] if fallback is None else [
+        Replica(fallback, service_model_for(model, fallback, batch_size))
+    ]
+    degraded_stm = None
+    if isinstance(model, DLRM):
+        degraded_stm = service_model_for(
+            degraded_variant(model), platform, batch_size
+        )
+    replicas = [Replica(platform, primary_stm, degraded_stm)] + standby
+
+    service_s = primary_stm.seconds(batch_size)
+    if qps is None:
+        qps = load * (batch_size / service_s)
+    if deadline_s is None:
+        deadline_s = max(10.0 * service_s, 0.02)
+    budget = SlaBudget(deadline_s, queue_fraction=0.5)
+    horizon = queries / qps
+    if window_s is None:
+        window_s = horizon / 24
+
+    gather = None
+    if synth_kwargs.get("shard_faults"):
+        from repro.distserve import (
+            GatherPolicy,
+            LocalityAwarePlacement,
+            ShardGatherModel,
+            hottest_shard_plan,
+            shard_layout,
+            split_shard_kwargs,
+        )
+
+        _, setup, fault_kwargs = split_shard_kwargs(synth_kwargs)
+        hot_k = int(setup.get("hot_k", 1024))
+        layout = shard_layout(
+            model, setup, LocalityAwarePlacement(hot_k=hot_k)
+        )
+        plan = hottest_shard_plan(layout, seed, horizon, fault_kwargs)
+        gather = ShardGatherModel(
+            layout, policy=GatherPolicy.none(), fault_plan=plan, seed=seed
+        )
+    else:
+        names = [r.name for r in replicas]
+        plan = FaultPlan.synthesize(seed, names, horizon, **synth_kwargs)
+
+    policy = ResiliencePolicy(
+        retry=RetryPolicy(deadline_s=deadline_s, max_retries=2),
+        hedge=(
+            HedgePolicy(delay_s=0.5 * budget.queue_budget_s)
+            if standby else None
+        ),
+        breaker=(
+            CircuitBreakerPolicy(failure_threshold=2, cooldown_s=deadline_s)
+            if standby else None
+        ),
+        shed=SheddingPolicy(deadline_s=deadline_s),
+        degrade=(
+            DegradationPolicy(queue_budget_s=budget.queue_budget_s)
+            if degraded_stm is not None else None
+        ),
+    )
+    return ScenarioSetup(
+        model=model_name, platform=platform, scenario=scenario, seed=seed,
+        batch_size=batch_size, queries=queries, qps=qps,
+        deadline_s=deadline_s, window_s=window_s, horizon_s=horizon,
+        plan=plan, fallback=fallback, replicas=replicas, policy=policy,
+        gather=gather,
+    )
+
+
+@dataclass
+class MonitoredScenario(ScenarioSetup):
+    """One monitored run: its setup plus the result and telemetry."""
+
+    result: Any  # ResilientScheduleResult
+    timeseries: TimeSeries
 
 
 def run_monitored_scenario(
@@ -138,142 +326,77 @@ def run_monitored_scenario(
     window_s: Optional[float] = None,
     fallback: Optional[str] = None,
     scenario_overrides: Optional[Dict[str, Any]] = None,
-    target_windows: int = 24,
     querytrace: Any = None,
 ) -> MonitoredScenario:
-    """Run one fault scenario with windowed telemetry attached.
-
-    Mirrors the ``repro resilience`` "faults + all" row: the full
-    policy set (retry, shedding, degradation; hedging and breaker
-    failover when a ``fallback`` platform is given) over the seeded
-    fault plan — but instrumented with a :class:`TimeSeries` whose
-    window size defaults to the horizon split into ``target_windows``
-    windows (deterministic, so golden outputs are stable).
-    """
-    from repro.core import SlaBudget
-    from repro.models import build_model
-    from repro.models.dlrm import DLRM
-    from repro.models.variants import degraded_variant
-    from repro.resilience import (
-        CircuitBreakerPolicy,
-        DegradationPolicy,
-        FaultPlan,
-        HedgePolicy,
-        Replica,
-        ResiliencePolicy,
-        ResilientScheduler,
-        RetryPolicy,
-        SheddingPolicy,
+    """Run one fault scenario with windowed telemetry attached: the
+    :func:`build_scenario` setup under its full policy set (the
+    ``repro resilience`` "faults + all" row), instrumented with a
+    :class:`TimeSeries` and, when given, ``querytrace``."""
+    setup = build_scenario(
+        model_name, platform, scenario, batch_size=batch_size,
+        queries=queries, qps=qps, seed=seed, window_s=window_s,
+        fallback=fallback, scenario_overrides=scenario_overrides,
     )
-    from repro.runtime import BatchingPolicy
-
-    model = build_model(model_name)
-    primary_stm = service_model_for(model, platform, batch_size)
-    fallback_stm = None
-    if fallback and fallback.lower() != "none":
-        fallback_stm = service_model_for(model, fallback, batch_size)
-    degraded_stm = None
-    if isinstance(model, DLRM):
-        degraded_stm = service_model_for(
-            degraded_variant(model), platform, batch_size
-        )
-
-    peak = batch_size / primary_stm.seconds(batch_size)
-    qps = qps if qps else 0.4 * peak
-    deadline = max(10.0 * primary_stm.seconds(batch_size), 0.02)
-    budget = SlaBudget(deadline, queue_fraction=0.5)
-    horizon = queries / qps
-    if window_s is None:
-        window_s = horizon / target_windows
-
-    synth_kwargs = scenario_kwargs(scenario, **(scenario_overrides or {}))
-    gather = None
-    names = [platform] + ([fallback] if fallback_stm is not None else [])
-    if synth_kwargs.get("shard_faults"):
-        # Shard scenario: faults live on the shard servers behind the
-        # gather model; the replica fleet itself stays healthy (the
-        # replica-level scenarios cover that axis).
-        from repro.distserve import (
-            GatherPolicy,
-            LocalityAwarePlacement,
-            ShardGatherModel,
-            build_layout,
-        )
-        from repro.distserve.scenario import (
-            split_shard_kwargs,
-            synthesize_shard_plan,
-        )
-        from repro.workloads import ZipfIndices
-
-        _, setup, shard_synth = split_shard_kwargs(synth_kwargs)
-        num_shards = int(setup.get("shards", 4))
-        layout = build_layout(
-            model,
-            num_shards,
-            sharding=str(setup.get("sharding", "row")),
-            placement=LocalityAwarePlacement(
-                hot_k=int(setup.get("hot_k", 1024)),
-            ),
-            distribution=ZipfIndices(alpha=float(setup.get("alpha", 1.1))),
-        )
-        plan = synthesize_shard_plan(
-            seed, layout.names, horizon,
-            target=layout.hottest().name, **shard_synth,
-        )
-        gather = ShardGatherModel(
-            layout, policy=GatherPolicy.none(), fault_plan=plan, seed=seed
-        )
-        replica_plan = FaultPlan.none()
-    else:
-        plan = FaultPlan.synthesize(seed, names, horizon, **synth_kwargs)
-        replica_plan = plan
-
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(deadline_s=deadline, max_retries=2),
-        hedge=(
-            HedgePolicy(delay_s=0.5 * budget.queue_budget_s)
-            if fallback_stm is not None else None
-        ),
-        breaker=(
-            CircuitBreakerPolicy(failure_threshold=2, cooldown_s=deadline)
-            if fallback_stm is not None else None
-        ),
-        shed=SheddingPolicy(deadline_s=deadline),
-        degrade=(
-            DegradationPolicy(queue_budget_s=budget.queue_budget_s)
-            if degraded_stm is not None else None
-        ),
+    timeseries = TimeSeries(window_s=setup.window_s)
+    scheduler = setup.scheduler(
+        setup.policy, timeseries=timeseries, querytrace=querytrace
     )
-
-    replicas = [Replica(platform, primary_stm, degraded_model=degraded_stm)]
-    if fallback_stm is not None:
-        replicas.append(Replica(fallback, fallback_stm))
-
-    timeseries = TimeSeries(window_s=window_s)
-    scheduler = ResilientScheduler(
-        replicas,
-        BatchingPolicy(max_batch=batch_size),
-        resilience=policy,
-        fault_plan=replica_plan,
-        seed=seed,
-        timeseries=timeseries,
-        gather=gather,
-        querytrace=querytrace,
-    )
-    result = scheduler.run(qps, num_queries=queries)
-
+    result = scheduler.run(setup.qps, num_queries=queries)
     return MonitoredScenario(
-        model=model_name,
-        platform=platform,
-        scenario=scenario,
-        seed=seed,
-        queries=queries,
-        qps=qps,
-        deadline_s=deadline,
-        window_s=window_s,
-        horizon_s=horizon,
-        result=result,
-        timeseries=timeseries,
-        plan=plan,
-        fallback=fallback if fallback_stm is not None else None,
+        **vars(setup), result=result, timeseries=timeseries
     )
+
+
+@dataclass
+class PolicyMatrix:
+    """The ``repro resilience`` bundle: one result per row, in order."""
+
+    setup: ScenarioSetup
+    rows: Dict[str, Any]  # label -> ResilientScheduleResult
+
+
+def run_policy_matrix(
+    model_name: str,
+    platform: str,
+    scenario: str = "slowdown",
+    *,
+    batch_size: int = 64,
+    queries: int = 800,
+    qps: Optional[float] = None,
+    seed: int = 2020,
+    fallback: Optional[str] = "broadwell",
+    deadline_s: Optional[float] = None,
+) -> PolicyMatrix:
+    """Run one replica scenario with each resilience policy on/off.
+
+    Rows: the healthy primary alone, the faults with no policy, retry,
+    hedge and failover (with a fallback), degrade/shed (with a degraded
+    variant), and every part at once — the monitored run's policy.
+    """
+    if is_shard_scenario(scenario):
+        raise ValueError(
+            f"scenario {scenario!r} faults shard servers; the policy "
+            "matrix needs a replica scenario"
+        )
+    setup = build_scenario(
+        model_name, platform, scenario, batch_size=batch_size,
+        queries=queries, qps=qps, seed=seed, fallback=fallback,
+        deadline_s=deadline_s,
+    )
+    cases = [("no faults", ()), ("faults, no policy", ()),
+             ("faults + retry", ("retry",))]
+    if setup.fallback is not None:
+        cases.append(("faults + hedge", ("hedge",)))
+        cases.append(("faults + failover", ("retry", "breaker")))
+    if setup.policy.degrade is not None:
+        cases.append(("faults + degrade/shed", ("shed", "degrade")))
+    rows = {
+        label: setup.scheduler(
+            setup.policy_with(*parts), faults=label != "no faults"
+        ).run(setup.qps, num_queries=queries)
+        for label, parts in cases
+    }
+    rows["faults + all"] = setup.scheduler(setup.policy).run(
+        setup.qps, num_queries=queries
+    )
+    return PolicyMatrix(setup=setup, rows=rows)

@@ -161,8 +161,18 @@ class BatchingPolicy:
     batch_timeout_s: float = 0.002
 
     def __post_init__(self) -> None:
+        if isinstance(self.max_batch, bool) or not isinstance(
+            self.max_batch, (int, np.integer)
+        ):
+            raise TypeError(
+                f"max_batch must be an integer, got {self.max_batch!r}"
+            )
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        if not math.isfinite(self.batch_timeout_s):
+            raise ValueError(
+                f"batch_timeout_s must be finite, got {self.batch_timeout_s!r}"
+            )
         if self.batch_timeout_s < 0:
             raise ValueError("batch timeout must be non-negative")
 

@@ -433,3 +433,31 @@ class TestScenarioOutputPins:
             "1.619 / 2.349 ms",
             "injected: none",
         ]
+
+
+class TestScenarioInputErrors:
+    """Bad scenario sizes exit with ``error: ...`` naming the argument,
+    before any calibration, instead of a traceback deep in the engine."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["monitor", "--queries", "0"], "queries"),
+            (["explain", "--queries", "-5"], "queries"),
+            (["monitor", "--qps", "-3"], "qps"),
+            (["monitor", "--qps", "0"], "qps"),
+            (["explain", "--batch-size", "0"], "batch_size"),
+            (["monitor", "--window-ms", "0"], "window_s"),
+            (["resilience", "--queries", "0"], "queries"),
+            (["resilience", "--deadline-ms", "0"], "deadline_s"),
+            (["shard", "--queries", "0"], "queries"),
+            (["shard", "--qps", "0"], "qps"),
+            (["trace", "--resilience", "--qps", "-1"], "qps"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_exits_naming_the_argument(self, argv, name):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert message.startswith("error: ") and name in message, message

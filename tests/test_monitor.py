@@ -28,6 +28,7 @@ from repro.monitor import (
     utilization_series,
     window_error_fractions,
 )
+from repro.monitor.scenario import build_scenario, run_policy_matrix
 from repro.telemetry import TimeSeries, TimeSeriesSummary
 from repro.telemetry.chrome_trace import (
     REPLICA_LANE_FAULT,
@@ -231,6 +232,100 @@ class TestBurnRate:
 
     def test_empty_source_no_alerts(self):
         assert evaluate_burn_rates(TimeSeries(window_s=1.0), [self._rule()]) == []
+
+
+class TestScenarioPipeline:
+    """``build_scenario`` is the one place a named scenario becomes a
+    fleet, a fault plan and a policy set; the runners only add sinks."""
+
+    @pytest.mark.parametrize(
+        "kwargs,error,name",
+        [
+            (dict(queries=0), ValueError, "queries"),
+            (dict(queries=-5), ValueError, "queries"),
+            (dict(queries=2.5), TypeError, "queries"),
+            (dict(queries=True), TypeError, "queries"),
+            (dict(batch_size=0), ValueError, "batch_size"),
+            (dict(batch_size=64.0), TypeError, "batch_size"),
+            (dict(qps=-3.0), ValueError, "qps"),
+            (dict(qps=0.0), ValueError, "qps"),
+            (dict(qps=float("nan")), ValueError, "qps"),
+            (dict(qps="fast"), TypeError, "qps"),
+            (dict(window_s=0.0), ValueError, "window_s"),
+            (dict(window_s=float("inf")), ValueError, "window_s"),
+            (dict(deadline_s=-1.0), ValueError, "deadline_s"),
+        ],
+    )
+    def test_rejects_bad_inputs_naming_them(self, kwargs, error, name):
+        with pytest.raises(error, match=name):
+            build_scenario("rm1", "t4", "slowdown", **kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        setup = build_scenario(
+            "rm1", "t4", "slowdown", queries=np.int64(200),
+            batch_size=np.int32(64),
+        )
+        assert setup.queries == 200 and setup.batch_size == 64
+
+    def test_monitored_run_is_the_setup_plus_sinks(self, slowdown_run):
+        setup = build_scenario(
+            "rm1", "t4", "slowdown", queries=QUERIES, seed=SEED,
+            scenario_overrides=OVERRIDES,
+        )
+        assert setup.qps == slowdown_run.qps
+        assert setup.deadline_s == slowdown_run.deadline_s
+        assert setup.window_s == slowdown_run.window_s
+        assert setup.fault_windows() == slowdown_run.fault_windows()
+        bare = setup.scheduler(setup.policy).run(setup.qps, QUERIES)
+        assert np.array_equal(
+            bare.latencies_s, slowdown_run.result.latencies_s
+        )
+
+    def test_policy_parts_follow_the_fleet(self):
+        # rm1 is a DLRM (degraded variant) and has no fallback here.
+        setup = build_scenario("rm1", "t4", "crash", queries=200)
+        assert setup.policy.degrade is not None
+        assert setup.policy.hedge is None and setup.policy.breaker is None
+        with_standby = build_scenario(
+            "ncf", "t4", "crash", queries=200, fallback="broadwell"
+        )
+        assert with_standby.policy.hedge is not None
+        assert with_standby.policy.breaker is not None
+        assert with_standby.policy.degrade is None
+        assert [r.name for r in with_standby.replicas] == ["t4", "broadwell"]
+        assert build_scenario(
+            "ncf", "t4", "crash", queries=200, fallback="None"
+        ).fallback is None
+
+    def test_policy_matrix_rows(self):
+        matrix = run_policy_matrix(
+            "rm1", "t4", "mixed", queries=300, seed=7
+        )
+        assert list(matrix.rows) == [
+            "no faults", "faults, no policy", "faults + retry",
+            "faults + hedge", "faults + failover", "faults + degrade/shed",
+            "faults + all",
+        ]
+        assert not any(matrix.rows["no faults"].fault_counts.values())
+        # The all-policies row is the monitored run.
+        ms = run_monitored_scenario(
+            "rm1", "t4", "mixed", queries=300, seed=7, fallback="broadwell"
+        )
+        assert np.array_equal(
+            matrix.rows["faults + all"].latencies_s, ms.result.latencies_s
+        )
+
+    def test_policy_matrix_without_fallback_or_degraded_variant(self):
+        matrix = run_policy_matrix(
+            "ncf", "t4", "crash", queries=200, seed=7, fallback="none"
+        )
+        assert list(matrix.rows) == [
+            "no faults", "faults, no policy", "faults + retry", "faults + all",
+        ]
+
+    def test_policy_matrix_rejects_shard_scenario(self):
+        with pytest.raises(ValueError, match="shard"):
+            run_policy_matrix("rm2", "broadwell", "shard_slowdown")
 
 
 class TestMonitoredScenario:

@@ -70,6 +70,19 @@ class TestBatchingPolicy:
         with pytest.raises(ValueError):
             BatchingPolicy(batch_timeout_s=-1)
 
+    @pytest.mark.parametrize("max_batch", [2.5, True, "64", None])
+    def test_rejects_non_integer_max_batch(self, max_batch):
+        with pytest.raises(TypeError, match="max_batch"):
+            BatchingPolicy(max_batch=max_batch)
+
+    def test_accepts_numpy_integer_max_batch(self):
+        assert BatchingPolicy(max_batch=np.int64(8)).max_batch == 8
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_rejects_non_finite_timeout(self, timeout):
+        with pytest.raises(ValueError, match="batch_timeout_s"):
+            BatchingPolicy(batch_timeout_s=timeout)
+
 
 class TestScheduler:
     def _scheduler(self, sweep, model="rm3", platform="t4", **policy_kwargs):
