@@ -403,6 +403,11 @@ _STDOUT_PINS = [
         ["shard", "--format", "json"],
         "4ddc83bca3b16a8bb61b08e54da12667ccf91ae5fb49df10a0dc31bac176a8a4",
     ),
+    (
+        # The plain QueryScheduler with the metrics registry on.
+        ["metrics", "--model", "rm1", "--queries", "2000"],
+        "715f1b820e21c66634f12487a0f6d3764ffbe599dfc5e23d43e3bef6385df0a0",
+    ),
 ]
 
 
