@@ -6,6 +6,11 @@ resilience policies (retries, hedging, circuit-breaker failover,
 SLA-aware shedding, graceful degradation) layered on the same dynamic
 batching discipline.
 
+Both engines form batches with the same step,
+:class:`~repro.runtime.scheduler.BatchFormation`. Pending work is a
+:class:`WorkQueue`: first attempts are the sorted arrival array, read
+through a cursor, and only retries and parked queries go on a heap.
+
 **Equivalence contract:** with one replica, a null
 :class:`~repro.resilience.faults.FaultPlan`, and an empty
 :class:`~repro.resilience.policies.ResiliencePolicy`, the engine's
@@ -32,7 +37,14 @@ from repro import telemetry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policies import ResiliencePolicy
 from repro.resilience.server import Replica, ServerState
-from repro.runtime.scheduler import BatchingPolicy, ScheduleResult
+from repro.runtime.scheduler import (
+    BatchFormation,
+    BatchingPolicy,
+    ScheduleResult,
+    check_policy,
+    poisson_arrivals,
+    validate_run,
+)
 from repro.telemetry.chrome_trace import (
     REPLICA_LANE_FAULT,
     REPLICA_LANE_HEDGE,
@@ -135,6 +147,84 @@ class _Outcome:
     DROPPED = 2
 
 
+#: One pending attempt: (ready time, query id, attempt number).
+Work = Tuple[float, int, int]
+
+
+class WorkQueue:
+    """Pending attempts, popped in ``(ready, qid, attempt)`` order.
+
+    First attempts are the sorted arrival array, read through a cursor;
+    only retries and parked queries go on the heap. Every heap entry
+    belongs to a query the cursor has passed, so on a tie in ready time
+    the heap entry, with its smaller qid, comes first. Pops come out in
+    exactly the order one heap of every attempt would give.
+    """
+
+    __slots__ = ("form", "cursor", "heap", "_ready", "_n")
+
+    def __init__(self, form: BatchFormation) -> None:
+        self.form = form
+        self.cursor = 0
+        self.heap: List[Work] = []
+        self._ready = form.ready
+        self._n = len(form.ready)
+
+    def __bool__(self) -> bool:
+        return self.cursor < self._n or bool(self.heap)
+
+    def push(self, work: Work) -> None:
+        heapq.heappush(self.heap, work)
+
+    def _heap_first(self) -> bool:
+        """Whether the next attempt in order is on the heap."""
+        heap = self.heap
+        if not heap:
+            return False
+        c = self.cursor
+        return c == self._n or heap[0] < (self._ready[c], c, 0)
+
+    def pop(self) -> Work:
+        if self._heap_first():
+            return heapq.heappop(self.heap)
+        c = self.cursor
+        work = (self._ready[c], c, 0)
+        self.cursor = c + 1
+        return work
+
+    def fill(self, members: List[Work], dispatch_at: float, hi: int) -> None:
+        """Append the work ready by ``dispatch_at`` to ``members``, in
+        order, until the batch holds ``max_batch``.
+
+        ``hi`` is :meth:`BatchFormation.window`'s end of the first
+        attempts from the cursor that fit.
+        """
+        heap = self.heap
+        if not heap or heap[0][0] > dispatch_at:
+            # No pending retry in the window: first attempts only, as
+            # one searchsorted slice.
+            lo = self.cursor
+            members.extend(
+                (ready, qid, 0)
+                for qid, ready in enumerate(self._ready[lo:hi].tolist(), lo)
+            )
+            self.cursor = hi
+            return
+        room = self.form.max_batch - len(members)
+        while room > 0:
+            if self._heap_first():
+                if heap[0][0] > dispatch_at:
+                    return
+                members.append(heapq.heappop(heap))
+            else:
+                c = self.cursor
+                if c == self._n or self._ready[c] > dispatch_at:
+                    return
+                members.append((self._ready[c], c, 0))
+                self.cursor = c + 1
+            room -= 1
+
+
 class ResilientScheduler:
     """Discrete-event simulation of a replicated, fault-prone fleet.
 
@@ -156,6 +246,12 @@ class ResilientScheduler:
     ) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
+        for k, replica in enumerate(replicas):
+            if not isinstance(replica, Replica):
+                raise TypeError(
+                    f"replicas[{k}] must be a Replica, got {replica!r}"
+                )
+        check_policy(policy)
         names = [r.name for r in replicas]
         if len(set(names)) != len(names):
             raise ValueError(f"replica names must be unique, got {names}")
@@ -183,16 +279,10 @@ class ResilientScheduler:
         self, arrival_qps: float, num_queries: int = 2000
     ) -> ResilientScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
-        if not math.isfinite(arrival_qps) or arrival_qps <= 0:
-            raise ValueError(
-                f"arrival rate must be a positive finite QPS, got {arrival_qps}"
-            )
-        if num_queries < 1:
-            raise ValueError(f"need at least one query, got {num_queries}")
-
-        rng = np.random.default_rng(self.seed)
-        inter_arrivals = rng.exponential(1.0 / arrival_qps, size=num_queries)
-        arrivals = np.cumsum(inter_arrivals)
+        validate_run(self.policy, arrival_qps, num_queries)
+        arrivals = poisson_arrivals(
+            np.random.default_rng(self.seed), arrival_qps, num_queries
+        )
 
         servers = [
             ServerState(spec, idx, self.fault_plan)
@@ -228,17 +318,15 @@ class ResilientScheduler:
             "pcie_batches": 0, "crashed_batches": 0, "dropped_responses": 0,
         }
 
-        # Work heap: (ready time, query id, attempt). Attempt 0 entries
-        # are the arrivals themselves; retries re-enter with a later
-        # ready time. Ties resolve in query order, matching the plain
-        # scheduler's scan.
-        heap: List[Tuple[float, int, int]] = [
-            (float(arrivals[i]), i, 0) for i in range(num_queries)
-        ]
-        heapq.heapify(heap)
+        # Pending work in (ready time, query id, attempt) order. Attempt
+        # 0 entries are the arrivals themselves; retries re-enter with a
+        # later ready time. Ties resolve in query order, matching the
+        # plain scheduler's scan.
+        form = BatchFormation(arrivals, policy)
+        work = WorkQueue(form)
 
-        while heap:
-            head_ready, head_qid, head_attempt = heapq.heappop(heap)
+        while work:
+            head_ready, head_qid, head_attempt = work.pop()
 
             server = self._route(servers, head_ready)
             if server is None:
@@ -247,34 +335,20 @@ class ResilientScheduler:
                 resume = min(s.next_available(head_ready) for s in servers)
                 if resume <= head_ready:
                     resume = head_ready + 1e-9
-                heapq.heappush(heap, (resume, head_qid, head_attempt))
+                work.push((resume, head_qid, head_attempt))
                 continue
 
-            # -- batch formation (identical to QueryScheduler.run) ----------
-            dispatch_at = max(head_ready + policy.batch_timeout_s,
-                              server.free_at)
-            members: List[Tuple[float, int, int]] = [
-                (head_ready, head_qid, head_attempt)
-            ]
-            while (
-                heap
-                and len(members) < policy.max_batch
-                and heap[0][0] <= dispatch_at
-            ):
-                ready, qid, attempt = heapq.heappop(heap)
-                members.append((ready, qid, attempt))
-            start = max(dispatch_at, server.free_at)
-            if len(members) == policy.max_batch:
-                start = max(members[-1][0], server.free_at)
-            if qt is not None:
-                # The instant the batch stopped admitting members: the
-                # last member's arrival when it filled, else the head
-                # timeout. Captured before shedding mutates `members`.
-                batch_close = (
-                    members[-1][0]
-                    if len(members) == policy.max_batch
-                    else dispatch_at
-                )
+            # -- batch formation (BatchFormation, as in QueryScheduler) -----
+            dispatch_at, hi = form.window(
+                head_ready, server.free_at, work.cursor, policy.max_batch - 1
+            )
+            members: List[Work] = [(head_ready, head_qid, head_attempt)]
+            work.fill(members, dispatch_at, hi)
+            # batch_close: the instant the batch stopped admitting
+            # members, taken before shedding mutates `members`.
+            batch_close, start = form.start(
+                dispatch_at, len(members), members[-1][0], server.free_at
+            )
 
             if server.index != 0:
                 counters["failovers"] += len(members)
@@ -535,7 +609,7 @@ class ResilientScheduler:
                     if qt is not None:
                         qt_attempt(qid, attempt, ready, "crash", crash_at)
                     self._fail(
-                        heap, outcome, counters, qid, attempt, crash_at, res,
+                        work, outcome, counters, qid, attempt, crash_at, res,
                         ts, qt,
                     )
                     continue
@@ -560,7 +634,7 @@ class ResilientScheduler:
                             max(detect, completion),
                         )
                     self._fail(
-                        heap, outcome, counters, qid, attempt,
+                        work, outcome, counters, qid, attempt,
                         max(detect, completion), res, ts, qt,
                     )
                     continue
@@ -575,7 +649,7 @@ class ResilientScheduler:
                             ready + res.retry.deadline_s,
                         )
                     self._fail(
-                        heap, outcome, counters, qid, attempt,
+                        work, outcome, counters, qid, attempt,
                         ready + res.retry.deadline_s, res, ts, qt,
                     )
                     continue
@@ -591,7 +665,10 @@ class ResilientScheduler:
                     qt.settle(qid, float(latencies[qid]), completion)
 
         end = max(s.free_at for s in servers)
-        duration = max(float(end - arrivals[0] + inter_arrivals[0]), 0.0)
+        # The stream starts at 0: (end - first arrival) + first gap, in
+        # this order so the float sum stays bit-identical.
+        first_gap = arrivals[0]
+        duration = max(float(end - first_gap + first_gap), 0.0)
         done = latencies[~np.isnan(latencies)]
         result = ResilientScheduleResult(
             queries=num_queries,
@@ -642,7 +719,7 @@ class ResilientScheduler:
 
     def _fail(
         self,
-        heap: List[Tuple[float, int, int]],
+        work: WorkQueue,
         outcome: np.ndarray,
         counters: Dict[str, int],
         qid: int,
@@ -654,9 +731,7 @@ class ResilientScheduler:
     ) -> None:
         """One attempt failed at ``at``: schedule a retry or drop the query."""
         if res.retry is not None and attempt < res.retry.max_retries:
-            heapq.heappush(
-                heap, (at + res.retry.backoff_s(attempt), qid, attempt + 1)
-            )
+            work.push((at + res.retry.backoff_s(attempt), qid, attempt + 1))
             counters["retries"] += 1
             if ts is not None:
                 ts.count("retries", at)

@@ -10,6 +10,7 @@ from repro.runtime.graph_cache import (
     signature_digest,
 )
 from repro.runtime.scheduler import (
+    BatchFormation,
     BatchingPolicy,
     QueryScheduler,
     ScheduleResult,
@@ -33,6 +34,7 @@ __all__ = [
     "timeline_from_profile",
     "ServiceTimeModel",
     "BatchingPolicy",
+    "BatchFormation",
     "QueryScheduler",
     "ScheduleResult",
     "GraphCache",

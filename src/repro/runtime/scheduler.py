@@ -14,14 +14,20 @@ This module closes that loop with a discrete-event simulation:
 
 Service-time lookup interpolates between profiled batch sizes, so one
 :class:`~repro.core.speedup.SweepResult` parameterizes any policy.
+
+:class:`BatchFormation` is the one batch-formation step: this module's
+plain loop and the resilient engine in :mod:`repro.resilience.engine`
+both form every batch with it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import numbers
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +41,15 @@ if TYPE_CHECKING:  # avoid runtime circularity with repro.core / resilience
     from repro.telemetry import TimeSeries
     from repro.telemetry.querytrace import QueryTraceCapture
 
-__all__ = ["ServiceTimeModel", "BatchingPolicy", "ScheduleResult", "QueryScheduler"]
+__all__ = [
+    "ServiceTimeModel",
+    "BatchingPolicy",
+    "BatchFormation",
+    "ScheduleResult",
+    "QueryScheduler",
+    "poisson_arrivals",
+    "validate_run",
+]
 
 
 class ServiceTimeModel:
@@ -177,6 +191,122 @@ class BatchingPolicy:
             raise ValueError("batch timeout must be non-negative")
 
 
+def check_policy(policy: BatchingPolicy) -> None:
+    """Reject a ``policy`` that is not a :class:`BatchingPolicy`."""
+    if not isinstance(policy, BatchingPolicy):
+        raise TypeError(f"policy must be a BatchingPolicy, got {policy!r}")
+
+
+def validate_run(
+    policy: BatchingPolicy, arrival_qps: float, num_queries: int
+) -> None:
+    """Reject bad inputs to a serving engine's ``run``, naming them.
+
+    Both engines call this before drawing any arrival.
+    """
+    check_policy(policy)
+    if isinstance(num_queries, bool) or not isinstance(
+        num_queries, numbers.Integral
+    ):
+        raise ValueError(
+            f"num_queries must be an integer, got {num_queries!r}"
+        )
+    if num_queries < 1:
+        raise ValueError(
+            f"num_queries: need at least one query, got {num_queries}"
+        )
+    if isinstance(arrival_qps, bool) or not isinstance(
+        arrival_qps, numbers.Real
+    ):
+        raise TypeError(f"arrival_qps must be a number, got {arrival_qps!r}")
+    if not math.isfinite(arrival_qps) or arrival_qps <= 0:
+        raise ValueError(
+            "arrival_qps: arrival rate must be a positive finite QPS, got "
+            f"{arrival_qps!r}"
+        )
+    # Defensive re-checks: a policy constructed through pickling or
+    # __new__ could bypass __post_init__, and a bad timeout would
+    # make the batching loop hang or divide by zero.
+    if policy.max_batch < 1:
+        raise ValueError(f"max_batch must be >= 1, got {policy.max_batch}")
+    if not math.isfinite(policy.batch_timeout_s) or (
+        policy.batch_timeout_s < 0
+    ):
+        raise ValueError(
+            "batch timeout must be finite and non-negative, got "
+            f"{policy.batch_timeout_s!r}"
+        )
+
+
+def poisson_arrivals(
+    rng: np.random.Generator, arrival_qps: float, num_queries: int
+) -> np.ndarray:
+    """Sorted Poisson arrival times, summed in place over the gaps.
+
+    The first arrival is also the first inter-arrival gap.
+    """
+    arrivals = rng.exponential(1.0 / arrival_qps, size=num_queries)
+    return np.cumsum(arrivals, out=arrivals)
+
+
+class BatchFormation:
+    """The dynamic-batching step both serving engines share.
+
+    A batch opens at its head attempt's ready time and admits work until
+    ``dispatch_at``: the head's timeout, or later while the server is
+    still busy. First attempts (the sorted ``arrivals``) join as one
+    slice, up to ``max_batch`` members. A batch that fills closes early,
+    at its last member's ready time; it starts at its close or when the
+    server frees, whichever is later.
+    """
+
+    __slots__ = ("ready", "max_batch", "timeout_s", "_n")
+
+    def __init__(self, arrivals: np.ndarray, policy: BatchingPolicy) -> None:
+        #: ``arrivals`` read as Python floats, without a copy.
+        self.ready = memoryview(arrivals)
+        self.max_batch = policy.max_batch
+        self.timeout_s = policy.batch_timeout_s
+        self._n = len(arrivals)
+
+    def window(
+        self, head_ready: float, free_at: float, lo: int, room: int
+    ) -> Tuple[float, int]:
+        """``(dispatch_at, hi)`` for a head ready at ``head_ready``.
+
+        First attempts ``lo:hi`` are those ready by ``dispatch_at``, at
+        most ``room`` of them: ``hi`` is
+        ``arrivals.searchsorted(dispatch_at, "right")`` clamped to
+        ``[lo, lo + room]``. Bisecting only that range of a memoryview
+        costs a fraction of one numpy ``searchsorted`` call.
+        """
+        dispatch_at = head_ready + self.timeout_s
+        if dispatch_at < free_at:
+            dispatch_at = free_at
+        hi = min(lo + room, self._n)
+        return dispatch_at, bisect_right(self.ready, dispatch_at, lo, hi)
+
+    def start(
+        self, dispatch_at: float, size: int, last_ready: float, free_at: float
+    ) -> Tuple[float, float]:
+        """``(close, start)`` of a batch of ``size`` members: when it
+        stopped admitting work, and when the server begins it."""
+        close = last_ready if size == self.max_batch else dispatch_at
+        return close, (close if close >= free_at else free_at)
+
+
+def _queue_depths(
+    arrivals: np.ndarray, batch_sizes: List[int], starts: array
+) -> List[int]:
+    """Queue depth at each dispatch: everything that has arrived by the
+    batch's start but not left with an earlier batch (at least the
+    batch itself)."""
+    sizes = np.asarray(batch_sizes)
+    heads = np.cumsum(sizes) - sizes
+    arrived = np.searchsorted(arrivals, np.frombuffer(starts), side="right")
+    return np.maximum(arrived - heads, sizes).tolist()
+
+
 @dataclass
 class ScheduleResult:
     """Outcome of one simulated query stream."""
@@ -268,6 +398,7 @@ class QueryScheduler:
         timeseries: Optional["TimeSeries"] = None,
         querytrace: Optional["QueryTraceCapture"] = None,
     ) -> None:
+        check_policy(policy)
         self.service_model = service_model
         self.policy = policy
         self.seed = seed
@@ -323,158 +454,151 @@ class QueryScheduler:
             querytrace=self.querytrace,
         )
 
-    def _validate_run(self, arrival_qps: float, num_queries: int) -> None:
-        if not isinstance(num_queries, (int, np.integer)):
-            raise ValueError(
-                f"num_queries must be an integer, got {num_queries!r}"
-            )
-        if num_queries < 1:
-            raise ValueError(f"need at least one query, got {num_queries}")
-        if not math.isfinite(arrival_qps) or arrival_qps <= 0:
-            raise ValueError(
-                "arrival rate must be a positive finite QPS, got "
-                f"{arrival_qps!r}"
-            )
-        # Defensive re-checks: a policy constructed through pickling or
-        # __new__ could bypass __post_init__, and a bad timeout would
-        # make the batching loop hang or divide by zero.
-        if self.policy.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.policy.max_batch}")
-        if not math.isfinite(self.policy.batch_timeout_s) or (
-            self.policy.batch_timeout_s < 0
-        ):
-            raise ValueError(
-                "batch timeout must be finite and non-negative, got "
-                f"{self.policy.batch_timeout_s!r}"
-            )
-
     def run(self, arrival_qps: float, num_queries: int = 2000) -> ScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
-        self._validate_run(arrival_qps, num_queries)
+        validate_run(self.policy, arrival_qps, num_queries)
         if self._resilient:
             return self._build_resilient().run(arrival_qps, num_queries)
-        inter_arrivals = self._rng.exponential(1.0 / arrival_qps, size=num_queries)
-        arrivals = np.cumsum(inter_arrivals)
+        arrivals = poisson_arrivals(self._rng, arrival_qps, num_queries)
+        max_batch = self.policy.max_batch
+        form = BatchFormation(arrivals, self.policy)
+        # service[b] is seconds(b), one lookup per batch size; no batch
+        # is empty, so index 0 is unused.
+        service = [math.nan] + [
+            self.service_model.seconds(b)
+            for b in range(1, min(max_batch, num_queries) + 1)
+        ]
 
-        # Telemetry handles are resolved once per run; the simulation
-        # loop then updates them per dispatched batch / query.
-        queue_gauge = occupancy_hist = latency_hist = None
-        if telemetry.enabled():
-            registry = telemetry.get_registry()
-            labels = dict(
-                model=self.service_model.model,
-                platform=self.service_model.platform,
-            )
-            queue_gauge = registry.gauge("scheduler.queue_depth", **labels)
-            occupancy_hist = registry.histogram(
-                "scheduler.batch_occupancy",
-                min_value=1.0,
-                max_value=float(max(self.policy.max_batch, 2)),
-                exact_cap=0,
-                **labels,
-            )
-            latency_hist = registry.histogram(
-                "scheduler.query_latency_s", exact_cap=0, **labels
-            )
-            registry.counter("scheduler.runs", **labels).inc()
-
-        ts = self.timeseries
-        if ts is not None:
-            ts.count_many("arrivals", arrivals)
-        qt = self.querytrace
-        if qt is not None:
-            qt.begin_run(arrivals)
-
-        policy = self.policy
-        latencies = np.empty(num_queries)
+        # The loop records each batch's size and start; sinks replay
+        # them after the run, so they cannot perturb the simulation.
         batch_sizes: List[int] = []
+        starts = array("d")
+        ready = form.ready
         server_free_at = 0.0
         i = 0
         while i < num_queries:
-            # Collect a batch: the head query opens the window; whatever
-            # arrives before (head + timeout) joins, up to max_batch —
-            # but the server being busy extends the window for free.
-            head_arrival = arrivals[i]
-            dispatch_at = max(head_arrival + policy.batch_timeout_s, server_free_at)
-            j = i + 1
-            while (
-                j < num_queries
-                and j - i < policy.max_batch
-                and arrivals[j] <= dispatch_at
-            ):
-                j += 1
+            # The head query opens the window; whatever arrives by
+            # dispatch_at joins, up to max_batch. A busy server extends
+            # the window for free.
+            dispatch_at, j = form.window(
+                ready[i], server_free_at, i, max_batch
+            )
             batch = j - i
-            start = max(dispatch_at, server_free_at)
-            # If the batch filled before the timeout, dispatch early.
-            if batch == policy.max_batch:
-                start = max(arrivals[j - 1], server_free_at)
-            service = self.service_model.seconds(batch)
-            finish = start + service
-            latencies[i:j] = finish - arrivals[i:j]
+            # A batch that fills before the timeout dispatches early.
+            _, start = form.start(
+                dispatch_at, batch, ready[j - 1], server_free_at
+            )
+            server_free_at = start + service[batch]
             batch_sizes.append(batch)
-            if queue_gauge is not None:
-                # Queue depth at dispatch: everything that has arrived
-                # by `start` but not yet left with an earlier batch.
-                waiting = int(np.searchsorted(arrivals, start, side="right")) - i
-                queue_gauge.set(max(waiting, batch))
-                occupancy_hist.observe(batch)
-                latency_hist.observe_many(latencies[i:j])
-            if ts is not None:
-                waiting_ts = (
-                    int(np.searchsorted(arrivals, start, side="right")) - i
-                )
-                ts.count("batches", start)
-                ts.sample("batch_occupancy", start, batch)
-                ts.sample("queue_depth", start, max(waiting_ts, batch))
-                ts.count_interval("busy_s", start, finish)
-                ts.observe_many(
-                    "latency_s", np.full(batch, finish), latencies[i:j]
-                )
-                ts.count("completions", finish, batch)
-            if qt is not None:
-                # Copies of already-computed floats only: capture does
-                # no arithmetic that feeds back into the simulation.
-                close = (
-                    float(arrivals[j - 1])
-                    if batch == policy.max_batch
-                    else dispatch_at
-                )
-                platform = self.service_model.platform
-                # One immutable parts record per batch: every member
-                # shares the same service interval.
-                parts = ServiceParts(base_s=service)
-                for q in range(i, j):
-                    qt.attempt(q, AttemptEvent(
-                        attempt=0,
-                        ready=float(arrivals[q]),
-                        batch_close=close,
-                        start=start,
-                        end=finish,
-                        outcome="completed",
-                        server=platform,
-                        server_index=0,
-                        lane=0,
-                        parts=parts,
-                    ))
-                    qt.settle(q, float(latencies[q]), finish)
-            server_free_at = finish
+            starts.append(start)
             i = j
 
-        duration = float(server_free_at - arrivals[0] + inter_arrivals[0])
+        finishes = np.frombuffer(starts) + np.take(service, batch_sizes)
+        latencies = np.repeat(finishes, batch_sizes)
+        latencies -= arrivals
+        # The stream starts at 0: (end - first arrival) + first gap, in
+        # this order so the float sum stays bit-identical.
+        first_gap = arrivals[0]
+        duration = float(server_free_at - first_gap + first_gap)
         if telemetry.enabled():
-            registry = telemetry.get_registry()
-            labels = dict(
-                model=self.service_model.model,
-                platform=self.service_model.platform,
+            self._emit_metrics(arrivals, latencies, batch_sizes, starts)
+        if self.timeseries is not None:
+            self._emit_timeseries(
+                arrivals, latencies, batch_sizes, starts, finishes
             )
-            registry.counter("scheduler.queries", **labels).inc(num_queries)
-            registry.counter("scheduler.batches", **labels).inc(len(batch_sizes))
+        if self.querytrace is not None:
+            self._emit_querytrace(
+                arrivals, latencies, batch_sizes, starts, finishes, service
+            )
         return ScheduleResult(
             queries=num_queries,
             duration_s=duration,
             latencies_s=latencies,
             batch_sizes=batch_sizes,
         )
+
+    # -- observation: replays of the recorded batches --------------------------
+
+    def _emit_metrics(self, arrivals, latencies, batch_sizes, starts) -> None:
+        registry = telemetry.get_registry()
+        labels = dict(
+            model=self.service_model.model,
+            platform=self.service_model.platform,
+        )
+        queue_gauge = registry.gauge("scheduler.queue_depth", **labels)
+        occupancy_hist = registry.histogram(
+            "scheduler.batch_occupancy",
+            min_value=1.0,
+            max_value=float(max(self.policy.max_batch, 2)),
+            exact_cap=0,
+            **labels,
+        )
+        latency_hist = registry.histogram(
+            "scheduler.query_latency_s", exact_cap=0, **labels
+        )
+        registry.counter("scheduler.runs", **labels).inc()
+        depths = _queue_depths(arrivals, batch_sizes, starts)
+        i = 0
+        for batch, depth in zip(batch_sizes, depths):
+            queue_gauge.set(depth)
+            occupancy_hist.observe(batch)
+            latency_hist.observe_many(latencies[i:i + batch])
+            i += batch
+        registry.counter("scheduler.queries", **labels).inc(len(latencies))
+        registry.counter("scheduler.batches", **labels).inc(len(batch_sizes))
+
+    def _emit_timeseries(
+        self, arrivals, latencies, batch_sizes, starts, finishes
+    ) -> None:
+        ts = self.timeseries
+        ts.count_many("arrivals", arrivals)
+        depths = _queue_depths(arrivals, batch_sizes, starts)
+        i = 0
+        for batch, start, finish, depth in zip(
+            batch_sizes, starts, finishes.tolist(), depths
+        ):
+            ts.count("batches", start)
+            ts.sample("batch_occupancy", start, batch)
+            ts.sample("queue_depth", start, depth)
+            ts.count_interval("busy_s", start, finish)
+            ts.observe_many(
+                "latency_s", np.full(batch, finish), latencies[i:i + batch]
+            )
+            ts.count("completions", finish, batch)
+            i += batch
+
+    def _emit_querytrace(
+        self, arrivals, latencies, batch_sizes, starts, finishes, service
+    ) -> None:
+        qt = self.querytrace
+        qt.begin_run(arrivals)
+        max_batch = self.policy.max_batch
+        platform = self.service_model.platform
+        ready = arrivals.tolist()
+        settled = latencies.tolist()
+        i = 0
+        for batch, start, finish in zip(batch_sizes, starts, finishes.tolist()):
+            j = i + batch
+            # A batch that did not fill starts at its dispatch_at.
+            close = ready[j - 1] if batch == max_batch else start
+            # One immutable parts record per batch: every member
+            # shares the same service interval.
+            parts = ServiceParts(base_s=service[batch])
+            for q in range(i, j):
+                qt.attempt(q, AttemptEvent(
+                    attempt=0,
+                    ready=ready[q],
+                    batch_close=close,
+                    start=start,
+                    end=finish,
+                    outcome="completed",
+                    server=platform,
+                    server_index=0,
+                    lane=0,
+                    parts=parts,
+                ))
+                qt.settle(q, settled[q], finish)
+            i = j
 
     def max_load_under_sla(
         self,

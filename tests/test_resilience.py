@@ -10,8 +10,12 @@ The two load-bearing guarantees:
   queries contribute exactly one latency sample each.
 """
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import SlaBudget, SpeedupStudy
@@ -35,7 +39,13 @@ from repro.resilience import (
     StragglerSpec,
     hashed_uniform,
 )
-from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
+from repro.resilience.engine import WorkQueue
+from repro.runtime import (
+    BatchFormation,
+    BatchingPolicy,
+    QueryScheduler,
+    ServiceTimeModel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +512,34 @@ class TestSchedulerIntegration:
         with pytest.raises(ValueError, match="at least one query"):
             scheduler.run(100, 0)
 
+    @pytest.mark.parametrize("num_queries", [2.5, True, "10", None])
+    def test_run_rejects_non_integer_queries(self, gpu_stm, num_queries):
+        scheduler = ResilientScheduler([Replica("t4", gpu_stm)],
+                                       BatchingPolicy())
+        with pytest.raises(ValueError, match="num_queries"):
+            scheduler.run(1000.0, num_queries)
+
+    def test_run_accepts_numpy_integer_queries(self, gpu_stm):
+        scheduler = ResilientScheduler([Replica("t4", gpu_stm)],
+                                       BatchingPolicy())
+        assert scheduler.run(1000.0, np.int64(20)).completed == 20
+
+    def test_run_rejects_non_numeric_rate(self, gpu_stm):
+        scheduler = ResilientScheduler([Replica("t4", gpu_stm)],
+                                       BatchingPolicy())
+        with pytest.raises(TypeError, match="arrival_qps"):
+            scheduler.run("1000", 10)
+
+    def test_constructor_rejects_non_policy(self, gpu_stm):
+        with pytest.raises(TypeError, match="policy must be a BatchingPolicy"):
+            ResilientScheduler([Replica("t4", gpu_stm)], 64)
+
+    def test_constructor_rejects_non_replica(self, gpu_stm):
+        with pytest.raises(TypeError, match=r"replicas\[1\] must be a Replica"):
+            ResilientScheduler(
+                [Replica("t4", gpu_stm), gpu_stm], BatchingPolicy()
+            )
+
 
 class TestTelemetryIntegration:
     def test_counters_and_spans_recorded(self, gpu_stm, cpu_stm, lite_stm):
@@ -655,3 +693,69 @@ class TestFaultPlanValidation:
         assert base == legacy
         # ...while a hedged reissue gets genuinely fresh luck
         assert base != redrawn
+
+
+class TestWorkQueue:
+    """The cursor + retry-heap merge against the single heap it replaced."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_pops_the_single_heap_order(self, data):
+        # Quarter-second grid: exact ties between arrivals, and between
+        # a retry's ready time and an arrival, are common.
+        ticks = st.integers(0, 24)
+        arrivals = np.array(
+            sorted(data.draw(st.lists(ticks, min_size=1, max_size=30))),
+            dtype=float,
+        ) / 4
+        max_batch = data.draw(st.integers(1, 6))
+        form = BatchFormation(
+            arrivals, BatchingPolicy(max_batch=max_batch, batch_timeout_s=0.0)
+        )
+        queue = WorkQueue(form)
+        oracle = [(float(a), qid, 0) for qid, a in enumerate(arrivals)]
+        heapq.heapify(oracle)
+        # Attempts popped and not yet re-queued: the only ones the
+        # engine can retry or park.
+        out = []
+        for _ in range(data.draw(st.integers(1, 60))):
+            op = data.draw(st.sampled_from(["pop", "fill", "retry", "park"]))
+            if op in ("retry", "park"):
+                if not out:
+                    continue
+                _, qid, attempt = out.pop(data.draw(
+                    st.integers(0, len(out) - 1)
+                ))
+                ready = data.draw(ticks) / 4
+                # A retry is the next attempt; a parked query (possibly a
+                # first attempt) re-enters unchanged at a later time.
+                work = (ready, qid, attempt + 1 if op == "retry" else attempt)
+                queue.push(work)
+                heapq.heappush(oracle, work)
+            elif op == "pop":
+                assert bool(queue) == bool(oracle)
+                if oracle:
+                    work = queue.pop()
+                    assert work == heapq.heappop(oracle)
+                    out.append(work)
+            else:
+                # No timeout and an idle server: the window closes at
+                # the drawn head-ready time itself.
+                dispatch_at, hi = form.window(
+                    data.draw(ticks) / 4, 0.0, queue.cursor, max_batch
+                )
+                members = []
+                queue.fill(members, dispatch_at, hi)
+                expected = []
+                while (
+                    oracle
+                    and len(expected) < max_batch
+                    and oracle[0][0] <= dispatch_at
+                ):
+                    expected.append(heapq.heappop(oracle))
+                assert members == expected
+                out.extend(members)
+        drained = []
+        while queue:
+            drained.append(queue.pop())
+        assert drained == [heapq.heappop(oracle) for _ in range(len(oracle))]

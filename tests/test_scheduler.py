@@ -140,6 +140,25 @@ class TestScheduler:
         with pytest.raises(ValueError, match="integer"):
             scheduler.run(arrival_qps=100, num_queries=12.5)
 
+    @pytest.mark.parametrize("num_queries", [True, False, 12.5, "10", None])
+    def test_run_rejects_non_integer_queries(self, sweep, num_queries):
+        with pytest.raises(ValueError, match="num_queries must be an integer"):
+            self._scheduler(sweep).run(1000.0, num_queries)
+
+    def test_run_accepts_numpy_integer_queries(self, sweep):
+        result = self._scheduler(sweep).run(1000.0, np.int64(30))
+        assert result.queries == 30 and len(result.latencies_s) == 30
+
+    @pytest.mark.parametrize("qps", ["1000", None, True])
+    def test_run_rejects_non_numeric_rate(self, sweep, qps):
+        with pytest.raises(TypeError, match="arrival_qps"):
+            self._scheduler(sweep).run(qps, 10)
+
+    def test_rejects_non_policy(self, sweep):
+        stm = ServiceTimeModel(sweep, "rm3", "t4")
+        with pytest.raises(TypeError, match="policy must be a BatchingPolicy"):
+            QueryScheduler(stm, 64)
+
     def test_max_load_under_sla(self, sweep):
         scheduler = self._scheduler(sweep, max_batch=256)
         capacity = scheduler.max_load_under_sla(
