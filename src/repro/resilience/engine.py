@@ -161,14 +161,14 @@ class WorkQueue:
     exactly the order one heap of every attempt would give.
     """
 
-    __slots__ = ("form", "cursor", "heap", "_ready", "_n")
+    __slots__ = ("cursor", "heap", "_ready", "_n", "_max_batch")
 
     def __init__(self, form: BatchFormation) -> None:
-        self.form = form
         self.cursor = 0
         self.heap: List[Work] = []
         self._ready = form.ready
         self._n = len(form.ready)
+        self._max_batch = form.max_batch
 
     def __bool__(self) -> bool:
         return self.cursor < self._n or bool(self.heap)
@@ -202,7 +202,7 @@ class WorkQueue:
         heap = self.heap
         if not heap or heap[0][0] > dispatch_at:
             # No pending retry in the window: first attempts only, as
-            # one searchsorted slice.
+            # one slice.
             lo = self.cursor
             members.extend(
                 (ready, qid, 0)
@@ -210,19 +210,14 @@ class WorkQueue:
             )
             self.cursor = hi
             return
-        room = self.form.max_batch - len(members)
-        while room > 0:
+        while len(members) < self._max_batch and self:
             if self._heap_first():
-                if heap[0][0] > dispatch_at:
-                    return
-                members.append(heapq.heappop(heap))
+                ready = heap[0][0]
             else:
-                c = self.cursor
-                if c == self._n or self._ready[c] > dispatch_at:
-                    return
-                members.append((self._ready[c], c, 0))
-                self.cursor = c + 1
-            room -= 1
+                ready = self._ready[self.cursor]
+            if ready > dispatch_at:
+                return
+            members.append(self.pop())
 
 
 class ResilientScheduler:

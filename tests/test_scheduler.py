@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import SpeedupStudy
 from repro.models import build_model
-from repro.runtime import BatchingPolicy, QueryScheduler, ScheduleResult, ServiceTimeModel
+from repro.runtime import (
+    BatchFormation,
+    BatchingPolicy,
+    QueryScheduler,
+    ScheduleResult,
+    ServiceTimeModel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +90,47 @@ class TestBatchingPolicy:
     def test_rejects_non_finite_timeout(self, timeout):
         with pytest.raises(ValueError, match="batch_timeout_s"):
             BatchingPolicy(batch_timeout_s=timeout)
+
+
+class TestBatchFormation:
+    """The shared step against the scalar scan it replaced."""
+
+    @given(st.data())
+    def test_matches_scalar_scan(self, data):
+        # An eighth-second grid makes ties between arrivals, heads and
+        # dispatch times exact.
+        ticks = st.integers(0, 40)
+        arrivals = np.array(
+            sorted(data.draw(st.lists(ticks, min_size=1, max_size=40))),
+            dtype=float,
+        ) / 8
+        max_batch = data.draw(st.integers(1, 8))
+        timeout = data.draw(st.sampled_from([0.0, 0.125, 0.3]))
+        form = BatchFormation(
+            arrivals,
+            BatchingPolicy(max_batch=max_batch, batch_timeout_s=timeout),
+        )
+        lo = data.draw(st.integers(0, len(arrivals) - 1))
+        room = data.draw(st.integers(1, max_batch))
+        head = data.draw(ticks) / 8
+        free_at = data.draw(ticks) / 8
+
+        dispatch_at, hi = form.window(head, free_at, lo, room)
+        assert dispatch_at == max(head + timeout, free_at)
+        j = lo
+        while (
+            j < len(arrivals) and j - lo < room and arrivals[j] <= dispatch_at
+        ):
+            j += 1
+        assert hi == j
+
+        size = data.draw(st.integers(1, max_batch))
+        last = data.draw(ticks) / 8
+        close, start = form.start(dispatch_at, size, last, free_at)
+        if size == max_batch:
+            assert (close, start) == (last, max(last, free_at))
+        else:
+            assert (close, start) == (dispatch_at, max(dispatch_at, free_at))
 
 
 class TestScheduler:

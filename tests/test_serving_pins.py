@@ -106,6 +106,8 @@ def _plain_runs(stm, policy):
 
 
 #: (max_batch, batch_timeout_s) -> (results digest, sink state digest).
+#: With max_batch=1 every batch is full and closes at its only arrival,
+#: so both timeouts give the same digests.
 PLAIN_PINS = {
     (1, 0.0): (
         "f4871a838666639316e537a4c49d9a695fc5013ced4890ab83a34a3f4733965d",
