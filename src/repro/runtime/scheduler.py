@@ -574,8 +574,9 @@ class QueryScheduler:
         qt.begin_run(arrivals)
         max_batch = self.policy.max_batch
         platform = self.service_model.platform
-        ready = arrivals.tolist()
-        settled = latencies.tolist()
+        # Read as Python floats, without copying n-length arrays.
+        ready = memoryview(arrivals)
+        settled = memoryview(latencies)
         i = 0
         for batch, start, finish in zip(batch_sizes, starts, finishes.tolist()):
             j = i + batch
