@@ -5,9 +5,10 @@ or over the JSON of a sink's state (JSON prints every float with its
 shortest round-trip repr, so equal JSON means equal bits). The pins
 cover the plain ``QueryScheduler`` across batch caps, timeouts and
 loads from light to overload, with the metrics registry,
-``TimeSeries`` and ``QueryTraceCapture`` attached, plus one
-retry-heavy ``ResilientScheduler`` run. A change to either engine must
-leave every digest unchanged.
+``TimeSeries`` and ``QueryTraceCapture`` attached, one retry-heavy
+``ResilientScheduler`` run, and every named fault scenario as
+``repro monitor`` runs it. A change to either engine must leave every
+digest unchanged.
 """
 
 import dataclasses
@@ -20,7 +21,13 @@ import pytest
 
 from repro import telemetry
 from repro.models import build_model
-from repro.monitor.scenario import build_scenario, service_model_for
+from repro.monitor.scenario import (
+    SCENARIOS,
+    build_scenario,
+    is_shard_scenario,
+    run_monitored_scenario,
+    service_model_for,
+)
 from repro.runtime import BatchingPolicy, QueryScheduler
 from repro.telemetry import TimeSeries
 from repro.telemetry.querytrace import QueryTraceCapture
@@ -143,6 +150,14 @@ def test_plain_loop_pins(rm1_t4, max_batch, timeout):
     assert _plain_runs(rm1_t4, policy) == PLAIN_PINS[(max_batch, timeout)]
 
 
+def _resilient_counters(result) -> dict:
+    """Every result field but the three :func:`_result_bytes` covers."""
+    counters = dataclasses.asdict(result)
+    for key in ("latencies_s", "batch_sizes", "duration_s"):
+        counters.pop(key)
+    return counters
+
+
 RESILIENT_PIN = (
     "f3a4bd4e7be49e35f1f15529ad30121d80c6de9ce02036b626cc8c9e13da5c4a",
     "62bcd951c2085b8f668dd860930951c6ff2180eaf83171ba47c037b6bfb20a50",
@@ -162,12 +177,80 @@ def test_retry_heavy_resilient_pin():
         setup.policy_with("retry", "shed"), timeseries=ts, querytrace=capture
     ).run(setup.qps, setup.queries)
     assert (result.retries, result.shed) == (253, 711)
-    counters = dataclasses.asdict(result)
-    for key in ("latencies_s", "batch_sizes", "duration_s"):
-        counters.pop(key)
     digests = (
-        _sha(_result_bytes(result) + _sha(counters).encode()),
+        _sha(_result_bytes(result) + _sha(_resilient_counters(result)).encode()),
         _sha({"timeseries": ts.to_state(),
               "querytrace": _capture_state(capture)}),
     )
     assert digests == RESILIENT_PIN
+
+
+#: scenario -> (result digest, ``TimeSeries.to_state()`` digest,
+#: ``TimeSeries.compact_state()`` digest) of a monitored run with 4000
+#: queries: replica scenarios on rm1/t4 with a broadwell fallback (so
+#: hedges, failover, the breaker and degradation fire), shard
+#: scenarios on rm2/broadwell.
+SCENARIO_PINS = {
+    "slowdown": (
+        "746a481e09c449e4b430782b80904276629d7142b2ec3fe67d0b586e289d543d",
+        "7f608486c465f00901ecabc67fca3fb9d74fad98701956af3fc38954fc3d21df",
+        "09a8af4dc418bac889097b1c9ee84625d1f0a917fa59eecc6bdaad5efab1dcea",
+    ),
+    "crash": (
+        "659b2e7bd8faff6b45d616fc12c6fee1849f2b944607cd2f037163d9f670f780",
+        "63d5dd62eeec581a55d3006ea38053bd2a36fe302e535c5039a7fd542138e7ce",
+        "e4adf62d3e635c944c55dc7957fc4dac1541f57edde568cab75920151c5900da",
+    ),
+    "drops": (
+        "512c87586dfd6de599d5d2c45dc6ee5afd431a8f813440beff558167b6cc81aa",
+        "ad07736507a6004d39adf8716ce1bbdc9dcdb535ec86149c1badd3238573c816",
+        "2b0ab93ba8e5fa1212ff2c5e25f731eb2bedbba566800dd1cb835fb988dc448c",
+    ),
+    "stragglers": (
+        "76dbcc5a4cd1d56e54d6c0b6eee5f589714bf4026f21d8159a3c6297f978f0c9",
+        "49c2fa4d0538e70458df4c5d5c91e00312ef104d8c924383d9d90bc77a630acb",
+        "2cc234441b0a3f908b326428dd0dc82d00bba784f008dc05aff47b6ee4cd9e44",
+    ),
+    "pcie": (
+        "1b9a395a38936ccb17baa27992b7fb0dd1c6b2c8ea1f4a3a4348c4b4ba136208",
+        "37850d5a7005f00924a366b4112ffc4e67836dae42dd250abb6363a1fd88c676",
+        "6601afa43cfbe3a9b3252118c8a65a4885878bb366ca653be92eb3eb49278a50",
+    ),
+    "mixed": (
+        "a9a92cbb70dd125a674ef0bf3f89345634aa2194f2905ea2b293b18f5bdeccfb",
+        "d8ff75ebb808a2503416f979ac2f7a314ab0c0e70aba0a426189c6853efb9481",
+        "0100cd0eb17183e32d42b5601c869f6fba0053bde09806b107b939f88dee8286",
+    ),
+    "shard_slowdown": (
+        "355096b54e14e4ed828affb40358be27dde3bedc1fae1bfc5b5c4693c0d05e13",
+        "f96b63e3597f8cc13b67aa3e26a7f3d6b24eb07c7b0588179c34d276a8f51a40",
+        "81c93845ade421f116b16dd130ed995ab700d2679e710c9fd316c3d4395ed35f",
+    ),
+    "shard_crash": (
+        "3b7aa0e8337eaceba04a82743371a3cf0f8f66180b1a87ed69838bc8da75a104",
+        "32738cf79a5d6b67768f3f82dd63b88c2b3a9bc2ffc5733c386ce4af1b8b9354",
+        "9335e4abecee7785124f737b64ba8a59834a8bc97a3cb73c3ccc723b7bf891f7",
+    ),
+    "shard_network": (
+        "ec3547192c4965874b9263a9eeccb894b53503a99e608fcfda71564f632a0a09",
+        "2c1f8e58cc71634334b377ffd9b143e9e6fac5697f8aeb8b4d738a99aa1de44a",
+        "e8028cc91827b4bedde124a0289b7f417f0f4cfb10fa039e93f69879983df5a8",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_monitored_scenario_pins(scenario):
+    if is_shard_scenario(scenario):
+        ms = run_monitored_scenario("rm2", "broadwell", scenario, queries=4000)
+    else:
+        ms = run_monitored_scenario(
+            "rm1", "t4", scenario, queries=4000, fallback="broadwell"
+        )
+    result = ms.result
+    digests = (
+        _sha(_result_bytes(result) + _sha(_resilient_counters(result)).encode()),
+        _sha(ms.timeseries.to_state()),
+        _sha(ms.timeseries.compact_state()),
+    )
+    assert digests == SCENARIO_PINS[scenario]
