@@ -11,6 +11,16 @@ Both engines form batches with the same step,
 :class:`WorkQueue`: first attempts are the sorted arrival array, read
 through a cursor, and only retries and parked queries go on a heap.
 
+A batch that finishes on a replica that drops no responses, inside
+every member's retry deadline, settles in one array operation; any
+other batch, and every batch while a
+:class:`~repro.telemetry.querytrace.QueryTraceCapture` is attached,
+settles member by member. An attached
+:class:`~repro.telemetry.timeseries.TimeSeries` is filled after the
+run: the loop logs per-batch columns and the settled queries
+(:class:`_SeriesLog`), and the series takes them in through its array
+methods, which leave the state per-event calls would.
+
 **Equivalence contract:** with one replica, a null
 :class:`~repro.resilience.faults.FaultPlan`, and an empty
 :class:`~repro.resilience.policies.ResiliencePolicy`, the engine's
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -220,6 +231,127 @@ class WorkQueue:
             members.append(self.pop())
 
 
+#: Replica health states, by the codes :class:`_SeriesLog` stores.
+_STATES = ("healthy", "degraded", "crashed", "breaker_open")
+_HEALTHY, _DEGRADED, _CRASHED, _BREAKER_OPEN = range(len(_STATES))
+
+
+#: Settled queries per ``latency_s`` ingest call in :meth:`_SeriesLog.flush`.
+_LATENCY_CHUNK = 4096
+
+
+def _column(values: array) -> np.ndarray:
+    """A read-only array view of a logged column."""
+    return np.frombuffer(values, dtype=values.typecode)
+
+
+class _SeriesLog:
+    """What one run hands its ``TimeSeries``, logged in emission order.
+
+    Per batch: start, span end (finish, or the crash instant), size and
+    server. Per state mark: server, time and state code. Per counter
+    event: time and amount, by track. Per gathered batch with a
+    fan-out: start, fan-out and gather seconds. Per settled batch:
+    completion time and the settled query ids, whose latencies are read
+    back from the result array. :meth:`flush` replays all of it through
+    the series' array methods.
+    """
+
+    __slots__ = (
+        "start", "end", "size", "server",
+        "mark_server", "mark_t", "mark_state",
+        "counts",
+        "gather_t", "fanout", "gather_s",
+        "done_t", "done_n", "done_qids",
+    )
+
+    def __init__(self) -> None:
+        self.start = array("d")
+        self.end = array("d")
+        self.size = array("q")
+        self.server = array("q")
+        self.mark_server = array("q")
+        self.mark_t = array("d")
+        self.mark_state = array("q")
+        self.counts: Dict[str, Tuple[array, array]] = {}
+        self.gather_t = array("d")
+        self.fanout = array("q")
+        self.gather_s = array("d")
+        self.done_t = array("d")
+        self.done_n = array("q")
+        self.done_qids = array("q")
+
+    def count(self, name: str, t: float, amount: int = 1) -> None:
+        track = self.counts.get(name)
+        if track is None:
+            track = self.counts[name] = (array("d"), array("d"))
+        track[0].append(t)
+        track[1].append(amount)
+
+    def mark(self, server: int, t: float, state: int) -> None:
+        self.mark_server.append(server)
+        self.mark_t.append(t)
+        self.mark_state.append(state)
+
+    def settled(self, completion: float, qids: List[int]) -> None:
+        self.done_t.append(completion)
+        self.done_n.append(len(qids))
+        self.done_qids.extend(qids)
+
+    def flush(
+        self,
+        ts: "TimeSeries",
+        servers: List[ServerState],
+        latencies: np.ndarray,
+    ) -> None:
+        start, end = _column(self.start), _column(self.end)
+        size = _column(self.size)
+        ts.count_each("batches", start)
+        ts.sample_each("batch_occupancy", start, size)
+        # The queue a batch leaves is its members after shedding.
+        ts.sample_each("queue_depth", start, size)
+        ts.count_interval_each("busy_s", start, end)
+        server = _column(self.server)
+        marked, mark_t = _column(self.mark_server), _column(self.mark_t)
+        states = _column(self.mark_state)
+        for s in servers:
+            mine = server == s.index
+            ts.count_interval_each(
+                f"replica.{s.name}.busy_s", start[mine], end[mine]
+            )
+            mine = marked == s.index
+            ts.mark_state_each(
+                f"replica.{s.name}", mark_t[mine],
+                [_STATES[code] for code in states[mine].tolist()],
+            )
+        for name, (times, amounts) in self.counts.items():
+            ts.count_each(name, _column(times), _column(amounts))
+        if self.gather_t:
+            ts.sample_each(
+                "distserve.fanout", _column(self.gather_t),
+                _column(self.fanout),
+            )
+            ts.observe_each(
+                "distserve.gather_s", _column(self.gather_t),
+                _column(self.gather_s),
+            )
+        done_t = _column(self.done_t)
+        done_n = _column(self.done_n)
+        # One count per settled query; the per-batch counts are whole
+        # numbers, so adding them a batch at a time gives the same sums.
+        ts.count_each("completions", done_t, done_n)
+        # In chunks, so no temporary is as long as the run; consecutive
+        # calls record what one call would.
+        qids = _column(self.done_qids)
+        ends = np.cumsum(done_n)
+        for lo in range(0, qids.size, _LATENCY_CHUNK):
+            at = np.arange(lo, min(lo + _LATENCY_CHUNK, qids.size))
+            ts.observe_each(
+                "latency_s", done_t[np.searchsorted(ends, at, "right")],
+                latencies[qids[at]],
+            )
+
+
 class ResilientScheduler:
     """Discrete-event simulation of a replicated, fault-prone fleet.
 
@@ -293,11 +425,7 @@ class ResilientScheduler:
         if grun is not None and tracing:
             self.gather.trace_fault_windows(tracer)
         ts = self.timeseries
-        if ts is not None:
-            ts.count_many("arrivals", arrivals)
-            self._emit_fault_windows(ts, servers)
-            if grun is not None:
-                self.gather.emit_fault_windows(ts)
+        log = _SeriesLog() if ts is not None else None
         qt = self.querytrace
         if qt is not None:
             qt.begin_run(arrivals)
@@ -319,6 +447,7 @@ class ResilientScheduler:
         # plain scheduler's scan.
         form = BatchFormation(arrivals, policy)
         work = WorkQueue(form)
+        arrived = form.ready  # arrivals as Python floats
 
         while work:
             head_ready, head_qid, head_attempt = work.pop()
@@ -351,20 +480,25 @@ class ResilientScheduler:
             # -- SLA-aware load shedding ------------------------------------
             if res.shed is not None:
                 floor_s = server.spec.service_model.seconds(1)
-                kept = []
-                for m in members:
-                    if start + floor_s > arrivals[m[1]] + res.shed.deadline_s:
-                        outcome[m[1]] = _Outcome.SHED
-                        counters["shed"] += 1
-                        if ts is not None:
-                            ts.count("shed", start)
-                        if qt is not None:
-                            qt.shed(m[1], start)
-                    else:
-                        kept.append(m)
-                members = kept
-                if not members:
-                    continue
+                # Rounding is monotone: if the earliest arrival is not
+                # shed, no member is.
+                if start + floor_s > (
+                    min(arrived[m[1]] for m in members) + res.shed.deadline_s
+                ):
+                    kept = []
+                    for m in members:
+                        if start + floor_s > arrived[m[1]] + res.shed.deadline_s:
+                            outcome[m[1]] = _Outcome.SHED
+                            counters["shed"] += 1
+                            if log is not None:
+                                log.count("shed", start)
+                            if qt is not None:
+                                qt.shed(m[1], start)
+                        else:
+                            kept.append(m)
+                    members = kept
+                    if not members:
+                        continue
 
             batch = len(members)
 
@@ -386,16 +520,16 @@ class ResilientScheduler:
             finish = start + service
             if faults.slowdown:
                 counters["slowdown_batches"] += 1
-                if ts is not None:
-                    ts.count("faults.slowdown", start)
+                if log is not None:
+                    log.count("faults.slowdown", start)
             if faults.straggler:
                 counters["straggler_batches"] += 1
-                if ts is not None:
-                    ts.count("faults.straggler", start)
+                if log is not None:
+                    log.count("faults.straggler", start)
             if faults.pcie:
                 counters["pcie_batches"] += 1
-                if ts is not None:
-                    ts.count("faults.pcie", start)
+                if log is not None:
+                    log.count("faults.pcie", start)
 
             # -- crash in flight --------------------------------------------
             crash = server.injector.crash_during(start, finish)
@@ -405,13 +539,11 @@ class ResilientScheduler:
                 counters["crashed_batches"] += 1
                 server.free_at = crash.end_s
                 tripped = server.record_failure(crash_at, res.breaker)
-                if ts is not None:
-                    ts.count("faults.crash", crash_at)
-                    ts.mark_state(f"replica.{server.name}", crash_at, "crashed")
+                if log is not None:
+                    log.count("faults.crash", crash_at)
+                    log.mark(server.index, crash_at, _CRASHED)
                     if tripped:
-                        ts.mark_state(
-                            f"replica.{server.name}", crash_at, "breaker_open"
-                        )
+                        log.mark(server.index, crash_at, _BREAKER_OPEN)
             else:
                 server.free_at = finish
 
@@ -451,8 +583,8 @@ class ResilientScheduler:
                         h_start, h_finish
                     )
                     counters["hedges"] += batch
-                    if ts is not None:
-                        ts.count("hedges", h_start, batch)
+                    if log is not None:
+                        log.count("hedges", h_start, batch)
                     if h_crash is not None:
                         counters["crashed_batches"] += 1
                         hedge_server.free_at = h_crash.end_s
@@ -460,16 +592,13 @@ class ResilientScheduler:
                         tripped = hedge_server.record_failure(
                             h_crash_at, res.breaker
                         )
-                        if ts is not None:
-                            ts.count("faults.crash", h_crash_at)
-                            ts.mark_state(
-                                f"replica.{hedge_server.name}", h_crash_at,
-                                "crashed",
-                            )
+                        if log is not None:
+                            log.count("faults.crash", h_crash_at)
+                            log.mark(hedge_server.index, h_crash_at, _CRASHED)
                             if tripped:
-                                ts.mark_state(
-                                    f"replica.{hedge_server.name}",
-                                    h_crash_at, "breaker_open",
+                                log.mark(
+                                    hedge_server.index, h_crash_at,
+                                    _BREAKER_OPEN,
                                 )
                         hedge_server = None
                     else:
@@ -504,37 +633,34 @@ class ResilientScheduler:
                     batch=batch, degraded=degraded,
                     crashed=crash_at is not None,
                 )
-            if ts is not None:
-                span_end = crash_at if crash_at is not None else finish
-                ts.count("batches", start)
-                ts.sample("batch_occupancy", start, batch)
-                ts.sample("queue_depth", start, len(members))
-                ts.count_interval("busy_s", start, span_end)
-                ts.count_interval(
-                    f"replica.{server.name}.busy_s", start, span_end
-                )
+            if log is not None:
+                log.start.append(start)
+                log.end.append(crash_at if crash_at is not None else finish)
+                log.size.append(batch)
+                log.server.append(server.index)
                 if crash_at is None:
-                    ts.mark_state(
-                        f"replica.{server.name}", start,
-                        "degraded" if degraded else "healthy",
+                    log.mark(
+                        server.index, start,
+                        _DEGRADED if degraded else _HEALTHY,
                     )
                 if gout is not None and gout.fanout:
-                    ts.sample("distserve.fanout", start, gout.fanout)
-                    ts.observe("distserve.gather_s", start, gout.seconds)
+                    log.gather_t.append(start)
+                    log.fanout.append(gout.fanout)
+                    log.gather_s.append(gout.seconds)
                     if gout.hedged:
-                        ts.count("distserve.hedges", start, gout.hedged)
+                        log.count("distserve.hedges", start, gout.hedged)
                     if gout.imputed:
-                        ts.count(
+                        log.count(
                             "distserve.imputed_lookups", start, gout.imputed
                         )
                     if gout.cached:
-                        ts.count(
+                        log.count(
                             "distserve.cached_lookups", start, gout.cached
                         )
                     if gout.partial:
-                        ts.count("faults.partial_gather", start)
+                        log.count("faults.partial_gather", start)
                     if gout.blocked:
-                        ts.count("faults.blocked_gather", start)
+                        log.count("faults.blocked_gather", start)
 
             # -- per-query settlement ---------------------------------------
             primary_ok = crash_at is None
@@ -599,25 +725,45 @@ class ResilientScheduler:
                         hedge_won=hedge_won,
                     ))
 
+            if (
+                qt is None
+                and (primary_ok or hedge_ok)
+                and winner.injector.faults.drops.probability <= 0
+                and (
+                    res.retry is None
+                    # Members leave the work queue in ready order, so
+                    # the first has the earliest deadline; rounding is
+                    # monotone, so no member times out either.
+                    or completion <= members[0][0] + res.retry.deadline_s
+                )
+            ):
+                # Every member completes: settle the batch at once.
+                qids = [m[1] for m in members]
+                latencies[qids] = completion - arrivals[qids]
+                outcome[qids] = _Outcome.COMPLETED
+                counters["completed"] += batch
+                winner.record_success()
+                if log is not None:
+                    log.settled(completion, qids)
+                continue
+
+            settled: List[int] = []
             for ready, qid, attempt in members:
                 if not primary_ok and not hedge_ok:
                     if qt is not None:
                         qt_attempt(qid, attempt, ready, "crash", crash_at)
                     self._fail(
                         work, outcome, counters, qid, attempt, crash_at, res,
-                        ts, qt,
+                        log, qt,
                     )
                     continue
                 if winner.injector.should_drop(qid, attempt):
                     counters["dropped_responses"] += 1
                     tripped = winner.record_failure(completion, res.breaker)
-                    if ts is not None:
-                        ts.count("faults.dropped_response", completion)
+                    if log is not None:
+                        log.count("faults.dropped_response", completion)
                         if tripped:
-                            ts.mark_state(
-                                f"replica.{winner.name}", completion,
-                                "breaker_open",
-                            )
+                            log.mark(winner.index, completion, _BREAKER_OPEN)
                     detect = (
                         ready + res.retry.deadline_s
                         if res.retry is not None
@@ -630,7 +776,7 @@ class ResilientScheduler:
                         )
                     self._fail(
                         work, outcome, counters, qid, attempt,
-                        max(detect, completion), res, ts, qt,
+                        max(detect, completion), res, log, qt,
                     )
                     continue
                 if (
@@ -645,20 +791,26 @@ class ResilientScheduler:
                         )
                     self._fail(
                         work, outcome, counters, qid, attempt,
-                        ready + res.retry.deadline_s, res, ts, qt,
+                        ready + res.retry.deadline_s, res, log, qt,
                     )
                     continue
                 latencies[qid] = completion - arrivals[qid]
                 outcome[qid] = _Outcome.COMPLETED
                 counters["completed"] += 1
                 winner.record_success()
-                if ts is not None:
-                    ts.count("completions", completion)
-                    ts.observe("latency_s", completion, latencies[qid])
+                settled.append(qid)
                 if qt is not None:
                     qt_attempt(qid, attempt, ready, "completed", completion)
                     qt.settle(qid, float(latencies[qid]), completion)
+            if log is not None and settled:
+                log.settled(completion, settled)
 
+        if ts is not None:
+            ts.count_many("arrivals", arrivals)
+            self._emit_fault_windows(ts, servers)
+            if grun is not None:
+                self.gather.emit_fault_windows(ts)
+            log.flush(ts, servers, latencies)
         end = max(s.free_at for s in servers)
         # The stream starts at 0: (end - first arrival) + first gap, in
         # this order so the float sum stays bit-identical.
@@ -721,20 +873,20 @@ class ResilientScheduler:
         attempt: int,
         at: float,
         res: ResiliencePolicy,
-        ts: Optional["TimeSeries"] = None,
+        log: Optional[_SeriesLog] = None,
         qt: Optional["QueryTraceCapture"] = None,
     ) -> None:
         """One attempt failed at ``at``: schedule a retry or drop the query."""
         if res.retry is not None and attempt < res.retry.max_retries:
             work.push((at + res.retry.backoff_s(attempt), qid, attempt + 1))
             counters["retries"] += 1
-            if ts is not None:
-                ts.count("retries", at)
+            if log is not None:
+                log.count("retries", at)
         else:
             outcome[qid] = _Outcome.DROPPED
             counters["dropped"] += 1
-            if ts is not None:
-                ts.count("dropped", at)
+            if log is not None:
+                log.count("dropped", at)
             if qt is not None:
                 qt.drop(qid, at)
 

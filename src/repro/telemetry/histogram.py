@@ -147,10 +147,11 @@ class StreamingHistogram:
     def observe_many(self, values: Sequence[float]) -> None:
         """Record a batch of observations in one vectorized pass.
 
-        Equivalent to calling :meth:`observe` per value, but bucket
-        indices are computed with NumPy and the lock is taken once —
-        the scheduler records whole dispatched batches this way instead
-        of looping per query.
+        Counts, min, max and the retained exact values match calling
+        :meth:`observe` per value, but ``total`` adds the batch with
+        ``ndarray.sum`` (pairwise), so it may differ from the per-value
+        running sum in the last bit. :meth:`observe_each` is the
+        bit-exact form.
         """
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
@@ -159,15 +160,9 @@ class StreamingHistogram:
             return
         if np.isnan(arr).any() or (arr < 0).any():
             raise ValueError("histogram observations must be >= 0 and not NaN")
-        # Vectorized _bucket_index: 0 under range, last bucket at/over
-        # max, else 1 + floor(log(v / min) / log(growth)).
-        indices = np.zeros(arr.shape, dtype=np.intp)
-        in_range = arr >= self.min_value
-        indices[in_range] = 1 + (
-            np.log(arr[in_range] / self.min_value) / self._log_growth
-        ).astype(np.intp)
-        indices[arr >= self.max_value] = self._num_buckets - 1
-        bucket_counts = np.bincount(indices, minlength=self._num_buckets)
+        bucket_counts = np.bincount(
+            self._bucket_indices(arr), minlength=self._num_buckets
+        )
         with self._lock:
             for i in np.nonzero(bucket_counts)[0]:
                 self._counts[i] += int(bucket_counts[i])
@@ -179,6 +174,62 @@ class StreamingHistogram:
                 self._exact.extend(arr.tolist())
                 if len(self._exact) > self.exact_cap:
                     self._exact = None  # fall back to bucket interpolation
+
+    def observe_each(self, values: Sequence[float]) -> None:
+        """Record observations exactly as one :meth:`observe` per value,
+        in order, would: the same state, bit for bit.
+
+        ``total`` is a running sum (``np.cumsum`` adds left to right)
+        and bucket indices agree with :meth:`_bucket_index`'s
+        ``math.log``.
+        """
+        arr = np.asarray(values, dtype=float).reshape(-1)
+        if arr.size == 0:
+            return
+        if np.isnan(arr).any() or (arr < 0).any():
+            raise ValueError("histogram observations must be >= 0 and not NaN")
+        bucket_counts = np.bincount(self._bucket_indices(arr))
+        buckets = np.flatnonzero(bucket_counts)
+        lo, hi = float(arr.min()), float(arr.max())
+        # Of equal values observe keeps the first; only 0.0 and -0.0
+        # are equal yet print differently.
+        if lo == 0.0:
+            lo = min(arr.tolist())
+        if hi == 0.0:
+            hi = max(arr.tolist())
+        with self._lock:
+            counts = self._counts
+            for i, c in zip(buckets.tolist(), bucket_counts[buckets].tolist()):
+                counts[i] += c
+            self._count += arr.size
+            self._total = float(
+                np.cumsum(np.concatenate(([self._total], arr)))[-1]
+            )
+            if lo < self._min:
+                self._min = lo
+            if hi > self._max:
+                self._max = hi
+            if self._exact is not None:
+                self._exact.extend(arr.tolist())
+                if len(self._exact) > self.exact_cap:
+                    self._exact = None  # fall back to bucket interpolation
+
+    def _bucket_indices(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`_bucket_index` of every value in ``arr``."""
+        indices = np.zeros(arr.shape, dtype=np.intp)
+        in_range = (arr >= self.min_value) & (arr < self.max_value)
+        inside = arr[in_range]
+        scaled = np.log(inside / self.min_value) / self._log_growth
+        bucket = scaled.astype(np.intp)
+        # np.log may differ from math.log in the last bit; redo the
+        # values that sit within a hair of a bucket edge as math.log.
+        for k in np.flatnonzero(np.abs(scaled - np.rint(scaled)) < 1e-6).tolist():
+            bucket[k] = int(
+                math.log(float(inside[k]) / self.min_value) / self._log_growth
+            )
+        indices[in_range] = 1 + bucket
+        indices[arr >= self.max_value] = self._num_buckets - 1
+        return indices
 
     # -- reading ------------------------------------------------------------
 

@@ -20,9 +20,20 @@ wall clock) and keeps one accumulator per (track, window):
   (``healthy`` / ``degraded`` / ``crashed`` / ``breaker_open``), one
   occurrence count per state per window.
 
-Windows are ring-buffered: past ``max_windows`` distinct windows the
-oldest are evicted (counted in :attr:`TimeSeries.evicted_windows`), so
-memory stays bounded on arbitrarily long simulations.
+Windows are ring-buffered: the series keeps the ``max_windows``
+windows ending at the latest one seen; older windows are evicted and
+later emissions into them are dropped (both counted in
+:attr:`TimeSeries.evicted_windows`), so memory stays bounded on
+arbitrarily long simulations. What is kept does not depend on the
+order events arrive in.
+
+Every recording method has an array form (``count_each``,
+``sample_each``, ``observe_each``, ``count_interval_each``,
+``mark_state_each``) that records whole columns of events at once and
+leaves the state the scalar calls would, bit for bit: per-window float
+sums are taken in emission order and state cells keep the order their
+states first occurred in. The resilient serving engine fills its series
+this way after a run.
 
 Serialization mirrors the histogram machinery: :meth:`TimeSeries.
 to_state` is lossless (per-window histogram states ride along via
@@ -55,6 +66,107 @@ DEFAULT_WINDOW_QUANTILES = (50.0, 95.0, 99.0)
 
 #: Serialized-state version (bumped on incompatible layout changes).
 STATE_VERSION = 1
+
+
+def _check_finite(arg: str, t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"{arg} must be finite, got {t!r}")
+
+
+def _finite_times(arg: str, times: Sequence[float]) -> np.ndarray:
+    arr = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{arg} must all be finite")
+    return arr
+
+
+def _aligned(
+    times: np.ndarray, values: Sequence[float],
+    times_arg: str = "times", values_arg: str = "values",
+) -> np.ndarray:
+    """``values`` as a flat float array the length of ``times``."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.size != times.size:
+        raise ValueError(
+            f"{times_arg} and {values_arg} must align, got {times.size} vs "
+            f"{arr.size}"
+        )
+    return arr
+
+
+def _check_observations(values: np.ndarray) -> None:
+    if np.isnan(values).any() or (values < 0).any():
+        raise ValueError("histogram observations must be >= 0 and not NaN")
+
+
+def _kept(
+    indices: np.ndarray, values: np.ndarray, floor: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The events whose window is at or above ``floor``, in order."""
+    if indices.min() >= floor:
+        return indices, values
+    keep = indices >= floor
+    return indices[keep], values[keep]
+
+
+def _by_window(indices: np.ndarray) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """Group events by window, keeping emission order inside a window.
+
+    Returns the windows in ascending order, the event positions sorted
+    by (window, position), and each window's bounds into that order.
+    """
+    order = np.argsort(indices, kind="stable")
+    ordered = indices[order]
+    if ordered.size == 0:
+        return [], order, np.zeros(1, dtype=np.intp)
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    bounds = np.concatenate(([0], cuts, [ordered.size]))
+    return ordered[bounds[:-1]].tolist(), order, bounds
+
+
+def _ordered_sums(
+    first: Sequence[float], values: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """``first[g] + v0 + v1 + ...`` over ``values[bounds[g]:bounds[g + 1]]``
+    for every group ``g``, added left to right as a ``+=`` loop would, so
+    each sum is the loop's bit for bit (``ndarray.sum`` adds pairwise).
+
+    Runs one cumulative sum per group, or one vector add per position
+    within the groups, whichever takes fewer steps.
+    """
+    sums = np.array(first, dtype=float)
+    sizes = np.diff(bounds)
+    if sizes.size == 0:
+        return sums
+    longest = int(sizes.max())
+    if sizes.size <= longest:
+        edges = bounds.tolist()
+        for g, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            run = np.concatenate((sums[g:g + 1], values[lo:hi]))
+            sums[g] = np.cumsum(run)[-1]
+        return sums
+    group = np.repeat(np.arange(sizes.size), sizes)
+    rank = np.arange(values.size) - np.repeat(bounds[:-1], sizes)
+    by_rank = np.argsort(rank, kind="stable")
+    steps = np.searchsorted(rank[by_rank], np.arange(longest + 1)).tolist()
+    for lo, hi in zip(steps[:-1], steps[1:]):
+        # Step k adds every group's k-th value; no group repeats in it.
+        at = by_rank[lo:hi]
+        sums[group[at]] += values[at]
+    return sums
+
+
+def _accumulate(
+    windows: Dict[int, float], indices: np.ndarray, amounts: np.ndarray
+) -> None:
+    """Add ``amounts[k]`` to counter cell ``indices[k]`` for every ``k``,
+    in order (:meth:`_CounterTrack.add` per event, bit for bit)."""
+    if indices.size == 0:
+        return
+    keys, order, bounds = _by_window(indices)
+    first = [windows.get(key, 0.0) for key in keys]
+    sums = _ordered_sums(first, amounts[order], bounds)
+    windows.update(zip(keys, sums.tolist()))
 
 
 class _CounterTrack:
@@ -275,7 +387,10 @@ class TimeSeries:
         self.origin_s = float(origin_s)
         self.evicted_windows = 0
         self._tracks: Dict[str, Any] = {}
-        self._min_window: Optional[int] = None
+        # Lowest window ever seen (kept or not), first kept window, and
+        # highest window seen; None until the first emission.
+        self._lowest: Optional[int] = None
+        self._floor: Optional[int] = None
         self._max_window: Optional[int] = None
         self._lock = threading.Lock()
 
@@ -283,7 +398,16 @@ class TimeSeries:
 
     def window_index(self, t: float) -> int:
         """The window covering simulated time ``t`` (clamped below origin)."""
+        _check_finite("t", t)
         return max(int(math.floor((t - self.origin_s) / self.window_s)), 0)
+
+    def _indices(self, arg: str, times: Sequence[float]) -> np.ndarray:
+        """:meth:`window_index` of every time in ``times`` (named ``arg``
+        in the error a non-finite time raises)."""
+        scaled = _finite_times(arg, times) - self.origin_s
+        scaled /= self.window_s
+        indices = np.floor(scaled, out=scaled).astype(np.intp)
+        return np.maximum(indices, 0, out=indices)
 
     def window_start(self, index: int) -> float:
         return self.origin_s + index * self.window_s
@@ -293,30 +417,56 @@ class TimeSeries:
         return (start, start + self.window_s)
 
     def window_indices(self) -> List[int]:
-        """Contiguous index range [min seen, max seen] (empty if no data)."""
-        if self._min_window is None:
+        """Contiguous index range [first kept, max seen] (empty if no data)."""
+        if self._floor is None:
             return []
-        return list(range(self._min_window, self._max_window + 1))
+        return list(range(self._floor, self._max_window + 1))
 
-    def _note_window(self, index: int) -> None:
-        if self._min_window is None:
-            self._min_window = self._max_window = index
-            return
+    def _admit(self, index: int) -> bool:
+        """Note an emission into window ``index`` before it is recorded.
+
+        Returns whether the window is kept. The ring keeps the
+        ``max_windows`` windows ending at the highest one seen; an
+        emission below them is dropped without scanning the tracks.
+        ``evicted_windows`` is the first kept window minus the lowest
+        window ever seen, so it does not depend on emission order.
+        """
+        floor = self._floor
+        if floor is None:
+            self._lowest = self._floor = self._max_window = index
+            return True
+        if floor <= index <= self._max_window:
+            return True
+        lowest = self._lowest
+        before = floor - lowest
         if index > self._max_window:
             self._max_window = index
-        if index < self._min_window:
-            self._min_window = index
-        span = self._max_window - self._min_window + 1
-        if span > self.max_windows:
-            cutoff = self._max_window - self.max_windows + 1
-            self._evict_below(cutoff)
+        elif index < lowest:
+            self._lowest = lowest = index
+        new_floor = max(lowest, self._max_window - self.max_windows + 1)
+        self.evicted_windows += (new_floor - lowest) - before
+        if new_floor > floor:
+            self._evict(floor, new_floor)
+        self._floor = new_floor
+        return index >= new_floor
 
-    def _evict_below(self, cutoff: int) -> None:
+    def _admit_all(self, indices: np.ndarray) -> int:
+        """:meth:`_admit` a non-empty array of windows; the first kept
+        window afterwards (every kept window is at or above it)."""
+        self._admit(int(indices.min()))
+        self._admit(int(indices.max()))
+        return self._floor
+
+    def _evict(self, old_floor: int, new_floor: int) -> None:
+        """Drop every stored window in ``[old_floor, new_floor)``."""
         for track in self._tracks.values():
-            for index in [i for i in track.windows if i < cutoff]:
-                del track.windows[index]
-        self.evicted_windows += cutoff - self._min_window
-        self._min_window = cutoff
+            windows = track.windows
+            if new_floor - old_floor <= len(windows):
+                for index in range(old_floor, new_floor):
+                    windows.pop(index, None)
+            else:
+                for index in [i for i in windows if i < new_floor]:
+                    del windows[index]
 
     # -- track access --------------------------------------------------------
 
@@ -350,23 +500,39 @@ class TimeSeries:
     def count(self, name: str, t: float, amount: float = 1.0) -> None:
         """Add ``amount`` to counter track ``name`` at time ``t``."""
         index = self.window_index(t)
-        self._track(name, "counter").add(index, float(amount))
-        self._note_window(index)
+        track = self._track(name, "counter")
+        if self._admit(index):
+            track.add(index, float(amount))
 
     def count_many(self, name: str, times: Sequence[float]) -> None:
         """Add one count per time in ``times`` (vectorized bucketing)."""
-        arr = np.asarray(times, dtype=float)
-        if arr.size == 0:
+        indices = self._indices("times", times)
+        if indices.size == 0:
             return
-        indices = np.maximum(
-            np.floor((arr - self.origin_s) / self.window_s).astype(np.intp), 0
-        )
         track = self._track(name, "counter")
+        floor = self._admit_all(indices)
         counts = np.bincount(indices)
-        for index in np.nonzero(counts)[0]:
+        for index in np.nonzero(counts[floor:])[0] + floor:
             track.add(int(index), float(counts[index]))
-        self._note_window(int(indices.min()))
-        self._note_window(int(indices.max()))
+
+    def count_each(
+        self,
+        name: str,
+        times: Sequence[float],
+        amounts: Optional[Sequence[float]] = None,
+    ) -> None:
+        """:meth:`count` of ``amounts[k]`` (default 1) at ``times[k]``,
+        for every ``k`` in order: the same state, bit for bit."""
+        indices = self._indices("times", times)
+        if amounts is None:
+            values = np.ones(indices.size)
+        else:
+            values = _aligned(indices, amounts)
+        if indices.size == 0:
+            return
+        track = self._track(name, "counter")
+        floor = self._admit_all(indices)
+        _accumulate(track.windows, *_kept(indices, values, floor))
 
     def count_interval(self, name: str, start: float, end: float) -> None:
         """Add the seconds of [start, end) overlapping each window.
@@ -376,32 +542,99 @@ class TimeSeries:
         track integrates to true busy seconds and per-window
         ``busy / window_s`` is the utilization (the M/M/1 rho).
         """
+        _check_finite("start", start)
+        _check_finite("end", end)
         if end <= start:
             return
         first = self.window_index(start)
         last = self.window_index(max(end - 1e-12, start))
         track = self._track(name, "counter")
-        for index in range(first, last + 1):
+        self._admit(first)
+        self._admit(last)
+        for index in range(max(first, self._floor), last + 1):
             lo, hi = self.window_bounds(index)
             overlap = min(end, hi) - max(start, lo)
             if overlap > 0:
                 track.add(index, overlap)
-        self._note_window(first)
-        self._note_window(last)
+
+    def count_interval_each(
+        self, name: str, starts: Sequence[float], ends: Sequence[float]
+    ) -> None:
+        """:meth:`count_interval` of ``[starts[k], ends[k])`` for every
+        ``k`` in order: the same overlaps, summed in the same order."""
+        start = _finite_times("starts", starts)
+        end = _finite_times("ends", ends)
+        _aligned(start, end, "starts", "ends")
+        busy = end > start
+        if not busy.any():
+            return
+        start, end = start[busy], end[busy]
+        first = self._indices("starts", start)
+        last = self._indices("ends", np.maximum(end - 1e-12, start))
+        track = self._track(name, "counter")
+        self._admit(int(first.min()))
+        floor = self._admit_all(last)
+        # One piece per (interval, window it touches), in the scalar
+        # loop's order: intervals in turn, windows ascending.
+        spans = last - first + 1
+        owner = np.repeat(np.arange(spans.size), spans)
+        offset = np.arange(owner.size) - np.repeat(np.cumsum(spans) - spans, spans)
+        index = first[owner] + offset
+        lo = self.origin_s + index * self.window_s
+        overlap = np.minimum(end[owner], lo + self.window_s) - np.maximum(
+            start[owner], lo
+        )
+        keep = (overlap > 0) & (index >= floor)
+        _accumulate(track.windows, index[keep], overlap[keep])
 
     def sample(self, name: str, t: float, value: float) -> None:
         """Record one gauge sample (queue depth, occupancy) at ``t``."""
         index = self.window_index(t)
-        self._track(name, "gauge").sample(index, value)
-        self._note_window(index)
+        track = self._track(name, "gauge")
+        if self._admit(index):
+            track.sample(index, value)
+
+    def sample_each(
+        self, name: str, times: Sequence[float], values: Sequence[float]
+    ) -> None:
+        """:meth:`sample` of ``values[k]`` at ``times[k]`` for every
+        ``k`` in order: the same state, bit for bit."""
+        indices = self._indices("times", times)
+        values = _aligned(indices, values)
+        if indices.size == 0:
+            return
+        track = self._track(name, "gauge")
+        floor = self._admit_all(indices)
+        indices, values = _kept(indices, values, floor)
+        windows, order, bounds = _by_window(indices)
+        values = values[order]
+        # A new cell's sum starts at -0.0: -0.0 + x is x for every x.
+        cells = [track.windows.get(index) for index in windows]
+        sums = _ordered_sums(
+            [-0.0 if cell is None else cell[1] for cell in cells],
+            values, bounds,
+        ).tolist()
+        for index, cell, total, lo, hi in zip(
+            windows, cells, sums, bounds[:-1].tolist(), bounds[1:].tolist()
+        ):
+            chunk = values[lo:hi].tolist()
+            if cell is None:
+                first = chunk[0]
+                cell = track.windows[index] = [0, 0.0, first, first, first]
+            cell[0] += len(chunk)
+            cell[1] = total
+            # min/max fold left to right with strict comparisons, as
+            # sample does, so ties and NaN resolve the same way.
+            cell[2] = min(cell[2], *chunk)
+            cell[3] = max(cell[3], *chunk)
+            cell[4] = chunk[-1]
 
     def observe(self, name: str, t: float, value: float, **hist_kwargs: Any) -> None:
         """Record one histogram observation into ``t``'s window."""
         index = self.window_index(t)
-        self._track(name, "histogram", hist_kwargs=hist_kwargs).observe(
-            index, value
-        )
-        self._note_window(index)
+        track = self._track(name, "histogram", hist_kwargs=hist_kwargs)
+        if self._admit(index):
+            track.observe(index, value)
 
     def observe_many(
         self,
@@ -410,43 +643,87 @@ class TimeSeries:
         values: Sequence[float],
         **hist_kwargs: Any,
     ) -> None:
-        """Record ``values[k]`` into the window covering ``times[k]``."""
-        t_arr = np.asarray(times, dtype=float)
-        v_arr = np.asarray(values, dtype=float)
-        if t_arr.size != v_arr.size:
-            raise ValueError(
-                f"times and values must align, got {t_arr.size} vs {v_arr.size}"
-            )
-        if t_arr.size == 0:
+        """Record ``values[k]`` into the window covering ``times[k]``.
+
+        Each window takes its values through
+        :meth:`StreamingHistogram.observe_many`, whose total may differ
+        from per-value calls in the last bit; :meth:`observe_each` is
+        the bit-exact form.
+        """
+        indices = self._indices("times", times)
+        v_arr = _aligned(indices, values)
+        if indices.size == 0:
             return
-        indices = np.maximum(
-            np.floor((t_arr - self.origin_s) / self.window_s).astype(np.intp), 0
-        )
         track = self._track(name, "histogram", hist_kwargs=hist_kwargs)
-        for index in np.unique(indices):
+        floor = self._admit_all(indices)
+        for index in np.unique(indices[indices >= floor]):
             track.observe_many(int(index), v_arr[indices == index])
-        self._note_window(int(indices.min()))
-        self._note_window(int(indices.max()))
+
+    def observe_each(
+        self,
+        name: str,
+        times: Sequence[float],
+        values: Sequence[float],
+        **hist_kwargs: Any,
+    ) -> None:
+        """:meth:`observe` of ``values[k]`` at ``times[k]`` for every
+        ``k`` in order: the same state, bit for bit (see
+        :meth:`StreamingHistogram.observe_each`)."""
+        indices = self._indices("times", times)
+        values = _aligned(indices, values)
+        if indices.size == 0:
+            return
+        _check_observations(values)
+        track = self._track(name, "histogram", hist_kwargs=hist_kwargs)
+        floor = self._admit_all(indices)
+        indices, values = _kept(indices, values, floor)
+        windows, order, bounds = _by_window(indices)
+        values = values[order]
+        for index, lo, hi in zip(windows, bounds[:-1].tolist(), bounds[1:].tolist()):
+            track._hist(index).observe_each(values[lo:hi])
 
     def mark_state(self, name: str, t: float, state: str, count: int = 1) -> None:
         """Record a categorical state occurrence (health timelines)."""
         index = self.window_index(t)
-        self._track(name, "state").mark(index, state, count)
-        self._note_window(index)
+        track = self._track(name, "state")
+        if self._admit(index):
+            track.mark(index, state, count)
+
+    def mark_state_each(
+        self, name: str, times: Sequence[float], states: Sequence[str]
+    ) -> None:
+        """:meth:`mark_state` of ``states[k]`` at ``times[k]`` for every
+        ``k`` in order; each window's states keep the order they first
+        occurred in."""
+        indices = self._indices("times", times)
+        states = list(states)
+        if len(states) != indices.size:
+            raise ValueError(
+                f"times and states must align, got {indices.size} vs {len(states)}"
+            )
+        if indices.size == 0:
+            return
+        track = self._track(name, "state")
+        floor = self._admit_all(indices)
+        for index, state in zip(indices.tolist(), states):
+            if index >= floor:
+                track.mark(index, state)
 
     def mark_state_interval(
         self, name: str, start: float, end: float, state: str
     ) -> None:
         """Mark ``state`` in every window [start, end) touches."""
+        _check_finite("start", start)
+        _check_finite("end", end)
         if end <= start:
             return
         first = self.window_index(start)
         last = self.window_index(max(end - 1e-12, start))
         track = self._track(name, "state")
-        for index in range(first, last + 1):
+        self._admit(first)
+        self._admit(last)
+        for index in range(max(first, self._floor), last + 1):
             track.mark(index, state)
-        self._note_window(first)
-        self._note_window(last)
 
     # -- reading -------------------------------------------------------------
 
@@ -499,8 +776,8 @@ class TimeSeries:
             )
             mine = self._track(name, kind, **kwargs)
             for index in sorted(track.windows):
-                mine.merge_window(index, track.windows[index])
-                self._note_window(index)
+                if self._admit(index):
+                    mine.merge_window(index, track.windows[index])
         return self
 
     # -- serialization -------------------------------------------------------
@@ -533,14 +810,16 @@ class TimeSeries:
             origin_s=float(state.get("origin_s", 0.0)),
         )
         ts.evicted_windows = int(state.get("evicted_windows", 0))
+        indices: List[int] = []
         for name, payload in state.get("tracks", {}).items():
             kind = payload["type"]
             if kind not in _TRACK_TYPES:
                 raise ValueError(f"unknown track type {kind!r} for {name!r}")
             track = ts._track(name, kind)
             track.load_rows(payload.get("windows", []))
-            for index in track.windows:
-                ts._note_window(index)
+            indices.extend(track.windows)
+        if indices:
+            ts._admit_all(np.asarray(indices))
         return ts
 
     def compact_state(self) -> Dict[str, Any]:

@@ -10,6 +10,7 @@ The two load-bearing guarantees:
   queries contribute exactly one latency sample each.
 """
 
+import dataclasses
 import heapq
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.resilience import (
     StragglerSpec,
     hashed_uniform,
 )
+from repro.monitor.scenario import SCENARIOS, build_scenario, is_shard_scenario
 from repro.resilience.engine import WorkQueue
 from repro.runtime import (
     BatchFormation,
@@ -46,6 +48,8 @@ from repro.runtime import (
     QueryScheduler,
     ServiceTimeModel,
 )
+from repro.telemetry import TimeSeries
+from repro.telemetry.querytrace import QueryTraceCapture
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +257,132 @@ class TestGoldenEquivalence:
         assert (a.completed, a.shed, a.dropped, a.retries, a.hedges,
                 a.failovers) == (b.completed, b.shed, b.dropped, b.retries,
                                  b.hedges, b.failovers)
+
+
+def _both_settlements(build, qps, n, window_s=0.005):
+    """Run ``build(**sinks)`` bare, where fault-free batches settle in one
+    array operation, and with a query-trace capture attached, which
+    settles every member in turn. Results and time series must agree
+    bit for bit; returns the bare result and the capture."""
+    fast_ts, member_ts = TimeSeries(window_s), TimeSeries(window_s)
+    capture = QueryTraceCapture(seed=0, max_queries=n)
+    fast = build(timeseries=fast_ts).run(qps, n)
+    member = build(timeseries=member_ts, querytrace=capture).run(qps, n)
+    assert fast.latencies_s.tobytes() == member.latencies_s.tobytes()
+    plain = dict(latencies_s=None)
+    assert dataclasses.replace(fast, **plain) == dataclasses.replace(
+        member, **plain
+    )
+    assert fast_ts.to_state() == member_ts.to_state()
+    return fast, capture
+
+
+class TestBatchSettlement:
+    """Guards on the one-operation settlement of fault-free batches."""
+
+    def test_deadline_tie_does_not_time_out(self, gpu_stm):
+        # One query per batch on an idle server completes at exactly
+        # ready + service; a deadline of that service time is a tie.
+        service = gpu_stm.seconds(1)
+
+        def build(**sinks):
+            return ResilientScheduler(
+                [Replica("t4", gpu_stm)],
+                BatchingPolicy(max_batch=1, batch_timeout_s=0.0),
+                resilience=ResiliencePolicy(
+                    retry=RetryPolicy(deadline_s=service, max_retries=1)
+                ),
+                seed=3, **sinks,
+            )
+
+        result, capture = _both_settlements(build, 0.05 / service, 400)
+        attempts = [a for r in capture.records.values() for a in r.attempts]
+        idle = [a for a in attempts if a.start == a.ready]
+        assert len(idle) > 300
+        for a in idle:
+            assert a.end == a.ready + service
+            assert a.outcome == "completed"
+        # Only queued queries miss the deadline.
+        assert result.timeouts == result.retries + result.dropped < 40
+
+    def test_lossy_replica_settles_member_by_member(self, gpu_stm):
+        plan = FaultPlan(seed=0, servers={
+            "t4": ServerFaults(drops=DropSpec(probability=0.05)),
+        })
+
+        def build(**sinks):
+            return ResilientScheduler(
+                [Replica("t4", gpu_stm)], BatchingPolicy(max_batch=64),
+                resilience=ResiliencePolicy(
+                    retry=RetryPolicy(deadline_s=0.05, max_retries=2)
+                ),
+                fault_plan=plan, seed=3, **sinks,
+            )
+
+        result, _ = _both_settlements(build, 4000, 1500)
+        assert result.fault_counts["dropped_responses"] > 0
+        assert result.retries > 0
+
+    def test_head_past_its_deadline_settles_member_by_member(self, gpu_stm):
+        # A batch waits up to 4 ms for members: its head misses a
+        # deadline its later members meet.
+        service = gpu_stm.seconds(64)
+
+        def build(**sinks):
+            return ResilientScheduler(
+                [Replica("t4", gpu_stm)],
+                BatchingPolicy(max_batch=64, batch_timeout_s=0.004),
+                resilience=ResiliencePolicy(
+                    retry=RetryPolicy(deadline_s=service + 0.002, max_retries=1)
+                ),
+                seed=3, **sinks,
+            )
+
+        result, _ = _both_settlements(build, 0.2 * 64 / service, 1500)
+        assert 0 < result.timeouts < result.completed
+
+    def test_hedge_won_batches_settle_at_the_hedge(self, gpu_stm, cpu_stm):
+        # The standby loses responses, the primary does not: whether a
+        # batch may settle at once depends on the copy that won.
+        plan = FaultPlan(seed=0, servers={
+            "t4": ServerFaults(slowdowns=(SlowdownWindow(0.03, 0.07, 5.0),)),
+            "broadwell": ServerFaults(drops=DropSpec(probability=0.1)),
+        })
+
+        def build(**sinks):
+            return ResilientScheduler(
+                _fleet(gpu_stm, cpu_stm), BatchingPolicy(max_batch=64),
+                resilience=ResiliencePolicy(
+                    retry=RetryPolicy(deadline_s=0.2, max_retries=2),
+                    hedge=HedgePolicy(delay_s=0.008),
+                ),
+                fault_plan=plan, seed=9, **sinks,
+            )
+
+        result, capture = _both_settlements(build, 10000, 1000)
+        assert result.hedge_wins > 0
+        assert result.fault_counts["dropped_responses"] > 0
+        won = [
+            r for r in capture.records.values() if r.attempts[-1].hedge_won
+        ]
+        assert won
+        for record in won:
+            leg = record.attempts[-1].hedge
+            assert record.completion == record.attempts[-1].end
+            assert record.completion > leg.start
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_scenario_settles_alike(self, scenario):
+        if is_shard_scenario(scenario):
+            setup = build_scenario("rm2", "broadwell", scenario, queries=1500)
+        else:
+            setup = build_scenario(
+                "rm1", "t4", scenario, queries=1500, fallback="broadwell"
+            )
+        _both_settlements(
+            lambda **sinks: setup.scheduler(setup.policy, **sinks),
+            setup.qps, setup.queries, window_s=setup.window_s,
+        )
 
 
 def _policy_combos():

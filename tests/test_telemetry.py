@@ -316,6 +316,66 @@ class TestGlobalState:
         assert span.duration_s == 1.0
 
 
+class TestObserveForms:
+    """``observe_many`` adds a batch pairwise; ``observe_each`` is the
+    bit-exact form of one ``observe`` per value."""
+
+    @staticmethod
+    def _looped(values, **kwargs):
+        hist = StreamingHistogram(**kwargs)
+        for v in values:
+            hist.observe(v)
+        return hist
+
+    def test_observe_many_matches_looped_observe_but_the_total(self):
+        values = np.random.default_rng(0).exponential(0.001, size=64)
+        batch = StreamingHistogram()
+        batch.observe_many(values)
+        looped = self._looped(values)
+        assert batch.count == looped.count
+        assert batch.min == looped.min and batch.max == looped.max
+        assert batch.to_state()["exact"] == looped.to_state()["exact"]
+        assert batch.to_state()["counts"] == looped.to_state()["counts"]
+        # The pairwise batch sum and the running sum part in the last bit.
+        assert batch.total == 0.06599065030284665
+        assert looped.total == 0.06599065030284666
+
+    @pytest.mark.parametrize("exact_cap", [0, 10, 64, 4096])
+    def test_observe_each_state_equals_looped_observe(self, exact_cap):
+        values = np.random.default_rng(0).exponential(0.001, size=64)
+        each = StreamingHistogram(exact_cap=exact_cap)
+        each.observe(0.5)
+        each.observe_each(values[:40])
+        each.observe_each(values[40:])
+        looped = self._looped(np.r_[0.5, values], exact_cap=exact_cap)
+        assert json.dumps(each.to_state()) == json.dumps(looped.to_state())
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0, 1.0], [-0.0, 0.0]])
+    def test_observe_each_keeps_signed_zeros(self, values):
+        each = StreamingHistogram()
+        each.observe_each(values)
+        assert json.dumps(each.to_state()) == json.dumps(
+            self._looped(values).to_state()
+        )
+
+    def test_bucket_edges_follow_math_log(self):
+        hist = StreamingHistogram(min_value=1e-6, max_value=1.0, growth=1.1)
+        edges = hist.min_value * hist.growth ** np.arange(0, 150)
+        values = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+            [0.0, 1e-7, 1.0, 5.0],
+        ])
+        assert hist._bucket_indices(values).tolist() == [
+            hist._bucket_index(v) for v in values.tolist()
+        ]
+
+    def test_observe_each_rejects_bad_values_before_recording(self):
+        hist = StreamingHistogram()
+        with pytest.raises(ValueError, match=">= 0"):
+            hist.observe_each([0.1, float("nan")])
+        assert hist.count == 0
+
+
 class TestHistogramState:
     """Lossless serialize / merge surface added for the run ledger."""
 
