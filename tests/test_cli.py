@@ -439,6 +439,25 @@ class TestScenarioOutputPins:
             "injected: none",
         ]
 
+    def test_trace_resilience_event_pin(self, tmp_path):
+        """The exported trace events: fault windows and ``*.batch``
+        spans, in the order the engine emits them."""
+        import hashlib
+        import json
+
+        out = tmp_path / "res.trace.json"
+        assert main([
+            "trace", "--resilience", "--model", "rm1", "--queries", "200",
+            "-o", str(out),
+        ]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        digest = hashlib.sha256(
+            json.dumps(events, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "17440db0894a98f3a8e91557a6abd5e3818820d5d70a08e688aa4c3468c07596"
+        )
+
 
 class TestScenarioInputErrors:
     """Bad scenario sizes exit with ``error: ...`` naming the argument,

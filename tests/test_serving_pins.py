@@ -254,3 +254,116 @@ def test_monitored_scenario_pins(scenario):
         _sha(ms.timeseries.compact_state()),
     )
     assert digests == SCENARIO_PINS[scenario]
+
+
+def _observed_scenario(scenario):
+    """One scenario's monitored run with a capture attached and
+    telemetry on: ``(result, capture, spans)``."""
+    if is_shard_scenario(scenario):
+        setup = build_scenario("rm2", "broadwell", scenario, queries=4000)
+    else:
+        setup = build_scenario(
+            "rm1", "t4", scenario, queries=4000, fallback="broadwell"
+        )
+    capture = QueryTraceCapture(seed=setup.seed, max_queries=200)
+    scheduler = setup.scheduler(
+        setup.policy, timeseries=TimeSeries(window_s=setup.window_s),
+        querytrace=capture,
+    )
+    with telemetry.capture() as (tracer, _):
+        result = scheduler.run(setup.qps, num_queries=setup.queries)
+    # Span ids count every span the process has made; drop them.
+    spans = [dict(_plain(s), span_id=None) for s in tracer.spans()]
+    return result, capture, spans
+
+
+#: scenario -> (``QueryTraceCapture`` state digest, engine span list
+#: digest) of the :data:`SCENARIO_PINS` run with a capture attached
+#: and telemetry on: hedge legs, crash attempts, gather pieces, fault
+#: windows and every ``*.batch`` / ``*.hedge`` span, in emission order.
+CAPTURE_SPAN_PINS = {
+    "crash": (
+        "1b55054587039c3b17c70920e130ddec54823b23a05b174dbf63ea9f4052b176",
+        "8d4a7028db9116936a4a94b86935538cf2d7115ac2edf353d58e69bcc177e3c7",
+    ),
+    "drops": (
+        "b9f4407f56be29af6a403f434e9af5239e41e341a20224c7ba052ef43db7cb28",
+        "cdf8ac9e4c5a32500897a22adb5d1a200929c3392f3fb6d1ab93de4cace6f061",
+    ),
+    "mixed": (
+        "77d1b33a24d3c6bd27300f9d7d7cd1892c7f546d573d422dd563944b2c3c480b",
+        "50d1ab920f585ee02499966a6184c9a5a6bd3324c8e6d051aba69cb2cb8fdc25",
+    ),
+    "pcie": (
+        "efc101579a88607e95313bd221d86fbf9868bc1e9864a7b1e93fb410e0bcf354",
+        "f155645aaef3505899d8cada8cf782c5a8271a165ac12d78843115010098d4ba",
+    ),
+    "shard_crash": (
+        "6579b251511379471081a4287b093429c4f3c6c413dffe2a95091b859a4d7ffa",
+        "9da3520d3fdbe8bfb1fe42b53cbb7ef572e4c69a9be264ca6a0c49e88d2417fe",
+    ),
+    "shard_network": (
+        "24b6e9935411dba350a248cfd81ad57e8241d15bdb2c8d72065551cae387ffe6",
+        "261d0863a7bb8a1ad4d37166820388e735500906eabdee7988fcc8a0e64dff69",
+    ),
+    "shard_slowdown": (
+        "3741bedd91f686366ea687cf1b1f18738b2d8e55c72c2ab9581beda05897e02d",
+        "a5af4d4c5ad94a11b00090a8065c613c0ec662aca52adfe287d25d7dc1ca144b",
+    ),
+    "slowdown": (
+        "8cc6e652d12db85b3ae89c3a62a043b187654b81b2ef3aa12ea9ad24e0b216eb",
+        "381f04abb3009bf4304b0b0bcacf4a984c8292d730407015988e2568d2756ebd",
+    ),
+    "stragglers": (
+        "01bfd1066ad3e161eedddf01067ee0955c0ef6f3540d63b2fa02c42a53cea5aa",
+        "1434d8c880c4a74e58a15a49c94e100b634f7e729a1487d1dc035555cb24d3c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_scenario_capture_and_span_pins(scenario):
+    result, capture, spans = _observed_scenario(scenario)
+    # The sinks are observational: the result is the monitored run's.
+    assert _sha(
+        _result_bytes(result) + _sha(_resilient_counters(result)).encode()
+    ) == SCENARIO_PINS[scenario][0]
+    state = dict(
+        _capture_state(capture),
+        shard_totals=capture.shard_totals, coverage=capture.coverage(),
+    )
+    digests = (_sha(state), _sha(spans))
+    assert digests == CAPTURE_SPAN_PINS[scenario]
+
+
+#: (scenario, deadline_s, policy parts) -> capture state digest of a
+#: 3000-query rm1/t4 run with no fallback at 0.7x peak, every record
+#: kept: queries parked while the only replica is down, retried after
+#: a timeout or a lost response, dropped after their last retry, shed.
+REQUEUED_PINS = {
+    ("crash", 0.004, ("retry",)):
+        "8c8cdb6cbcea2949a7f44a8854e04bab9bb8e38f1ccfdc64566afc19636106a2",
+    ("mixed", None, ("retry", "shed", "degrade")):
+        "19a4e4e65f1f308fad6a29541e19a057706eb145e7cf78c19fd59b174bc6204f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REQUEUED_PINS, key=repr), ids=repr)
+def test_requeued_work_capture_pins(key):
+    scenario, deadline_s, parts = key
+    setup = build_scenario(
+        "rm1", "t4", scenario, queries=3000, fallback=None, load=0.7,
+        deadline_s=deadline_s,
+    )
+    capture = QueryTraceCapture(seed=setup.seed, max_queries=3000)
+    result = setup.scheduler(
+        setup.policy_with(*parts), querytrace=capture
+    ).run(setup.qps, setup.queries)
+    records = capture.records.values()
+    # The run exercises what the pin is for.
+    assert any(r.attempts[0].ready > r.arrival for r in records)
+    assert any(r.attempts[-1].attempt > 0 for r in records)
+    assert capture.dropped_queries + capture.shed_queries > 0
+    assert capture.dropped_queries == result.dropped
+    state = dict(_capture_state(capture), coverage=capture.coverage())
+    assert _sha(state) == REQUEUED_PINS[key]
