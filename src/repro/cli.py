@@ -1037,7 +1037,8 @@ def _cmd_explain(args) -> Tuple[str, int]:
             f"{', '.join(what_if_knobs)}"
         )
 
-    capture = QueryTraceCapture(
+    capture = _or_exit(
+        QueryTraceCapture,
         tail_threshold_s=(
             args.tail_threshold_ms * 1e-3
             if args.tail_threshold_ms is not None else None

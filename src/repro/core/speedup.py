@@ -12,6 +12,7 @@ vectorized evaluation per platform over every (model, batch) cell.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -85,6 +86,13 @@ class SpeedupStudy:
         self.batch_sizes = (
             list(batch_sizes) if batch_sizes is not None else paper_batch_sizes()
         )
+        if not self.batch_sizes:
+            raise ValueError("batch_sizes must name at least one batch size")
+        for b in self.batch_sizes:
+            if isinstance(b, bool) or not isinstance(b, numbers.Integral):
+                raise TypeError(f"batch_sizes must hold integers, got {b!r}")
+            if b < 1:
+                raise ValueError(f"batch_sizes must be >= 1, got {b}")
 
     def run(self) -> SweepResult:
         """Profile every (model, platform, batch) cell.

@@ -32,10 +32,12 @@ are split across shards proportionally to each shard's lookup mass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.distserve.topology import ShardHardware
+from repro.models import RecommendationModel
 from repro.workloads.distributions import IndexDistribution, ZipfIndices
 
 __all__ = [
@@ -367,8 +369,17 @@ def build_layout(
     with :meth:`ShardHardware.local` hardware): you only pay the
     distribution tax once the tables no longer fit one node.
     """
+    if not isinstance(model, RecommendationModel):
+        raise TypeError(
+            "model must be a RecommendationModel (see build_model), "
+            f"got {model!r}"
+        )
+    if isinstance(num_shards, bool) or not isinstance(
+        num_shards, numbers.Integral
+    ):
+        raise TypeError(f"num_shards must be an integer, got {num_shards!r}")
     if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if sharding not in SHARDING_KINDS:
         raise ValueError(
             f"sharding must be one of {SHARDING_KINDS}, got {sharding!r}"

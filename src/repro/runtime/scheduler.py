@@ -32,11 +32,10 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry.querytrace import AttemptEvent, ServiceParts
+from repro.telemetry.runlog import RunLog
 
-if TYPE_CHECKING:  # avoid runtime circularity with repro.core / resilience
+if TYPE_CHECKING:  # avoid runtime circularity with repro.core
     from repro.core.speedup import SweepResult
-    from repro.resilience import FaultPlan, ResiliencePolicy, ResilientScheduler
     from repro.runtime.session import InferenceProfile
     from repro.telemetry import TimeSeries
     from repro.telemetry.querytrace import QueryTraceCapture
@@ -377,12 +376,9 @@ class ScheduleResult:
 class QueryScheduler:
     """Discrete-event simulation of one batching server.
 
-    The plain configuration (no keyword extras) is the exact historical
-    simulator. Passing any of ``fault_plan`` / ``resilience`` /
-    ``standbys`` / ``degraded_model`` layers the
-    :mod:`repro.resilience` engine on top: the same batching policy and
-    arrival process, plus injected faults, failover replicas, and the
-    serving policies — see ``docs/resilience.md``.
+    A fleet of fault-prone replicas is a
+    :class:`~repro.resilience.ResilientScheduler`, or a named scenario's
+    :func:`~repro.monitor.scenario.build_scenario`.
     """
 
     def __init__(
@@ -391,10 +387,6 @@ class QueryScheduler:
         policy: BatchingPolicy,
         seed: int = 2020,
         *,
-        fault_plan: Optional["FaultPlan"] = None,
-        resilience: Optional["ResiliencePolicy"] = None,
-        standbys: Optional[Sequence[ServiceTimeModel]] = None,
-        degraded_model: Optional[ServiceTimeModel] = None,
         timeseries: Optional["TimeSeries"] = None,
         querytrace: Optional["QueryTraceCapture"] = None,
     ) -> None:
@@ -403,10 +395,6 @@ class QueryScheduler:
         self.policy = policy
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.fault_plan = fault_plan
-        self.resilience = resilience
-        self.standbys = list(standbys) if standbys else []
-        self.degraded_model = degraded_model
         # Optional windowed telemetry sink. Emission is read-only with
         # respect to simulation state (no RNG draws, no arithmetic on
         # the sim's floats), so results with a sink attached are
@@ -414,51 +402,10 @@ class QueryScheduler:
         self.timeseries = timeseries
         # Optional per-query causal trace; same observational contract.
         self.querytrace = querytrace
-        self._resilient = (
-            fault_plan is not None
-            or resilience is not None
-            or bool(self.standbys)
-            or degraded_model is not None
-        )
-
-    def _build_resilient(self) -> "ResilientScheduler":
-        """The equivalent fleet simulation for this configuration."""
-        from repro.resilience import Replica, ResilientScheduler
-
-        names = set()
-
-        def unique(name: str) -> str:
-            candidate, k = name, 1
-            while candidate in names:
-                k += 1
-                candidate = f"{name}#{k}"
-            names.add(candidate)
-            return candidate
-
-        replicas = [
-            Replica(
-                unique(self.service_model.platform),
-                self.service_model,
-                degraded_model=self.degraded_model,
-            )
-        ]
-        for standby in self.standbys:
-            replicas.append(Replica(unique(standby.platform), standby))
-        return ResilientScheduler(
-            replicas,
-            self.policy,
-            resilience=self.resilience,
-            fault_plan=self.fault_plan,
-            seed=self.seed,
-            timeseries=self.timeseries,
-            querytrace=self.querytrace,
-        )
 
     def run(self, arrival_qps: float, num_queries: int = 2000) -> ScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
         validate_run(self.policy, arrival_qps, num_queries)
-        if self._resilient:
-            return self._build_resilient().run(arrival_qps, num_queries)
         arrivals = poisson_arrivals(self._rng, arrival_qps, num_queries)
         max_batch = self.policy.max_batch
         form = BatchFormation(arrivals, self.policy)
@@ -507,8 +454,11 @@ class QueryScheduler:
                 arrivals, latencies, batch_sizes, starts, finishes
             )
         if self.querytrace is not None:
-            self._emit_querytrace(
-                arrivals, latencies, batch_sizes, starts, finishes, service
+            RunLog.of_plain_run(
+                arrivals, batch_sizes, starts, finishes, service, max_batch
+            ).replay_capture(
+                self.querytrace, arrivals, latencies,
+                [self.service_model.platform],
             )
         return ScheduleResult(
             queries=num_queries,
@@ -566,40 +516,6 @@ class QueryScheduler:
             )
             ts.count("completions", finish, batch)
             i += batch
-
-    def _emit_querytrace(
-        self, arrivals, latencies, batch_sizes, starts, finishes, service
-    ) -> None:
-        qt = self.querytrace
-        qt.begin_run(arrivals)
-        max_batch = self.policy.max_batch
-        platform = self.service_model.platform
-        # Read as Python floats, without copying n-length arrays.
-        ready = memoryview(arrivals)
-        settled = memoryview(latencies)
-        i = 0
-        for batch, start, finish in zip(batch_sizes, starts, finishes.tolist()):
-            j = i + batch
-            # A batch that did not fill starts at its dispatch_at.
-            close = ready[j - 1] if batch == max_batch else start
-            # One immutable parts record per batch: every member
-            # shares the same service interval.
-            parts = ServiceParts(base_s=service[batch])
-            for q in range(i, j):
-                qt.attempt(q, AttemptEvent(
-                    attempt=0,
-                    ready=ready[q],
-                    batch_close=close,
-                    start=start,
-                    end=finish,
-                    outcome="completed",
-                    server=platform,
-                    server_index=0,
-                    lane=0,
-                    parts=parts,
-                ))
-                qt.settle(q, settled[q], finish)
-            i = j
 
     def max_load_under_sla(
         self,

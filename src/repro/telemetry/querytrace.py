@@ -1,14 +1,16 @@
 """Per-query causal event capture with exact critical-path decomposition.
 
-``QueryTraceCapture`` is an optional sink both schedulers (and, through
-them, the distserve gather path) feed while they simulate: for every
-query it records the causal chain — enqueue, batch admission, dispatch
-and finish per attempt, retry backoff gaps, hedge issue/win, and the
-per-shard gather fan-out of the winning attempt. Capture is strictly
-observational: the schedulers only ever *copy* floats they already
-computed into the trace, never draw randomness for it, and never read
-anything back, so results are bit-identical with capture on or off
-(the same contract :class:`~repro.telemetry.timeseries.TimeSeries`
+``QueryTraceCapture`` is an optional sink of both schedulers. For
+every query it records the causal chain — enqueue, batch admission,
+dispatch and finish per attempt, retry backoff gaps, hedge issue/win,
+and the per-shard gather fan-out of the winning attempt. The
+schedulers fill it after the run, replaying their
+:class:`~repro.telemetry.runlog.RunLog` in loop order through
+:meth:`~QueryTraceCapture.begin_run`, ``attempt``, ``shed``, ``drop``
+and ``settle``. Capture is strictly observational: the replay only
+*copies* floats the run already computed, draws no randomness, and
+reads nothing back, so results are bit-identical with capture on or
+off (the same contract :class:`~repro.telemetry.timeseries.TimeSeries`
 established).
 
 At settlement each completed query's chain is walked into a monotone
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -281,6 +284,11 @@ def _balance(comps: Dict[str, float], latency: float) -> None:
     comps[key] = latency
 
 
+def _check_number(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 class QueryTraceCapture:
     """Bounded-memory per-query causal trace with tail-biased retention.
 
@@ -310,8 +318,21 @@ class QueryTraceCapture:
         seed: int = 2020,
         max_queries: int = 10_000,
     ) -> None:
-        if sample_rate < 0.0 or sample_rate > 1.0:
+        if tail_threshold_s is not None:
+            _check_number("tail_threshold_s", tail_threshold_s)
+            if not tail_threshold_s >= 0.0:
+                raise ValueError(
+                    f"tail_threshold_s must be >= 0, got {tail_threshold_s!r}"
+                )
+        _check_number("sample_rate", sample_rate)
+        if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
+        if isinstance(max_queries, bool) or not isinstance(
+            max_queries, numbers.Integral
+        ):
+            raise TypeError(
+                f"max_queries must be an integer, got {max_queries!r}"
+            )
         if max_queries < 1:
             raise ValueError(f"max_queries must be >= 1, got {max_queries}")
         from repro.resilience.faults import hashed_uniform
@@ -337,7 +358,7 @@ class QueryTraceCapture:
         self.dropped_queries = 0
         self.evicted = 0
 
-    # -- capture hooks (called by the schedulers) ---------------------------
+    # -- capture hooks (called by the run-log replay) -----------------------
 
     def begin_run(self, arrivals) -> None:
         """Start a fresh run; ``arrivals`` is the scheduler's arrival
@@ -364,12 +385,7 @@ class QueryTraceCapture:
         into the run aggregates, then apply the retention policy."""
         attempts = self._pending.pop(qid, [])
         attempts.sort(key=lambda a: a.attempt)
-        if self._arrivals is not None:
-            arrival = float(self._arrivals[qid])
-        elif attempts:
-            arrival = attempts[0].ready
-        else:
-            arrival = completion - latency
+        arrival = float(self._arrivals[qid])
         comps, intervals, shard_seconds = decompose_attempts(
             arrival, completion, latency, attempts
         )

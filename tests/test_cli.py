@@ -477,6 +477,9 @@ class TestScenarioInputErrors:
             (["shard", "--queries", "0"], "queries"),
             (["shard", "--qps", "0"], "qps"),
             (["trace", "--resilience", "--qps", "-1"], "qps"),
+            (["explain", "--sample-rate", "nan"], "sample_rate"),
+            (["explain", "--max-queries", "0"], "max_queries"),
+            (["explain", "--tail-threshold-ms", "nan"], "tail_threshold_s"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )

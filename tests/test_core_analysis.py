@@ -54,6 +54,21 @@ class TestSpeedupStudy:
         with pytest.raises(ValueError):
             SpeedupStudy(platform_names=["t4"])
 
+    @pytest.mark.parametrize(
+        "batches,error",
+        [([], ValueError), ([0], ValueError), ([-4], ValueError),
+         ([16, 2.5], TypeError),
+         ([True], TypeError), (["64"], TypeError)],
+        ids=repr,
+    )
+    def test_bad_batch_sizes_rejected_at_construction(self, batches, error):
+        with pytest.raises(error, match="batch_sizes"):
+            SpeedupStudy(batch_sizes=batches)
+
+    def test_numpy_batch_sizes_accepted(self):
+        study = SpeedupStudy(batch_sizes=np.array([1, 16]))
+        assert study.batch_sizes == [1, 16]
+
     def test_data_comm_fraction_accessor(self, small_sweep):
         frac = small_sweep.data_comm_fraction("rm2", "gtx1080ti", 1024)
         assert 0 < frac < 1

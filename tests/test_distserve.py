@@ -185,6 +185,20 @@ class TestPlacement:
             build_layout(rm2, 0)
         with pytest.raises(ValueError):
             build_layout(rm2, 4, sharding="diagonal")
+
+    @pytest.mark.parametrize(
+        "num_shards,error",
+        [(True, TypeError), ("4", TypeError), (2.0, TypeError),
+         (0, ValueError), (-1, ValueError)],
+        ids=repr,
+    )
+    def test_bad_shard_count_named(self, rm2, num_shards, error):
+        with pytest.raises(error, match="num_shards"):
+            build_layout(rm2, num_shards)
+
+    def test_model_name_instead_of_model_named(self):
+        with pytest.raises(TypeError, match="model"):
+            build_layout("rm2", 4)
         with pytest.raises(ValueError):
             LocalityAwarePlacement(hot_k=0)
         with pytest.raises(ValueError):

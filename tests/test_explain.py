@@ -255,6 +255,35 @@ class TestReservoir:
         with pytest.raises(ValueError, match="max_queries"):
             QueryTraceCapture(max_queries=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,error",
+        [
+            (dict(sample_rate=float("nan")), ValueError),
+            (dict(sample_rate=-0.1), ValueError),
+            (dict(sample_rate=True), TypeError),
+            (dict(sample_rate="0.5"), TypeError),
+            (dict(max_queries=2.5), TypeError),
+            (dict(max_queries=True), TypeError),
+            (dict(max_queries="10"), TypeError),
+            (dict(tail_threshold_s=float("nan")), ValueError),
+            (dict(tail_threshold_s=-1e-3), ValueError),
+            (dict(tail_threshold_s="1"), TypeError),
+            (dict(tail_threshold_s=False), TypeError),
+        ],
+        ids=repr,
+    )
+    def test_bad_retention_arguments_named(self, kwargs, error):
+        (name,) = kwargs
+        with pytest.raises(error, match=name):
+            QueryTraceCapture(**kwargs)
+
+    def test_numpy_and_unbounded_retention_arguments_accepted(self):
+        qt = QueryTraceCapture(
+            tail_threshold_s=np.float64(math.inf), sample_rate=np.float64(1),
+            max_queries=np.int64(8),
+        )
+        assert qt.max_queries == 8
+
 
 class TestExplanationEngine:
     def test_profile_structure(self, throttle):

@@ -41,6 +41,7 @@ from repro.resilience import (
     hashed_uniform,
 )
 from repro.monitor.scenario import SCENARIOS, build_scenario, is_shard_scenario
+from repro.resilience import engine
 from repro.resilience.engine import WorkQueue
 from repro.runtime import (
     BatchFormation,
@@ -259,28 +260,47 @@ class TestGoldenEquivalence:
                                  b.hedges, b.failovers)
 
 
-def _both_settlements(build, qps, n, window_s=0.005):
-    """Run ``build(**sinks)`` bare, where fault-free batches settle in one
-    array operation, and with a query-trace capture attached, which
-    settles every member in turn. Results and time series must agree
-    bit for bit; returns the bare result and the capture."""
-    fast_ts, member_ts = TimeSeries(window_s), TimeSeries(window_s)
-    capture = QueryTraceCapture(seed=0, max_queries=n)
-    fast = build(timeseries=fast_ts).run(qps, n)
-    member = build(timeseries=member_ts, querytrace=capture).run(qps, n)
+def _capture_state(capture):
+    """A capture's counters, aggregates and records; ``repr`` tells
+    every float bit apart."""
+    return repr((
+        capture.completed, capture.shed_queries, capture.dropped_queries,
+        capture.component_totals, capture.shard_totals,
+        sorted(capture.records.items()),
+    ))
+
+
+def _both_settlements(monkeypatch, build, qps, n, window_s=0.005):
+    """Run ``build(**sinks)`` as is, where fault-free batches settle in
+    one array operation, and again with the engine's one-operation
+    predicate patched off, so every member settles in turn. Results,
+    time series and query-trace captures must agree bit for bit;
+    returns the result and the capture."""
+
+    def run():
+        ts = TimeSeries(window_s)
+        capture = QueryTraceCapture(seed=0, max_queries=n)
+        result = build(timeseries=ts, querytrace=capture).run(qps, n)
+        return result, ts.to_state(), capture
+
+    fast, fast_ts, fast_capture = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_settles_at_once", lambda *args: False)
+        member, member_ts, member_capture = run()
     assert fast.latencies_s.tobytes() == member.latencies_s.tobytes()
     plain = dict(latencies_s=None)
     assert dataclasses.replace(fast, **plain) == dataclasses.replace(
         member, **plain
     )
-    assert fast_ts.to_state() == member_ts.to_state()
-    return fast, capture
+    assert fast_ts == member_ts
+    assert _capture_state(fast_capture) == _capture_state(member_capture)
+    return fast, fast_capture
 
 
 class TestBatchSettlement:
     """Guards on the one-operation settlement of fault-free batches."""
 
-    def test_deadline_tie_does_not_time_out(self, gpu_stm):
+    def test_deadline_tie_does_not_time_out(self, monkeypatch, gpu_stm):
         # One query per batch on an idle server completes at exactly
         # ready + service; a deadline of that service time is a tie.
         service = gpu_stm.seconds(1)
@@ -295,7 +315,9 @@ class TestBatchSettlement:
                 seed=3, **sinks,
             )
 
-        result, capture = _both_settlements(build, 0.05 / service, 400)
+        result, capture = _both_settlements(
+            monkeypatch, build, 0.05 / service, 400
+        )
         attempts = [a for r in capture.records.values() for a in r.attempts]
         idle = [a for a in attempts if a.start == a.ready]
         assert len(idle) > 300
@@ -305,7 +327,9 @@ class TestBatchSettlement:
         # Only queued queries miss the deadline.
         assert result.timeouts == result.retries + result.dropped < 40
 
-    def test_lossy_replica_settles_member_by_member(self, gpu_stm):
+    def test_lossy_replica_settles_member_by_member(
+        self, monkeypatch, gpu_stm
+    ):
         plan = FaultPlan(seed=0, servers={
             "t4": ServerFaults(drops=DropSpec(probability=0.05)),
         })
@@ -319,11 +343,13 @@ class TestBatchSettlement:
                 fault_plan=plan, seed=3, **sinks,
             )
 
-        result, _ = _both_settlements(build, 4000, 1500)
+        result, _ = _both_settlements(monkeypatch, build, 4000, 1500)
         assert result.fault_counts["dropped_responses"] > 0
         assert result.retries > 0
 
-    def test_head_past_its_deadline_settles_member_by_member(self, gpu_stm):
+    def test_head_past_its_deadline_settles_member_by_member(
+        self, monkeypatch, gpu_stm
+    ):
         # A batch waits up to 4 ms for members: its head misses a
         # deadline its later members meet.
         service = gpu_stm.seconds(64)
@@ -338,10 +364,14 @@ class TestBatchSettlement:
                 seed=3, **sinks,
             )
 
-        result, _ = _both_settlements(build, 0.2 * 64 / service, 1500)
+        result, _ = _both_settlements(
+            monkeypatch, build, 0.2 * 64 / service, 1500
+        )
         assert 0 < result.timeouts < result.completed
 
-    def test_hedge_won_batches_settle_at_the_hedge(self, gpu_stm, cpu_stm):
+    def test_hedge_won_batches_settle_at_the_hedge(
+        self, monkeypatch, gpu_stm, cpu_stm
+    ):
         # The standby loses responses, the primary does not: whether a
         # batch may settle at once depends on the copy that won.
         plan = FaultPlan(seed=0, servers={
@@ -359,7 +389,7 @@ class TestBatchSettlement:
                 fault_plan=plan, seed=9, **sinks,
             )
 
-        result, capture = _both_settlements(build, 10000, 1000)
+        result, capture = _both_settlements(monkeypatch, build, 10000, 1000)
         assert result.hedge_wins > 0
         assert result.fault_counts["dropped_responses"] > 0
         won = [
@@ -372,7 +402,7 @@ class TestBatchSettlement:
             assert record.completion > leg.start
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_every_scenario_settles_alike(self, scenario):
+    def test_every_scenario_settles_alike(self, monkeypatch, scenario):
         if is_shard_scenario(scenario):
             setup = build_scenario("rm2", "broadwell", scenario, queries=1500)
         else:
@@ -380,7 +410,7 @@ class TestBatchSettlement:
                 "rm1", "t4", scenario, queries=1500, fallback="broadwell"
             )
         _both_settlements(
-            lambda **sinks: setup.scheduler(setup.policy, **sinks),
+            monkeypatch, lambda **sinks: setup.scheduler(setup.policy, **sinks),
             setup.qps, setup.queries, window_s=setup.window_s,
         )
 
@@ -590,39 +620,6 @@ class TestPolicies:
 
 
 class TestSchedulerIntegration:
-    def test_query_scheduler_delegates(self, gpu_stm, cpu_stm, lite_stm):
-        plan = FaultPlan(seed=2, servers={
-            "t4": ServerFaults(drops=DropSpec(0.05)),
-        })
-        scheduler = QueryScheduler(
-            gpu_stm, BatchingPolicy(), seed=11,
-            fault_plan=plan,
-            resilience=ResiliencePolicy(
-                retry=RetryPolicy(deadline_s=0.1)
-            ),
-            standbys=[cpu_stm],
-            degraded_model=lite_stm,
-        )
-        result = scheduler.run(3000, 300)
-        assert result.accounting_ok()
-        assert result.queries == 300
-        # Delegation mirrors a hand-built fleet exactly.
-        direct = ResilientScheduler(
-            [Replica("t4", gpu_stm, degraded_model=lite_stm),
-             Replica("broadwell", cpu_stm)],
-            BatchingPolicy(),
-            resilience=ResiliencePolicy(retry=RetryPolicy(deadline_s=0.1)),
-            fault_plan=plan, seed=11,
-        ).run(3000, 300)
-        np.testing.assert_array_equal(result.latencies_s, direct.latencies_s)
-
-    def test_duplicate_platform_standby_gets_unique_name(self, gpu_stm):
-        scheduler = QueryScheduler(
-            gpu_stm, BatchingPolicy(), seed=1, standbys=[gpu_stm],
-        )
-        result = scheduler.run(2000, 100)
-        assert result.accounting_ok()
-
     def test_replica_validation(self, gpu_stm):
         with pytest.raises(ValueError, match="at least one replica"):
             ResilientScheduler([], BatchingPolicy())
