@@ -183,10 +183,6 @@ _FAULT_COUNTS = (
     "crashed_batches", "dropped_responses",
 )
 
-#: Failed-attempt codes, indexes of :data:`repro.telemetry.runlog.OUTCOMES`.
-_CRASH, _DROP_RESPONSE, _TIMEOUT = range(3)
-
-
 def _settles_at_once(
     winner: ServerState,
     completion: float,
@@ -379,7 +375,7 @@ class ResilientScheduler:
                 if resume <= head_ready:
                     resume = head_ready + 1e-9
                 work.push((resume, head_qid, head_attempt))
-                log.requeued.append((head_qid, head_attempt, resume))
+                log.requeued.append(head_qid, head_attempt, resume)
                 continue
 
             # -- batch formation (BatchFormation, as in QueryScheduler) -----
@@ -410,7 +406,7 @@ class ResilientScheduler:
                         if start + floor_s > arrived[m[1]] + res.shed.deadline_s:
                             counters["shed"] += 1
                             log.count("shed", start)
-                            log.shed.append((m[1], start))
+                            log.shed.append(len(log.size), m[1], start)
                         else:
                             kept.append(m)
                     members = kept
@@ -512,10 +508,10 @@ class ResilientScheduler:
                     else:
                         hedge_server.free_at = h_finish
                         hedge_finish = h_finish
-                        log.hedges.append((
+                        log.hedges.append(
                             b, hedge_server.index, h_start, h_service,
                             _parts(h_faults, h_gout) if log.detail else None,
-                        ))
+                        )
 
             primary_ok = crash_at is None
             hedge_ok = hedge_finish < math.inf
@@ -569,7 +565,7 @@ class ResilientScheduler:
             settled: List[int] = []
             for ready, qid, attempt in members:
                 if not primary_ok and not hedge_ok:
-                    kind, at = _CRASH, crash_at
+                    kind, at = "crash", crash_at
                 elif winner.injector.should_drop(qid, attempt):
                     fault_counts["dropped_responses"] += 1
                     tripped = winner.record_failure(completion, res.breaker)
@@ -581,13 +577,13 @@ class ResilientScheduler:
                         if res.retry is not None
                         else completion
                     )
-                    kind, at = _DROP_RESPONSE, max(detect, completion)
+                    kind, at = "drop_response", max(detect, completion)
                 elif (
                     res.retry is not None
                     and completion > ready + res.retry.deadline_s
                 ):
                     counters["timeouts"] += 1
-                    kind, at = _TIMEOUT, ready + res.retry.deadline_s
+                    kind, at = "timeout", ready + res.retry.deadline_s
                 else:
                     latencies[qid] = completion - arrivals[qid]
                     counters["completed"] += 1
@@ -598,13 +594,11 @@ class ResilientScheduler:
                 retry = (
                     res.retry is not None and attempt < res.retry.max_retries
                 )
-                log.failed.append(
-                    (b, qid, attempt, ready, kind, at, not retry)
-                )
+                log.failed.append(b, qid, attempt, ready, kind, at, not retry)
                 if retry:
                     backoff = at + res.retry.backoff_s(attempt)
                     work.push((backoff, qid, attempt + 1))
-                    log.requeued.append((qid, attempt + 1, backoff))
+                    log.requeued.append(qid, attempt + 1, backoff)
                     counters["retries"] += 1
                     log.count("retries", at)
                 else:

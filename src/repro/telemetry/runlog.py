@@ -37,9 +37,6 @@ HEALTHY, DEGRADED, CRASHED, BREAKER_OPEN = range(len(STATES))
 #: its hedge copy won.
 RETRIED, DEGRADED_BATCH, CRASHED_BATCH, HEDGE_WON = 1, 2, 4, 8
 
-#: Failed-attempt outcomes, by the codes a failed row stores.
-OUTCOMES = ("crash", "drop_response", "timeout")
-
 #: Settled queries per ``latency_s`` ingest call in :meth:`RunLog.flush`.
 _LATENCY_CHUNK = 4096
 
@@ -47,6 +44,28 @@ _LATENCY_CHUNK = 4096
 def _column(values: array) -> np.ndarray:
     """A read-only array view of a logged column."""
     return np.frombuffer(values, dtype=values.typecode)
+
+
+class _Rows:
+    """Sparse rows kept as one column per field: a typed array, or a
+    list for an ``O`` field. A row costs no Python object of its own."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, typecodes: str) -> None:
+        self.columns = tuple(
+            [] if code == "O" else array(code) for code in typecodes
+        )
+
+    def append(self, *row) -> None:
+        for column, value in zip(self.columns, row):
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
 
 
 class RunLog:
@@ -84,13 +103,13 @@ class RunLog:
         self.done_n = array("q")
         self.done_qids = array("q")
         #: (batch, server, start, service seconds, parts or None)
-        self.hedges: List[tuple] = []
-        #: (batch, qid, attempt, ready, outcome code, end, dropped)
-        self.failed: List[tuple] = []
-        #: (qid, time)
-        self.shed: List[tuple] = []
+        self.hedges = _Rows("qqddO")
+        #: (batch, qid, attempt, ready, outcome, end, dropped)
+        self.failed = _Rows("qqqdOdb")
+        #: (index of the next batch, qid, time)
+        self.shed = _Rows("qqd")
         #: (qid, attempt, ready) of each retried or parked query
-        self.requeued: List[tuple] = []
+        self.requeued = _Rows("qqd")
         self.mark_server = array("q")
         self.mark_t = array("d")
         self.mark_state = array("q")
@@ -216,8 +235,8 @@ class RunLog:
         latencies: np.ndarray,
         names: Sequence[str],
     ) -> None:
-        """Feed ``capture`` every attempt, drop and settlement batch by
-        batch in loop order, then the sheds (the log needs ``detail``).
+        """Feed ``capture`` every attempt, shed, drop and settlement,
+        batch by batch in loop order (the log needs ``detail``).
 
         Within a batch the failed attempts go before the settled ones;
         each query's events and the order of settlements are the loop's,
@@ -228,45 +247,55 @@ class RunLog:
         ready = memoryview(arrivals)
         settled = memoryview(latencies)
         # A settled query ran the attempt it was last requeued with.
-        requeued = {qid: (attempt, t) for qid, attempt, t in self.requeued}
+        requeued_qid, requeued_attempt, requeued_t = self.requeued.columns
+        requeued = {qid: i for i, qid in enumerate(requeued_qid)}
         hedges = {
             b: HedgeLeg(start=t, server=names[s], server_index=s, parts=parts)
             for b, s, t, _, parts in self.hedges
         }
-        failed: Dict[int, list] = {}
-        for b, *row in self.failed:
-            failed.setdefault(b, []).append(row)
-        done, pos = {}, 0
-        for b, completion, n in zip(self.done_batch, self.done_t, self.done_n):
-            done[b] = (completion, pos, pos + n)
-            pos += n
+        sheds, fails = iter(self.shed), iter(self.failed)
+        shed, fail = next(sheds, None), next(fails, None)
+        groups = zip(self.done_batch, self.done_t, self.done_n)
+        group = next(groups, None)
         qids = memoryview(self.done_qids)
+        pos = 0
         for b, (start, server, flags, close, parts) in enumerate(zip(
             self.start, self.server, self.flags, self.close, self.parts
         )):
+            while shed is not None and shed[0] <= b:
+                capture.shed(shed[1], shed[2])
+                shed = next(sheds, None)
             name = names[server]
             lane = (
                 REPLICA_LANE_RETRY if flags & RETRIED else REPLICA_LANE_SERVE
             )
             hedge = hedges.get(b)
             won = bool(flags & HEDGE_WON)
-            for qid, attempt, t, code, end, dropped in failed.get(b, ()):
+            while fail is not None and fail[0] == b:
+                _, qid, attempt, t, outcome, end, dropped = fail
                 capture.attempt(qid, AttemptEvent(
-                    attempt, t, close, start, end, OUTCOMES[code], name,
+                    attempt, t, close, start, end, outcome, name,
                     server, lane, parts, hedge, won,
                 ))
                 if dropped:
                     capture.drop(qid, end)
-            if b not in done:
+                fail = next(fails, None)
+            if group is None or group[0] != b:
                 continue
-            completion, lo, hi = done[b]
-            for qid in qids[lo:hi]:
-                hit = requeued.get(qid)
-                attempt, t = hit if hit is not None else (0, ready[qid])
+            _, completion, n = group
+            for qid in qids[pos:pos + n]:
+                i = requeued.get(qid)
+                if i is None:
+                    attempt, t = 0, ready[qid]
+                else:
+                    attempt, t = requeued_attempt[i], requeued_t[i]
                 capture.attempt(qid, AttemptEvent(
                     attempt, t, close, start, completion, "completed", name,
                     server, lane, parts, hedge, won,
                 ))
                 capture.settle(qid, settled[qid], completion)
-        for qid, t in self.shed:
-            capture.shed(qid, t)
+            pos += n
+            group = next(groups, None)
+        while shed is not None:
+            capture.shed(shed[1], shed[2])
+            shed = next(sheds, None)
