@@ -40,12 +40,13 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro import telemetry
+from repro.telemetry import runlog
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policies import ResiliencePolicy, RetryPolicy
 from repro.resilience.server import BatchFaults, Replica, ServerState
@@ -65,17 +66,6 @@ from repro.telemetry.chrome_trace import (
     REPLICA_PID_BASE,
 )
 from repro.telemetry.querytrace import ServiceParts
-from repro.telemetry.runlog import (
-    BREAKER_OPEN,
-    CRASHED,
-    CRASHED_BATCH,
-    DEGRADED,
-    DEGRADED_BATCH,
-    HEALTHY,
-    HEDGE_WON,
-    RETRIED,
-    RunLog,
-)
 
 if TYPE_CHECKING:
     from repro.distserve.gather import GatherOutcome, ShardGatherModel
@@ -158,9 +148,7 @@ class ResilientScheduleResult(ScheduleResult):
         return scalars
 
 
-def _fault_windows(
-    servers: List[ServerState],
-) -> Iterator[Tuple[ServerState, str, Any]]:
+def _fault_windows(servers: List[ServerState]) -> Iterator[tuple]:
     """``(server, label, window)`` for every injected window, server by
     server: slowdowns, crashes, then PCIe degradations."""
     for s in servers:
@@ -350,7 +338,7 @@ class ResilientScheduler:
         grun = self.gather.start_run() if self.gather is not None else None
         # The only observation the loop makes; the sinks are replayed
         # from it after the run.
-        log = RunLog(detail=self.querytrace is not None)
+        log = runlog.RunLog(detail=self.querytrace is not None)
 
         latencies = np.full(num_queries, np.nan)
         counters = dict.fromkeys(_RESULT_COUNTS, 0)
@@ -451,9 +439,9 @@ class ResilientScheduler:
                 server.free_at = crash.end_s
                 tripped = server.record_failure(crash_at, res.breaker)
                 log.count("faults.crash", crash_at)
-                log.mark(server.index, crash_at, CRASHED)
+                log.mark(server.index, crash_at, runlog.CRASHED)
                 if tripped:
-                    log.mark(server.index, crash_at, BREAKER_OPEN)
+                    log.mark(server.index, crash_at, runlog.BREAKER_OPEN)
             else:
                 server.free_at = finish
 
@@ -499,11 +487,10 @@ class ResilientScheduler:
                             h_crash_at, res.breaker
                         )
                         log.count("faults.crash", h_crash_at)
-                        log.mark(hedge_server.index, h_crash_at, CRASHED)
+                        h = hedge_server.index
+                        log.mark(h, h_crash_at, runlog.CRASHED)
                         if tripped:
-                            log.mark(
-                                hedge_server.index, h_crash_at, BREAKER_OPEN
-                            )
+                            log.mark(h, h_crash_at, runlog.BREAKER_OPEN)
                         hedge_server = None
                     else:
                         hedge_server.free_at = h_finish
@@ -524,18 +511,17 @@ class ResilientScheduler:
             log.batch(
                 start, finish if primary_ok else crash_at, batch,
                 server.index,
-                (RETRIED if head_attempt > 0 else 0)
-                | (DEGRADED_BATCH if degraded else 0)
-                | (0 if primary_ok else CRASHED_BATCH)
-                | (HEDGE_WON if hedge_won else 0),
+                (runlog.RETRIED if head_attempt > 0 else 0)
+                | (runlog.DEGRADED_BATCH if degraded else 0)
+                | (0 if primary_ok else runlog.CRASHED_BATCH)
+                | (runlog.HEDGE_WON if hedge_won else 0),
             )
             if log.detail:
                 log.close.append(batch_close)
                 log.parts.append(_parts(faults, gout))
             if primary_ok:
-                log.mark(
-                    server.index, start, DEGRADED if degraded else HEALTHY
-                )
+                state = runlog.DEGRADED if degraded else runlog.HEALTHY
+                log.mark(server.index, start, state)
             if gout is not None and gout.fanout:
                 log.gather_t.append(start)
                 log.fanout.append(gout.fanout)
@@ -559,7 +545,7 @@ class ResilientScheduler:
                 latencies[qids] = completion - arrivals[qids]
                 counters["completed"] += batch
                 winner.record_success()
-                log.settled(b, completion, qids)
+                log.settled(completion, qids)
                 continue
 
             settled: List[int] = []
@@ -571,7 +557,7 @@ class ResilientScheduler:
                     tripped = winner.record_failure(completion, res.breaker)
                     log.count("faults.dropped_response", completion)
                     if tripped:
-                        log.mark(winner.index, completion, BREAKER_OPEN)
+                        log.mark(winner.index, completion, runlog.BREAKER_OPEN)
                     detect = (
                         ready + res.retry.deadline_s
                         if res.retry is not None
@@ -604,8 +590,7 @@ class ResilientScheduler:
                 else:
                     counters["dropped"] += 1
                     log.count("dropped", at)
-            if settled:
-                log.settled(b, completion, settled)
+            log.settled(completion, settled)
 
         end = max(s.free_at for s in servers)
         # The stream starts at 0: (end - first arrival) + first gap, in
@@ -668,7 +653,7 @@ class ResilientScheduler:
         return None
 
     def _trace_spans(
-        self, tracer, servers: List[ServerState], log: RunLog
+        self, tracer, servers: List[ServerState], log: runlog.RunLog
     ) -> None:
         """The run's spans: every injected fault window, then each
         batch's successful hedge leg and busy period, in loop order."""
@@ -701,12 +686,12 @@ class ResilientScheduler:
                 # Retried work gets its own lane so reissues don't
                 # overlap first-try serving.
                 tid=(
-                    REPLICA_LANE_RETRY if flags & RETRIED
+                    REPLICA_LANE_RETRY if flags & runlog.RETRIED
                     else REPLICA_LANE_SERVE
                 ),
                 pid=REPLICA_PID_BASE + index, process=name,
-                batch=batch, degraded=bool(flags & DEGRADED_BATCH),
-                crashed=bool(flags & CRASHED_BATCH),
+                batch=batch, degraded=bool(flags & runlog.DEGRADED_BATCH),
+                crashed=bool(flags & runlog.CRASHED_BATCH),
             )
 
     def _record_metrics(self, result: ResilientScheduleResult) -> None:

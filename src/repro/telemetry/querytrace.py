@@ -284,9 +284,11 @@ def _balance(comps: Dict[str, float], latency: float) -> None:
     comps[key] = latency
 
 
-def _check_number(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
+def _check_type(
+    name: str, value: object, kind=numbers.Real, what: str = "a number"
+) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {what}, got {value!r}")
 
 
 class QueryTraceCapture:
@@ -319,20 +321,15 @@ class QueryTraceCapture:
         max_queries: int = 10_000,
     ) -> None:
         if tail_threshold_s is not None:
-            _check_number("tail_threshold_s", tail_threshold_s)
+            _check_type("tail_threshold_s", tail_threshold_s)
             if not tail_threshold_s >= 0.0:
                 raise ValueError(
                     f"tail_threshold_s must be >= 0, got {tail_threshold_s!r}"
                 )
-        _check_number("sample_rate", sample_rate)
+        _check_type("sample_rate", sample_rate)
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        if isinstance(max_queries, bool) or not isinstance(
-            max_queries, numbers.Integral
-        ):
-            raise TypeError(
-                f"max_queries must be an integer, got {max_queries!r}"
-            )
+        _check_type("max_queries", max_queries, numbers.Integral, "an integer")
         if max_queries < 1:
             raise ValueError(f"max_queries must be >= 1, got {max_queries}")
         from repro.resilience.faults import hashed_uniform

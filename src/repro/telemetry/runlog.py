@@ -61,9 +61,6 @@ class _Rows:
         for column, value in zip(self.columns, row):
             column.append(value)
 
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
     def __iter__(self):
         return zip(*self.columns)
 
@@ -72,18 +69,19 @@ class RunLog:
     """One run's batches, settlements and side events, in loop order.
 
     Per batch: start, span end (finish, or the crash instant), size,
-    server and flags; with ``detail`` (a capture is attached) also the
-    close time and the :class:`ServiceParts`. Per settled batch: its
-    index, completion time and the settled query ids, whose latencies
-    are read back from the result array. Sparse rows: successful hedge
-    legs, failed attempts, shed and requeued work, replica state marks,
-    counter events by track, and gathered batches with a fan-out.
+    server, flags, completion time and the query ids that settled there
+    (none if every member failed), whose latencies are read back from
+    the result array; with ``detail`` (a capture is attached) also the
+    close time and the :class:`ServiceParts`. Sparse rows: successful
+    hedge legs, failed attempts, shed and requeued work, replica state
+    marks, counter events by track, and gathered batches with a
+    fan-out.
     """
 
     __slots__ = (
         "detail",
         "start", "end", "size", "server", "flags", "close", "parts",
-        "done_batch", "done_t", "done_n", "done_qids",
+        "done_t", "done_n", "done_qids",
         "hedges", "failed", "shed", "requeued",
         "mark_server", "mark_t", "mark_state", "counts",
         "gather_t", "fanout", "gather_s",
@@ -98,7 +96,6 @@ class RunLog:
         self.flags = array("b")
         self.close = array("d")
         self.parts: List[ServiceParts] = []
-        self.done_batch = array("q")
         self.done_t = array("d")
         self.done_n = array("q")
         self.done_qids = array("q")
@@ -138,7 +135,6 @@ class RunLog:
         )
         log.close.frombytes(close.tobytes())
         log.parts = [ServiceParts(base_s=service[b]) for b in batch_sizes]
-        log.done_batch = array("q", range(n))
         log.done_t.frombytes(finishes.tobytes())
         log.done_n = log.size
         log.done_qids = array("q", range(len(arrivals)))
@@ -167,8 +163,7 @@ class RunLog:
         self.mark_t.append(t)
         self.mark_state.append(state)
 
-    def settled(self, batch: int, completion: float, qids: List[int]) -> None:
-        self.done_batch.append(batch)
+    def settled(self, completion: float, qids: List[int]) -> None:
         self.done_t.append(completion)
         self.done_n.append(len(qids))
         self.done_qids.extend(qids)
@@ -216,7 +211,8 @@ class RunLog:
         done_n = _column(self.done_n)
         # One count per settled query; the per-batch counts are whole
         # numbers, so adding them a batch at a time gives the same sums.
-        ts.count_each("completions", done_t, done_n)
+        some = done_n > 0
+        ts.count_each("completions", done_t[some], done_n[some])
         # In chunks, so no temporary is as long as the run; consecutive
         # calls record what one call would.
         qids = _column(self.done_qids)
@@ -247,21 +243,22 @@ class RunLog:
         ready = memoryview(arrivals)
         settled = memoryview(latencies)
         # A settled query ran the attempt it was last requeued with.
-        requeued_qid, requeued_attempt, requeued_t = self.requeued.columns
-        requeued = {qid: i for i, qid in enumerate(requeued_qid)}
+        requeued = {qid: (attempt, t) for qid, attempt, t in self.requeued}
         hedges = {
             b: HedgeLeg(start=t, server=names[s], server_index=s, parts=parts)
             for b, s, t, _, parts in self.hedges
         }
         sheds, fails = iter(self.shed), iter(self.failed)
         shed, fail = next(sheds, None), next(fails, None)
-        groups = zip(self.done_batch, self.done_t, self.done_n)
-        group = next(groups, None)
         qids = memoryview(self.done_qids)
         pos = 0
-        for b, (start, server, flags, close, parts) in enumerate(zip(
-            self.start, self.server, self.flags, self.close, self.parts
-        )):
+        batches = zip(
+            self.start, self.server, self.flags, self.close, self.parts,
+            self.done_t, self.done_n,
+        )
+        for b, (start, server, flags, close, parts, completion, n) in (
+            enumerate(batches)
+        ):
             while shed is not None and shed[0] <= b:
                 capture.shed(shed[1], shed[2])
                 shed = next(sheds, None)
@@ -280,22 +277,15 @@ class RunLog:
                 if dropped:
                     capture.drop(qid, end)
                 fail = next(fails, None)
-            if group is None or group[0] != b:
-                continue
-            _, completion, n = group
             for qid in qids[pos:pos + n]:
-                i = requeued.get(qid)
-                if i is None:
-                    attempt, t = 0, ready[qid]
-                else:
-                    attempt, t = requeued_attempt[i], requeued_t[i]
+                hit = requeued.get(qid)
+                attempt, t = hit if hit is not None else (0, ready[qid])
                 capture.attempt(qid, AttemptEvent(
                     attempt, t, close, start, completion, "completed", name,
                     server, lane, parts, hedge, won,
                 ))
                 capture.settle(qid, settled[qid], completion)
             pos += n
-            group = next(groups, None)
         while shed is not None:
             capture.shed(shed[1], shed[2])
             shed = next(sheds, None)
