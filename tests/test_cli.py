@@ -423,8 +423,8 @@ class TestScenarioOutputPins:
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     def test_trace_resilience_summary_lines(self, capsys, tmp_path):
-        # Span times are wall clock; only the simulation summary is
-        # deterministic.
+        # The simulation summary; the exported events are pinned in
+        # test_trace_resilience_event_pin.
         assert main([
             "trace", "--resilience", "--model", "rm1", "--queries", "200",
             "-o", str(tmp_path / "res.trace.json"),
