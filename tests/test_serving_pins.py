@@ -72,15 +72,36 @@ def _plain(value):
     return value
 
 
-def _capture_state(capture: QueryTraceCapture) -> dict:
+#: How many records a capture-state digest covers: the slowest, by
+#: ``(latency, qid)``.
+PINNED_RECORDS = 200
+
+
+def _record_state(record) -> dict:
+    return {
+        "qid": record.qid,
+        "arrival": record.arrival,
+        "completion": record.completion,
+        "latency": record.latency,
+        "components": record.components,
+        "intervals": record.intervals,
+        "attempts": record.attempts,
+        "shard_seconds": record.shard_seconds,
+    }
+
+
+def _capture_state(capture: QueryTraceCapture, keep=PINNED_RECORDS) -> dict:
+    slowest = sorted(
+        capture.records.values(), key=lambda r: (r.latency, r.qid)
+    )[-keep:]
     return {
         "completed": capture.completed,
         "shed": capture.shed_queries,
         "dropped": capture.dropped_queries,
         "component_totals": capture.component_totals,
         "records": [
-            _plain(capture.records[qid])
-            for qid in sorted(capture.records)
+            _plain(_record_state(r))
+            for r in sorted(slowest, key=lambda r: r.qid)
         ],
     }
 
@@ -93,7 +114,7 @@ def _plain_runs(stm, policy):
         qps = peak * load
         result = QueryScheduler(stm, policy, seed=11).run(qps, QUERIES)
         ts = TimeSeries(window_s=QUERIES / qps / 16)
-        capture = QueryTraceCapture(seed=11, max_queries=200)
+        capture = QueryTraceCapture(seed=11)
         with telemetry.capture() as (_, registry):
             observed = QueryScheduler(
                 stm, policy, seed=11, timeseries=ts, querytrace=capture
@@ -118,27 +139,27 @@ def _plain_runs(stm, policy):
 PLAIN_PINS = {
     (1, 0.0): (
         "f4871a838666639316e537a4c49d9a695fc5013ced4890ab83a34a3f4733965d",
-        "13dc924648a073fccc32bfbda39e621ab8fb2e2f6873d4c2d559442a21f1c909",
+        "f0f8cfd0d21c2f78e36bd65a92e1aa17000e08246f51f62c78663e2d3a0d8084",
     ),
     (1, 0.002): (
         "f4871a838666639316e537a4c49d9a695fc5013ced4890ab83a34a3f4733965d",
-        "13dc924648a073fccc32bfbda39e621ab8fb2e2f6873d4c2d559442a21f1c909",
+        "f0f8cfd0d21c2f78e36bd65a92e1aa17000e08246f51f62c78663e2d3a0d8084",
     ),
     (7, 0.0): (
         "3bf8e88bf6155d61564900537acaddd306f14a6cf0ce30484f94d761644de5b6",
-        "0352a9e1f1eb68be34c71b40d15cf4481e8ed005e533f3e8924f4561c956e82a",
+        "e30e662e5369c7e5af27de7b878f7ba1f7635e1f75b69649cf4c7741af67fc07",
     ),
     (7, 0.002): (
         "1c029d19f16d82afc351f4f279b6f9f1623aeb2424f9f366a90ab74b866252b4",
-        "9ed7425d9fe731e2ea234f96dc9b0025a70257576e2daf442c4ba7175a5db258",
+        "e260c28e0e21cdb0cce7f9ea26cf685498d5ea8a3af96f87d8b50d17a5003a92",
     ),
     (64, 0.0): (
         "beed17cdaf6aa69060184f6d97993bffaac807338ae62c010363862dd15007bd",
-        "fe6abecbb50820256aa6a09626ca9ef216da86582de1b8fe88211390d7dbd7ee",
+        "9ccd8aacd86739316edbd3181674ff3ad9ad7ae22bc1550107c2af88f564fd65",
     ),
     (64, 0.002): (
         "50a406c1c1068a4b405084aef87c34e72f0ba096f02cf5788dd49943d7e3669b",
-        "b00413b5ede19817076ddd8848ed5b451abc841a7605d554fa0a8dc71e6deab0",
+        "fdc549403bc021d77b4bb1289f5b5514f367ee671699b0ed62c4724b10a42e97",
     ),
 }
 
@@ -160,7 +181,7 @@ def _resilient_counters(result) -> dict:
 
 RESILIENT_PIN = (
     "f3a4bd4e7be49e35f1f15529ad30121d80c6de9ce02036b626cc8c9e13da5c4a",
-    "62bcd951c2085b8f668dd860930951c6ff2180eaf83171ba47c037b6bfb20a50",
+    "22e3b8a6b171cf36f91c453c14f6f17ac026c8a7811684146ee048cac1d7bbb9",
 )
 
 
@@ -172,7 +193,7 @@ def test_retry_heavy_resilient_pin():
         scenario_overrides={"slowdown_multiplier": 5.0},
     )
     ts = TimeSeries(window_s=setup.window_s)
-    capture = QueryTraceCapture(seed=setup.seed, max_queries=200)
+    capture = QueryTraceCapture(seed=setup.seed)
     result = setup.scheduler(
         setup.policy_with("retry", "shed"), timeseries=ts, querytrace=capture
     ).run(setup.qps, setup.queries)
@@ -265,7 +286,7 @@ def _observed_scenario(scenario):
         setup = build_scenario(
             "rm1", "t4", scenario, queries=4000, fallback="broadwell"
         )
-    capture = QueryTraceCapture(seed=setup.seed, max_queries=200)
+    capture = QueryTraceCapture(seed=setup.seed)
     scheduler = setup.scheduler(
         setup.policy, timeseries=TimeSeries(window_s=setup.window_s),
         querytrace=capture,
@@ -283,39 +304,39 @@ def _observed_scenario(scenario):
 #: windows and every ``*.batch`` / ``*.hedge`` span, in emission order.
 CAPTURE_SPAN_PINS = {
     "crash": (
-        "1b55054587039c3b17c70920e130ddec54823b23a05b174dbf63ea9f4052b176",
+        "1a8e374342eefd9fd736829645a904cc3b72f70d7656a37e0455042d9f48d860",
         "8d4a7028db9116936a4a94b86935538cf2d7115ac2edf353d58e69bcc177e3c7",
     ),
     "drops": (
-        "b9f4407f56be29af6a403f434e9af5239e41e341a20224c7ba052ef43db7cb28",
+        "3f2c0efbf24dd69980439e2b5a2a5e9ecfde2926b518cd5a293be62e4fbda0d8",
         "cdf8ac9e4c5a32500897a22adb5d1a200929c3392f3fb6d1ab93de4cace6f061",
     ),
     "mixed": (
-        "77d1b33a24d3c6bd27300f9d7d7cd1892c7f546d573d422dd563944b2c3c480b",
+        "718f4f5af284983f86cab43ac448b92252fbe05c79013fc377270f972a7e86ce",
         "50d1ab920f585ee02499966a6184c9a5a6bd3324c8e6d051aba69cb2cb8fdc25",
     ),
     "pcie": (
-        "efc101579a88607e95313bd221d86fbf9868bc1e9864a7b1e93fb410e0bcf354",
+        "33eeee1381d3335f52fb7277b6df02165e5e6f3b265c86cb2b35bba24cbb5bc9",
         "f155645aaef3505899d8cada8cf782c5a8271a165ac12d78843115010098d4ba",
     ),
     "shard_crash": (
-        "6579b251511379471081a4287b093429c4f3c6c413dffe2a95091b859a4d7ffa",
+        "1768475b5d44163b1b199f50c735efb253b527a2db1474f064c41448c7cd1c6d",
         "9da3520d3fdbe8bfb1fe42b53cbb7ef572e4c69a9be264ca6a0c49e88d2417fe",
     ),
     "shard_network": (
-        "24b6e9935411dba350a248cfd81ad57e8241d15bdb2c8d72065551cae387ffe6",
+        "a814c74c3b24928e5d2ad6622b7790461af2c078954d71018fa56da97e1a6c16",
         "261d0863a7bb8a1ad4d37166820388e735500906eabdee7988fcc8a0e64dff69",
     ),
     "shard_slowdown": (
-        "3741bedd91f686366ea687cf1b1f18738b2d8e55c72c2ab9581beda05897e02d",
+        "6587fa81def2011e7b0386240c0d68b55c841caaead4c20b52657d0489c556ba",
         "a5af4d4c5ad94a11b00090a8065c613c0ec662aca52adfe287d25d7dc1ca144b",
     ),
     "slowdown": (
-        "8cc6e652d12db85b3ae89c3a62a043b187654b81b2ef3aa12ea9ad24e0b216eb",
+        "d70750845bf859111f8f9ff42f22eef86eea1e68e7937f71257548110d6c60a1",
         "381f04abb3009bf4304b0b0bcacf4a984c8292d730407015988e2568d2756ebd",
     ),
     "stragglers": (
-        "01bfd1066ad3e161eedddf01067ee0955c0ef6f3540d63b2fa02c42a53cea5aa",
+        "dc814a8e7688b99672fa7a827ba2faed8c502df0c4a385e0e79c094b62b18fdb",
         "1434d8c880c4a74e58a15a49c94e100b634f7e729a1487d1dc035555cb24d3c3",
     ),
 }
@@ -328,10 +349,7 @@ def test_scenario_capture_and_span_pins(scenario):
     assert _sha(
         _result_bytes(result) + _sha(_resilient_counters(result)).encode()
     ) == SCENARIO_PINS[scenario][0]
-    state = dict(
-        _capture_state(capture),
-        shard_totals=capture.shard_totals, coverage=capture.coverage(),
-    )
+    state = dict(_capture_state(capture), shard_totals=capture.shard_totals)
     digests = (_sha(state), _sha(spans))
     assert digests == CAPTURE_SPAN_PINS[scenario]
 
@@ -342,9 +360,9 @@ def test_scenario_capture_and_span_pins(scenario):
 #: a timeout or a lost response, dropped after their last retry, shed.
 REQUEUED_PINS = {
     ("crash", 0.004, ("retry",)):
-        "8c8cdb6cbcea2949a7f44a8854e04bab9bb8e38f1ccfdc64566afc19636106a2",
+        "53c04bca784a6fca83f67addad16a69ef53a3b7b2b6859c905e8b458db6a7cf0",
     ("mixed", None, ("retry", "shed", "degrade")):
-        "19a4e4e65f1f308fad6a29541e19a057706eb145e7cf78c19fd59b174bc6204f",
+        "0acb0e26a90744e0c482ffed1ce42473a51b3bdf7d7622ba3f42236f20e3fe7a",
 }
 
 
@@ -355,7 +373,7 @@ def test_requeued_work_capture_pins(key):
         "rm1", "t4", scenario, queries=3000, fallback=None, load=0.7,
         deadline_s=deadline_s,
     )
-    capture = QueryTraceCapture(seed=setup.seed, max_queries=3000)
+    capture = QueryTraceCapture(seed=setup.seed)
     result = setup.scheduler(
         setup.policy_with(*parts), querytrace=capture
     ).run(setup.qps, setup.queries)
@@ -365,5 +383,5 @@ def test_requeued_work_capture_pins(key):
     assert any(r.attempts[-1].attempt > 0 for r in records)
     assert capture.dropped_queries + capture.shed_queries > 0
     assert capture.dropped_queries == result.dropped
-    state = dict(_capture_state(capture), coverage=capture.coverage())
+    state = _capture_state(capture, keep=len(capture.records))
     assert _sha(state) == REQUEUED_PINS[key]
