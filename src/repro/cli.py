@@ -242,21 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top-queries", type=int, default=5, dest="top_queries",
-        help="slowest retained queries to list (0 disables)",
-    )
-    p.add_argument(
-        "--tail-threshold-ms", type=float, default=None,
-        dest="tail_threshold_ms",
-        help="keep every query at or above this latency "
-        "(default: keep all)",
-    )
-    p.add_argument(
-        "--sample-rate", type=float, default=0.02, dest="sample_rate",
-        help="seeded uniform keep probability below the tail threshold",
-    )
-    p.add_argument(
-        "--max-queries", type=int, default=10_000, dest="max_queries",
-        help="hard cap on retained query records (reservoir bound)",
+        help="slowest queries to list (0 disables)",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     _add_outputs(
@@ -1028,7 +1014,7 @@ def _cmd_monitor(args) -> Tuple[str, int]:
 def _cmd_explain(args) -> Tuple[str, int]:
     from repro.explain import explain_scenario, render_html, render_markdown
     from repro.explain import render_text as render_explain_text
-    from repro.telemetry.querytrace import COMPONENTS, QueryTraceCapture
+    from repro.telemetry.querytrace import COMPONENTS
 
     what_if_knobs = COMPONENTS + ("fault_windows", "all")
     if args.what_if is not None and args.what_if not in what_if_knobs:
@@ -1037,20 +1023,10 @@ def _cmd_explain(args) -> Tuple[str, int]:
             f"{', '.join(what_if_knobs)}"
         )
 
-    capture = _or_exit(
-        QueryTraceCapture,
-        tail_threshold_s=(
-            args.tail_threshold_ms * 1e-3
-            if args.tail_threshold_ms is not None else None
-        ),
-        sample_rate=args.sample_rate,
-        seed=args.seed,
-        max_queries=args.max_queries,
-    )
     with _capturing(args.trace) as (tracer, registry):
         exp, ms = _or_exit(
             explain_scenario, args.model, args.platform, args.scenario,
-            capture=capture, **_monitored_kwargs(args),
+            **_monitored_kwargs(args),
         )
 
     extra = []
@@ -1058,7 +1034,7 @@ def _cmd_explain(args) -> Tuple[str, int]:
         _write_trace(
             args.trace, tracer, registry,
             f"repro explain: {ms.model} on {ms.platform}",
-            timeseries=ms.timeseries, querytrace=capture,
+            timeseries=ms.timeseries, querytrace=exp.capture,
         )
         extra.append(
             _trace_line(args.trace, "; flow arrows thread each query")

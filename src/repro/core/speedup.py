@@ -78,6 +78,11 @@ class SpeedupStudy:
         batch_sizes: Optional[Sequence[int]] = None,
     ) -> None:
         self.models = dict(models) if models is not None else build_all_models()
+        if not self.models:
+            raise ValueError("models must name at least one model")
+        for name, model in self.models.items():
+            if not isinstance(model, RecommendationModel):
+                raise TypeError(f"models[{name!r}] must be a RecommendationModel, got {type(model).__name__}")
         self.platform_names = (
             list(platform_names) if platform_names is not None else list(PLATFORM_ORDER)
         )

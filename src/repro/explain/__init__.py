@@ -2,7 +2,7 @@
 
 Built on the per-query causal traces
 :class:`~repro.telemetry.querytrace.QueryTraceCapture` records: walk
-each retained query's exact-sum decomposition into attribution
+each completed query's exact-sum decomposition into attribution
 profiles (which component dominates p99, on which shard), what-if
 bounds (how much a knob could possibly win), and fault-window overlap
 verdicts (is the excursion explained by the injected fault). See

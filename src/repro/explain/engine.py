@@ -22,27 +22,19 @@ vs. shard fan-out vs. straggler wait vs. retry backoff. Three views:
   intervals overlapping injected fault windows — the strict check the
   CI explain smoke step enforces.
 
-The engine is columnar: the constructor reads the retained records
-once into a latency vector, an n x 7 component matrix, a sparse
-fault-overlap matrix (one row per record whose span meets a fault
-window) and a per-shard side table. Every view is then a mask, a
-``searchsorted`` or a left-to-right reduction over those columns, so
-sums accumulate in the same float order as a per-record ``+=`` loop.
-
-Sampling bounds: profiles at or above the capture's tail threshold are
-exact; below it they are estimates from the seeded uniform sample.
-Mean attribution is always exact (the capture aggregates every
-completed query regardless of retention). What-if adjusts only
-retained queries, which for upper percentiles makes the bound
-conservative when below-threshold queries were sampled away.
+The engine is columnar: the constructor puts the capture's columns
+(every completed query) in qid order — a latency vector and n x 7
+component and fault-overlap matrices — plus a per-shard side table.
+Every view is then a mask, a ``searchsorted`` or a left-to-right
+reduction over those columns, so sums accumulate in the same float
+order as a per-record ``+=`` loop.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from itertools import chain
-from operator import attrgetter, itemgetter
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,8 +52,6 @@ PERCENTILES = (50.0, 95.0, 99.0)
 
 _NCOMP = len(COMPONENTS)
 _COMPONENT_INDEX = {k: i for i, k in enumerate(COMPONENTS)}
-_components_of = attrgetter("components")
-_component_values = itemgetter(*COMPONENTS)
 
 
 def _check_bounded(value: Any, name: str, high: float) -> None:
@@ -108,117 +98,88 @@ class Explanation:
         self.fault_windows = tuple(fault_windows)
         self.meta = dict(meta or {})
         self.fault_slack_s = float(fault_slack_s)
-        self._records: List[QueryTraceRecord] = sorted(
-            capture.records.values(), key=attrgetter("qid")
-        )
         self._sorted_lat = np.sort(
             np.asarray(result.latencies_s, dtype=float)
         )
 
-        recs = self._records
-        n = len(recs)
-        self._lat = np.fromiter(
-            map(attrgetter("latency"), recs), dtype=float, count=n
-        )
-        values = map(_component_values, map(_components_of, recs))
-        self._comp = np.fromiter(
-            chain.from_iterable(values), dtype=float, count=n * _NCOMP,
-        ).reshape(n, _NCOMP)
-        # Retained records by latency (ties in qid order), and each
-        # latency's first slot in the full sorted population.
+        cols = capture.columns()
+        # Capture rows in qid order, and each row's place in that order.
+        rows = np.argsort(cols["qid"], kind="stable")
+        position = np.argsort(rows)
+        self._rows = rows
+        self._lat = cols["latency"][rows]
+        self._comp = cols["components"][rows]
+        self._attempts = cols["attempts"][rows]
+        # Queries by latency (ties in qid order), and each latency's
+        # first slot in the full sorted population.
         self._lat_order = np.argsort(self._lat, kind="stable")
         self._base_slot = np.searchsorted(
             self._sorted_lat, self._lat, side="left"
         )
-        self._build_overlap()
-        self._build_shard_table()
+        self._build_overlap(cols, position)
+        self._build_shard_table(cols, position)
 
-    def _build_overlap(self) -> None:
-        """Sparse per-(record, component) fault-window overlap seconds.
+    def _build_overlap(self, cols, position: np.ndarray) -> None:
+        """Per-(query, component) fault-window overlap seconds.
 
-        Only records whose ``[arrival, completion]`` span meets a
-        slack-widened window get a row: their intervals lie inside the
-        span, so every other record's overlap is exactly zero. Each
-        interval's overlap is the sum over windows, clamped to the
-        interval width so overlapping windows never double count, and
-        ``np.add.at`` folds the intervals into their rows in interval
-        order.
+        Each interval's overlap is the sum over the slack-widened
+        windows, clamped to the interval width so overlapping windows
+        never double count, and ``np.add.at`` folds the intervals into
+        their query's row in interval order.
         """
-        recs = self._records
-        n = len(recs)
-        if not self.fault_windows or not n:
-            self._ov_pos = np.zeros(0, dtype=np.intp)
-            self._ov = np.zeros((0, _NCOMP))
-            self._ov_total = np.zeros(0)
-            return
-        slack = self.fault_slack_s
-        widened = [
-            (ws - slack, we + slack) for ws, we, _ in self.fault_windows
-        ]
-        arrival = np.fromiter(
-            map(attrgetter("arrival"), recs), dtype=float, count=n
-        )
-        completion = np.fromiter(
-            map(attrgetter("completion"), recs), dtype=float, count=n
-        )
-        meets = np.zeros(n, dtype=bool)
-        for lo_w, hi_w in widened:
-            meets |= (
-                np.minimum(completion, hi_w) - np.maximum(arrival, lo_w)
-            ) > 0.0
-        pos = np.flatnonzero(meets)
-        rows = [recs[i] for i in pos.tolist()]
-        counts = np.fromiter(
-            (len(r.intervals) for r in rows), dtype=np.intp, count=len(rows)
-        )
-        index = _COMPONENT_INDEX
-        flat = np.fromiter(
-            chain.from_iterable(
-                (index[label], lo, hi)
-                for r in rows for label, lo, hi, _ in r.intervals
-            ),
-            dtype=float, count=3 * int(counts.sum()),
-        ).reshape(-1, 3)
-        lo, hi = flat[:, 1], flat[:, 2]
-        total = np.zeros(len(flat))
-        for lo_w, hi_w in widened:
-            total += np.maximum(
-                0.0, np.minimum(hi, hi_w) - np.maximum(lo, lo_w)
+        self._ov = np.zeros((len(position), _NCOMP))
+        end = cols["end"]
+        if self.fault_windows and end.size:
+            # An interval starts where the previous one ended; a query's
+            # first interval starts at its arrival.
+            counts = np.diff(cols["cover"], prepend=0)
+            first = cols["cover"] - counts
+            lo = np.empty_like(end)
+            lo[1:] = end[:-1]
+            lo[first[counts > 0]] = cols["arrival"][counts > 0]
+            slack = self.fault_slack_s
+            total = np.zeros(end.size)
+            for ws, we, _ in self.fault_windows:
+                total += np.maximum(
+                    0.0,
+                    np.minimum(end, we + slack) - np.maximum(lo, ws - slack),
+                )
+            np.add.at(
+                self._ov,
+                (np.repeat(position, counts), cols["label"].astype(np.intp)),
+                np.minimum(total, end - lo),
             )
-        overlap = np.minimum(total, hi - lo)
-        row = np.repeat(np.arange(len(rows)), counts)
-        ov = np.zeros((len(rows), _NCOMP))
-        np.add.at(ov, (row, flat[:, 0].astype(np.intp)), overlap)
-        self._ov_pos = pos
-        self._ov = ov
-        # Per-record total over components, summed left to right.
-        self._ov_total = np.cumsum(ov, axis=1)[:, -1] + 0.0
+        # Per-query total over components, summed left to right.
+        self._ov_total = np.cumsum(self._ov, axis=1)[:, -1] + 0.0
 
-    def _build_shard_table(self) -> None:
-        """Per-shard seconds as (record position, key, seconds) entries,
-        in record order; keys index ``self._shard_keys``."""
-        keys: Dict[Tuple[str, str], int] = {}
-        pos: List[int] = []
-        kid: List[int] = []
-        secs: List[float] = []
-        for i, rec in enumerate(self._records):
-            if not rec.shard_seconds:
-                continue
-            for comp, shards in rec.shard_seconds.items():
-                for name, s in shards.items():
-                    pos.append(i)
-                    kid.append(keys.setdefault((comp, name), len(keys)))
-                    secs.append(s)
-        self._shard_keys = list(keys)
-        self._shard_pos = np.asarray(pos, dtype=np.intp)
+    def _build_shard_table(self, cols, position: np.ndarray) -> None:
+        """Per-shard seconds as (query position, key, seconds) entries,
+        in qid order; keys index ``self._shard_keys`` in order of first
+        appearance."""
+        pos = position[cols["shard_row"]]
+        order = np.argsort(pos, kind="stable")
+        keys: Dict[Tuple[int, int], int] = {}
+        kid = [
+            keys.setdefault(key, len(keys)) for key in zip(
+                cols["shard_component"][order].tolist(),
+                cols["shard"][order].tolist(),
+            )
+        ]
+        names = self.capture.shard_names
+        self._shard_keys = [(COMPONENTS[c], names[s]) for c, s in keys]
+        self._shard_pos = pos[order]
         self._shard_kid = np.asarray(kid, dtype=np.intp)
-        self._shard_secs = np.asarray(secs, dtype=float)
+        self._shard_secs = cols["shard_seconds"][order]
 
     # -- record selection ---------------------------------------------------
 
-    @property
+    @cached_property
     def records(self) -> List[QueryTraceRecord]:
-        return self._records
+        """Every completed query, in qid order."""
+        return [
+            QueryTraceRecord(self.capture, row)
+            for row in self._rows.tolist()
+        ]
 
     def cutoff(self, percentile: float) -> float:
         _check_percentile(percentile)
@@ -231,7 +192,7 @@ class Explanation:
 
     def tail_records(self, percentile: float) -> List[QueryTraceRecord]:
         tail = np.flatnonzero(self._tail_mask(percentile))
-        return [self._records[i] for i in tail.tolist()]
+        return [self.records[i] for i in tail.tolist()]
 
     # -- attribution profiles ----------------------------------------------
 
@@ -242,7 +203,7 @@ class Explanation:
         mask = self._lat >= cut
         n = int(np.count_nonzero(mask))
         sums = _seq_sum(self._comp[mask]).tolist()
-        overlaps = _seq_sum(self._ov[mask[self._ov_pos]]).tolist()
+        overlaps = _seq_sum(self._ov[mask]).tolist()
         shard_sums = self._shard_sums(mask)
         total = sum(sums)
         components = {}
@@ -275,8 +236,8 @@ class Explanation:
         return out
 
     def mean_profile(self) -> Dict[str, Any]:
-        """Exact mean attribution over *all* completed queries, from
-        the capture's retention-independent aggregates."""
+        """Exact mean attribution over all completed queries, from the
+        capture's aggregates."""
         means = self.capture.mean_components()
         total = sum(means[k] for k in COMPONENTS)
         components = {}
@@ -319,14 +280,10 @@ class Explanation:
     # -- what-if bounds -----------------------------------------------------
 
     def _knob_values(self, component: str) -> np.ndarray:
-        """Seconds each retained record loses when ``component`` is zeroed."""
+        """Seconds each query loses when ``component`` is zeroed."""
         if component != "fault_windows":
             return self._comp[:, _COMPONENT_INDEX[component]]
-        values = np.zeros(len(self._lat))
-        values[self._ov_pos] = np.minimum(
-            self._ov_total, self._lat[self._ov_pos]
-        )
-        return values
+        return np.minimum(self._ov_total, self._lat)
 
     def what_if(
         self, component: str, percentile: float = 99.0
@@ -336,7 +293,7 @@ class Explanation:
         ``component`` is a name from
         :data:`~repro.telemetry.querytrace.COMPONENTS`, or
         ``"fault_windows"`` to zero only the interval mass overlapping
-        injected fault windows. The bound re-walks retained queries
+        injected fault windows. The bound re-walks every completed query
         with the component removed and recomputes the percentile over
         the full latency population; it does not re-simulate queueing
         relief, so treat it as the *direct* contribution of the knob.
@@ -360,7 +317,6 @@ class Explanation:
                 "observed_s": 0.0,
                 "bound_s": 0.0,
                 "improvement_s": 0.0,
-                "coverage": 0.0,
             }
         values = self._knob_values(component)
         order = self._lat_order
@@ -379,10 +335,6 @@ class Explanation:
             "observed_s": observed,
             "bound_s": bound,
             "improvement_s": observed - bound,
-            "coverage": (
-                len(self._records) / self.capture.completed
-                if self.capture.completed else 0.0
-            ),
         }
 
     def what_if_table(self, percentile: float = 99.0) -> List[Dict[str, Any]]:
@@ -420,9 +372,8 @@ class Explanation:
         exc = np.maximum(self._lat - baseline, 0.0)
         counted = self._tail_mask(percentile) & (exc > 0.0)
         excursion = float(_seq_sum(exc[counted]))
-        rows = counted[self._ov_pos]
         overlap_mass = float(_seq_sum(np.minimum(
-            self._ov_total[rows], exc[self._ov_pos[rows]]
+            self._ov_total[counted], exc[counted]
         )))
         share = overlap_mass / excursion if excursion > 0.0 else 0.0
         top_correlated = top.get("fault_overlap_share", 0.0) >= majority
@@ -446,24 +397,22 @@ class Explanation:
     # -- per-query drill-down -----------------------------------------------
 
     def top_queries(self, n: int = 5) -> List[Dict[str, Any]]:
-        """The ``n`` slowest retained queries with their decomposition."""
+        """The ``n`` slowest queries with their decomposition."""
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise TypeError(f"n must be an int, got {type(n).__name__}")
         # Stable on the negated latency: ties stay in qid order.
         slowest = np.argsort(-self._lat, kind="stable")[:max(int(n), 0)]
         out = []
         for i in slowest.tolist():
-            rec = self._records[i]
+            rec = QueryTraceRecord(self.capture, int(self._rows[i]))
             out.append({
                 "qid": rec.qid,
                 "latency_s": rec.latency,
                 "arrival_s": rec.arrival,
                 "completion_s": rec.completion,
-                "attempts": len(rec.attempts),
+                "attempts": int(self._attempts[i]),
                 "dominant": rec.dominant_component(),
-                "components": {
-                    k: rec.components[k] for k in COMPONENTS
-                },
+                "components": rec.components,
             })
         return out
 
@@ -489,7 +438,11 @@ class Explanation:
         """Full JSON document (the ``--format json`` payload)."""
         doc: Dict[str, Any] = {
             "meta": dict(self.meta),
-            "coverage": self.capture.coverage(),
+            "coverage": {
+                "completed": float(self.capture.completed),
+                "shed": float(self.capture.shed_queries),
+                "dropped": float(self.capture.dropped_queries),
+            },
             "profiles": {
                 f"p{p:g}": self.profile(p) for p in PERCENTILES
             },

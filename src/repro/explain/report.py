@@ -41,23 +41,8 @@ def _header_line(exp: Explanation) -> str:
         bits.append(f"{m['qps']:.0f} QPS")
     if m.get("seed") is not None:
         bits.append(f"seed {m['seed']}")
-    cov = exp.capture.coverage()
-    bits.append(
-        f"{cov['retained']:.0f}/{cov['completed']:.0f} queries retained"
-    )
+    bits.append(f"{exp.capture.completed} queries completed")
     return "explain: " + ", ".join(bits)
-
-
-def _eviction_warning(exp: Explanation) -> List[str]:
-    """A ``warning:`` line when the reservoir cap evicted records."""
-    evicted = int(exp.capture.coverage()["evicted"])
-    if not evicted:
-        return []
-    return [
-        f"warning: {evicted} query records evicted by the retention cap "
-        f"(--max-queries {exp.capture.max_queries}); tail profiles and "
-        "what-if bounds cover the retained records only"
-    ]
 
 
 def _profile_rows(profile: Dict[str, Any]) -> List[List[str]]:
@@ -129,7 +114,7 @@ def _query_rows(queries: List[Dict[str, Any]]) -> List[List[str]]:
 
 def render_text(exp: Explanation, what_if: bool = True,
                 top_queries: int = 5) -> str:
-    lines = [_header_line(exp)] + _eviction_warning(exp)
+    lines = [_header_line(exp)]
     for p in PERCENTILES:
         profile = exp.profile(p)
         if not profile["queries"]:
@@ -163,7 +148,7 @@ def render_text(exp: Explanation, what_if: bool = True,
         queries = exp.top_queries(top_queries)
         if queries:
             lines.append("")
-            lines.append(f"slowest {len(queries)} retained queries:")
+            lines.append(f"slowest {len(queries)} queries:")
             lines.append(render_table(
                 ["qid", "ms", "tries", "dominant", "breakdown (ms)"],
                 _query_rows(queries),
@@ -187,8 +172,6 @@ def render_text(exp: Explanation, what_if: bool = True,
 def render_markdown(exp: Explanation, what_if: bool = True,
                     top_queries: int = 5) -> str:
     lines = [f"# {_header_line(exp)}", ""]
-    for warning in _eviction_warning(exp):
-        lines += [f"> {warning}", ""]
     for p in list(PERCENTILES) + [None]:
         profile = exp.mean_profile() if p is None else exp.profile(p)
         if not profile["queries"]:
@@ -221,7 +204,7 @@ def render_markdown(exp: Explanation, what_if: bool = True,
         queries = exp.top_queries(top_queries)
         if queries:
             lines += [
-                f"## Slowest {len(queries)} retained queries",
+                f"## Slowest {len(queries)} queries",
                 "",
                 "| qid | ms | tries | dominant | breakdown (ms) |",
                 "|---|---|---|---|---|",
@@ -326,7 +309,7 @@ def render_html(exp: Explanation, what_if: bool = True,
                 for row in _query_rows(queries)
             )
             sections.append(
-                f"<h2>Slowest {len(queries)} retained queries</h2>"
+                f"<h2>Slowest {len(queries)} queries</h2>"
                 "<table><thead><tr><th>qid</th><th>ms</th><th>tries</th>"
                 "<th>dominant</th><th>breakdown (ms)</th></tr></thead>"
                 f"<tbody>{body}</tbody></table>"

@@ -44,7 +44,7 @@ TRACE_PID = 1
 #: together at the top of the Perfetto timeline.
 COUNTER_PID = 2
 
-#: Per-query rows (one tid per retained query) emitted by
+#: Per-query rows (one tid per completed query) emitted by
 #: :func:`querytrace_flow_events` get their own process.
 QUERY_PID = 3
 
@@ -155,11 +155,11 @@ def querytrace_flow_events(
     capture: Any,
     pid: int = QUERY_PID,
 ) -> List[Dict[str, Any]]:
-    """Retained query traces -> flow events threading each query.
+    """Captured query traces -> flow events threading each query.
 
     ``capture`` is a
     :class:`~repro.telemetry.querytrace.QueryTraceCapture` after a
-    run. Each retained record becomes:
+    run. Each completed query becomes:
 
     * a parent ``ph:"X"`` query slice on its own row of the query
       process (``tid`` = qid), spanning arrival to completion;
@@ -179,14 +179,18 @@ def querytrace_flow_events(
     shard tracks.
     """
     events: List[Dict[str, Any]] = []
-    records = sorted(capture.records.values(), key=lambda r: r.qid)
+    # Each record's attempt chain is rebuilt on read: read it once.
+    records = [
+        (rec, rec.attempts)
+        for rec in sorted(capture.records.values(), key=lambda r: r.qid)
+    ]
     # Shard processes are keyed by name order (deterministic; matches
     # layout order for the default "shard<k>" naming).
     shard_names = sorted(
         {
             piece[0]
-            for rec in records
-            for a in rec.attempts
+            for _, attempts in records
+            for a in attempts
             for piece in a.parts.gather_pieces
         }
     )
@@ -209,7 +213,7 @@ def querytrace_flow_events(
             event["bp"] = "e"
         events.append(event)
 
-    for rec in records:
+    for rec, attempts in records:
         qid = rec.qid
         events.append(
             {
@@ -222,14 +226,13 @@ def querytrace_flow_events(
                 "tid": qid,
                 "args": {
                     "seconds": rec.latency,
-                    "attempts": len(rec.attempts),
+                    "attempts": len(attempts),
                     "dominant": rec.dominant_component(),
-                    "reason": rec.reason,
                 },
             }
         )
         flow("s", qid, rec.arrival, pid, qid)
-        for a in rec.attempts:
+        for a in attempts:
             apid = REPLICA_PID_BASE + a.server_index
             process_names.setdefault(apid, f"replica: {a.server}")
             events.append(
@@ -299,7 +302,7 @@ def querytrace_flow_events(
                     }
                 )
                 flow("t", qid, max(a.end - seconds, a.start), spid, 0)
-        winner = rec.attempts[-1] if rec.attempts else None
+        winner = attempts[-1] if attempts else None
         if winner is not None:
             wpid = (
                 REPLICA_PID_BASE + winner.hedge.server_index
@@ -387,7 +390,7 @@ def chrome_trace_document(
     ``timeseries`` (a TimeSeries or TimeSeriesSummary) adds ph:"C"
     counter events under their own process. ``querytrace`` (a
     QueryTraceCapture) adds per-query flow events (``ph:"s"/"t"/"f"``)
-    threading each retained query across the replica and shard tracks.
+    threading each completed query across the replica and shard tracks.
     """
     events = _metadata_events(spans, process_name)
     if timeseries is not None:

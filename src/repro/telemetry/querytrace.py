@@ -22,25 +22,27 @@ measured latency bit-for-bit (``==``, not approx) — this is the
 conservation law ``repro fuzz`` guards via the
 ``latency_decomposition_conservation`` contract.
 
-Memory is bounded by a tail-biased reservoir: every query whose
-latency reaches ``tail_threshold_s`` is retained (``None`` retains
-all), plus a seeded uniform sample of the rest keyed by
-``hashed_uniform(seed, qid)`` — a pure hash, so retention decisions
-never touch any RNG stream. A hard ``max_queries`` cap evicts the
-lowest-latency retained entries (uniform sample first). Aggregate
-component totals are maintained over *all* completed queries
-regardless of retention, so mean attribution is exact even when the
-reservoir drops records.
+Every completed query is kept, as one row of typed columns: qid,
+arrival, completion, latency, the seven components, the attempt count
+and the interval cover as flat ``(label, end)`` rows (the cover is
+contiguous from the arrival), plus a per-shard side table. The attempt
+chains themselves are not stored: the capture holds the run log it was
+replayed from and rebuilds a query's chain when a record reads it.
+:class:`QueryTraceRecord` is a view of one row.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import numbers
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.telemetry.runlog import RunLog
 
 __all__ = [
     "COMPONENTS",
@@ -65,9 +67,24 @@ COMPONENTS = (
     "hedge_margin",
 )
 
-#: The ``shard_seconds`` of every settled record without gather pieces:
-#: one shared read-only empty mapping instead of an empty dict each.
-_NO_SHARDS: Mapping[str, Dict[str, float]] = MappingProxyType({})
+_NCOMP = len(COMPONENTS)
+
+#: Component name -> the code the label and shard columns store.
+_CODE = {k: i for i, k in enumerate(COMPONENTS)}
+
+#: The capture's columns and their typecodes. Per completed query:
+#: ``qid`` to ``cover``, where ``components`` holds seven values in
+#: :data:`COMPONENTS` order and ``cover`` the running count of interval
+#: rows. Per interval row: its component code and its end. Per shard
+#: entry: the query's row, the component code, the shard's code in
+#: :attr:`QueryTraceCapture.shard_names` and the seconds.
+_COLUMNS = {
+    "qid": "q", "arrival": "d", "completion": "d", "latency": "d",
+    "components": "d", "attempts": "I", "cover": "q",
+    "label": "b", "end": "d",
+    "shard_row": "q", "shard_component": "b", "shard": "q",
+    "shard_seconds": "d",
+}
 
 
 @dataclass(slots=True)
@@ -117,27 +134,72 @@ class AttemptEvent:
     hedge_won: bool = False
 
 
-@dataclass(slots=True)
-class QueryTraceRecord:
-    """One retained query: its causal chain and exact decomposition."""
+def _scalar(column: str) -> property:
+    return property(lambda self: self._capture._cols[column][self._row])
 
-    qid: int
-    arrival: float
-    completion: float
-    latency: float
-    components: Dict[str, float]
-    intervals: Tuple[Tuple[str, float, float, Optional[str]], ...]
-    attempts: Tuple[AttemptEvent, ...]
-    shard_seconds: Mapping[str, Dict[str, float]] = field(default_factory=dict)
-    reason: str = "tail"
+
+class QueryTraceRecord:
+    """One completed query: a read-only view of its row of a
+    :class:`QueryTraceCapture`'s columns, read field by field. A new run
+    on the same capture replaces what the view reads."""
+
+    __slots__ = ("_capture", "_row")
+
+    def __init__(self, capture: "QueryTraceCapture", row: int) -> None:
+        self._capture = capture
+        self._row = row
+
+    qid = _scalar("qid")
+    arrival = _scalar("arrival")
+    completion = _scalar("completion")
+    latency = _scalar("latency")
+
+    @property
+    def components(self) -> Dict[str, float]:
+        lo = self._row * _NCOMP
+        return dict(zip(COMPONENTS, self._capture._cols["components"][lo:lo + _NCOMP]))
+
+    @property
+    def intervals(self) -> Tuple[Tuple[str, float, float, Optional[str]], ...]:
+        """``(label, start, end, shard)`` per interval of the cover. Only
+        the winning execution emits shard-annotated intervals, one per
+        label, so ``shard_seconds[label]`` names that interval's shard."""
+        cols, row = self._capture._cols, self._row
+        lo, hi = cols["cover"][row - 1] if row else 0, cols["cover"][row]
+        shard_of = {k: next(iter(v)) for k, v in self.shard_seconds.items()}
+        labels = [COMPONENTS[code] for code in cols["label"][lo:hi]]
+        ends = cols["end"][lo:hi].tolist()
+        return tuple(
+            (label, start, end, shard_of.get(label))
+            for label, start, end in zip(labels, [self.arrival] + ends, ends)
+        )
+
+    @property
+    def attempts(self) -> Tuple[AttemptEvent, ...]:
+        """The attempt chain, rebuilt from the capture's run log."""
+        cap = self._capture
+        return tuple(cap._log.chain(self._row, cap._arrivals, cap._names))
+
+    @property
+    def shard_seconds(self) -> Dict[str, Dict[str, float]]:
+        cols, names = self._capture._cols, self._capture.shard_names
+        rows = cols["shard_row"]
+        out: Dict[str, Dict[str, float]] = {}
+        for i in range(
+            bisect_left(rows, self._row), bisect_right(rows, self._row)
+        ):
+            component = COMPONENTS[cols["shard_component"][i]]
+            shard = names[cols["shard"][i]]
+            out.setdefault(component, {})[shard] = cols["shard_seconds"][i]
+        return out
 
     def conservation_ok(self) -> bool:
         """Whether the components sum exactly to the measured latency."""
-        total = math.fsum(self.components[k] for k in COMPONENTS)
-        return total == self.latency
+        return math.fsum(self.components.values()) == self.latency
 
     def dominant_component(self) -> str:
-        return max(COMPONENTS, key=lambda k: self.components[k])
+        components = self.components
+        return max(COMPONENTS, key=components.__getitem__)
 
 
 class _Walk:
@@ -284,84 +346,41 @@ def _balance(comps: Dict[str, float], latency: float) -> None:
     comps[key] = latency
 
 
-def _check_type(
-    name: str, value: object, kind=numbers.Real, what: str = "a number"
-) -> None:
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{name} must be {what}, got {value!r}")
-
-
 class QueryTraceCapture:
-    """Bounded-memory per-query causal trace with tail-biased retention.
+    """Every completed query's exact critical-path decomposition, kept
+    as one row of typed columns per query.
 
-    Parameters
-    ----------
-    tail_threshold_s:
-        Retain every completed query with latency at or above this
-        threshold. ``None`` (the default) retains all queries, subject
-        only to ``max_queries``.
-    sample_rate:
-        Below-threshold queries are retained when
-        ``hashed_uniform(seed, qid) < sample_rate`` — a pure keyed
-        hash, deterministic and independent of every simulation RNG
-        stream.
-    seed:
-        Key for the uniform retention hash.
-    max_queries:
-        Hard cap on retained records; beyond it the lowest-latency
-        entries are evicted, uniform-sample entries first.
+    ``seed`` is accepted and unused: every query is kept, so nothing is
+    sampled.
     """
 
-    def __init__(
-        self,
-        *,
-        tail_threshold_s: Optional[float] = None,
-        sample_rate: float = 0.02,
-        seed: int = 2020,
-        max_queries: int = 10_000,
-    ) -> None:
-        if tail_threshold_s is not None:
-            _check_type("tail_threshold_s", tail_threshold_s)
-            if not tail_threshold_s >= 0.0:
-                raise ValueError(
-                    f"tail_threshold_s must be >= 0, got {tail_threshold_s!r}"
-                )
-        _check_type("sample_rate", sample_rate)
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        _check_type("max_queries", max_queries, numbers.Integral, "an integer")
-        if max_queries < 1:
-            raise ValueError(f"max_queries must be >= 1, got {max_queries}")
-        from repro.resilience.faults import hashed_uniform
-
-        self._uniform = hashed_uniform
-        self.tail_threshold_s = tail_threshold_s
-        self.sample_rate = float(sample_rate)
-        self.seed = int(seed)
-        self.max_queries = int(max_queries)
+    def __init__(self, *, seed: int = 2020) -> None:
+        # The stack benchmark still passes a seed; nothing reads it.
         self.reset()
 
     def reset(self) -> None:
         """Clear all state; called automatically at the start of a run."""
+        self._log: Optional["RunLog"] = None
         self._arrivals = None
+        self._names: Sequence[str] = ()
         self._pending: Dict[int, List[AttemptEvent]] = {}
-        self.records: Dict[int, QueryTraceRecord] = {}
-        self._tail_heap: List[Tuple[float, int]] = []
-        self._sample_heap: List[Tuple[float, int]] = []
-        self.component_totals: Dict[str, float] = {k: 0.0 for k in COMPONENTS}
-        self.shard_totals: Dict[str, Dict[str, float]] = {}
-        self.completed = 0
+        self._cols = {name: array(code) for name, code in _COLUMNS.items()}
+        self._shard_code: Dict[str, int] = {}
         self.shed_queries = 0
         self.dropped_queries = 0
-        self.evicted = 0
 
     # -- capture hooks (called by the run-log replay) -----------------------
 
-    def begin_run(self, arrivals) -> None:
-        """Start a fresh run; ``arrivals`` is the scheduler's arrival
-        array (held by reference, never mutated by either side)."""
+    def begin_run(
+        self, arrivals, log: "RunLog", names: Sequence[str]
+    ) -> None:
+        """Start a fresh run replayed from ``log``. The arrival array,
+        the log and the server ``names`` are held by reference (neither
+        side mutates them); attempt chains are rebuilt from them."""
         self.reset()
         self._arrivals = arrivals
+        self._log = log
+        self._names = names
 
     def attempt(self, qid: int, event: AttemptEvent) -> None:
         """Record one dispatch attempt of query ``qid``."""
@@ -378,69 +397,87 @@ class QueryTraceCapture:
         self._pending.pop(qid, None)
 
     def settle(self, qid: int, latency: float, completion: float) -> None:
-        """Query completed: decompose its chain, fold the components
-        into the run aggregates, then apply the retention policy."""
+        """Query completed: decompose its chain into a new row."""
         attempts = self._pending.pop(qid, [])
         attempts.sort(key=lambda a: a.attempt)
         arrival = float(self._arrivals[qid])
         comps, intervals, shard_seconds = decompose_attempts(
             arrival, completion, latency, attempts
         )
-        self.completed += 1
-        for k in COMPONENTS:
-            self.component_totals[k] += comps[k]
+        cols = self._cols
+        row = len(cols["qid"])
+        cols["qid"].append(qid)
+        cols["arrival"].append(arrival)
+        cols["completion"].append(completion)
+        cols["latency"].append(latency)
+        cols["components"].extend(map(comps.__getitem__, COMPONENTS))
+        cols["attempts"].append(len(attempts))
+        cols["label"].extend([_CODE[i[0]] for i in intervals])
+        cols["end"].extend([i[2] for i in intervals])
+        cols["cover"].append(len(cols["end"]))
+        codes = self._shard_code
         for comp, shards in shard_seconds.items():
-            dst = self.shard_totals.setdefault(comp, {})
-            for name, secs in shards.items():
-                dst[name] = dst.get(name, 0.0) + secs
+            for name, seconds in shards.items():
+                cols["shard_row"].append(row)
+                cols["shard_component"].append(_CODE[comp])
+                cols["shard"].append(codes.setdefault(name, len(codes)))
+                cols["shard_seconds"].append(seconds)
 
-        if self.tail_threshold_s is None or latency >= self.tail_threshold_s:
-            reason = "tail"
-        elif self._uniform(self.seed, qid) < self.sample_rate:
-            reason = "sample"
-        else:
-            return
-        self.records[qid] = QueryTraceRecord(
-            qid=qid,
-            arrival=arrival,
-            completion=completion,
-            latency=latency,
-            components=comps,
-            intervals=intervals,
-            attempts=tuple(attempts),
-            shard_seconds=shard_seconds or _NO_SHARDS,
-            reason=reason,
-        )
-        heap = self._tail_heap if reason == "tail" else self._sample_heap
-        heapq.heappush(heap, (latency, qid))
-        if len(self.records) > self.max_queries:
-            self._evict_one()
+    # -- reads ----------------------------------------------------------------
 
-    # -- retention ----------------------------------------------------------
+    @property
+    def completed(self) -> int:
+        return len(self._cols["qid"])
 
-    def _evict_one(self) -> None:
-        for heap in (self._sample_heap, self._tail_heap):
-            while heap:
-                _, qid = heapq.heappop(heap)
-                if qid in self.records:
-                    del self.records[qid]
-                    self.evicted += 1
-                    return
+    @property
+    def records(self) -> Dict[int, QueryTraceRecord]:
+        """Every completed query by qid, in settle order: a new dict of
+        row views on each read, so keep it for repeated lookups."""
+        return {
+            qid: QueryTraceRecord(self, row)
+            for row, qid in enumerate(self._cols["qid"])
+        }
+
+    @property
+    def shard_names(self) -> Tuple[str, ...]:
+        """Shard names by the code the ``shard`` column stores."""
+        return tuple(self._shard_code)
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Every column (see :data:`_COLUMNS`) as an array viewing the
+        capture's storage, valid until its next run; ``components`` is
+        n x 7."""
+        out = {
+            name: np.frombuffer(values, dtype=values.typecode)
+            for name, values in self._cols.items()
+        }
+        out["components"] = out["components"].reshape(-1, _NCOMP)
+        return out
 
     # -- summaries ----------------------------------------------------------
 
-    def mean_components(self) -> Dict[str, float]:
-        """Exact per-query mean of each component over *all* completed
-        queries (independent of reservoir retention)."""
-        n = max(self.completed, 1)
-        return {k: self.component_totals[k] / n for k in COMPONENTS}
+    @property
+    def component_totals(self) -> Dict[str, float]:
+        """Each component summed over every completed query, left to
+        right in settle order (the float order of a running ``+=``)."""
+        comps = np.vstack((np.zeros(_NCOMP), self.columns()["components"]))
+        return dict(zip(COMPONENTS, np.cumsum(comps, axis=0)[-1].tolist()))
 
-    def coverage(self) -> Dict[str, float]:
-        """Retention accounting for the sampling-bounds note."""
-        return {
-            "completed": float(self.completed),
-            "retained": float(len(self.records)),
-            "evicted": float(self.evicted),
-            "shed": float(self.shed_queries),
-            "dropped": float(self.dropped_queries),
-        }
+    @property
+    def shard_totals(self) -> Dict[str, Dict[str, float]]:
+        """``{component: {shard: seconds}}`` over every completed query,
+        summed in settle order."""
+        cols, names = self._cols, self.shard_names
+        totals: Dict[str, Dict[str, float]] = {}
+        for comp, shard, seconds in zip(
+            cols["shard_component"], cols["shard"], cols["shard_seconds"]
+        ):
+            dst = totals.setdefault(COMPONENTS[comp], {})
+            dst[names[shard]] = dst.get(names[shard], 0.0) + seconds
+        return totals
+
+    def mean_components(self) -> Dict[str, float]:
+        """Exact per-query mean of each component over every completed
+        query."""
+        n = max(self.completed, 1)
+        return {k: total / n for k, total in self.component_totals.items()}

@@ -84,7 +84,7 @@ class RunLog:
         "done_t", "done_n", "done_qids",
         "hedges", "failed", "shed", "requeued",
         "mark_server", "mark_t", "mark_state", "counts",
-        "gather_t", "fanout", "gather_s",
+        "gather_t", "fanout", "gather_s", "_chains",
     )
 
     def __init__(self, detail: bool = False) -> None:
@@ -114,6 +114,7 @@ class RunLog:
         self.gather_t = array("d")
         self.fanout = array("q")
         self.gather_s = array("d")
+        self._chains = None
 
     @classmethod
     def of_plain_run(
@@ -224,6 +225,36 @@ class RunLog:
                 latencies[qids[at]],
             )
 
+    def _tables(self, names: Sequence[str]) -> tuple:
+        """Each batch's end in the settled rows, failed attempts by qid,
+        the last requeue ``(attempt, ready)`` by qid and successful hedge
+        legs by batch; built on first use."""
+        if self._chains is None:
+            failed: Dict[int, list] = {}
+            for b, qid, attempt, t, outcome, end, _ in self.failed:
+                failed.setdefault(qid, []).append((b, attempt, t, outcome, end))
+            self._chains = (
+                np.cumsum(_column(self.done_n)),
+                failed,
+                {qid: (attempt, t) for qid, attempt, t in self.requeued},
+                {
+                    b: HedgeLeg(t, names[s], s, parts)
+                    for b, s, t, _, parts in self.hedges
+                },
+            )
+        return self._chains
+
+    def _shared(self, b: int, names: Sequence[str], hedges) -> tuple:
+        """The :class:`AttemptEvent` fields every member of batch ``b``
+        shares, in field order: ``batch_close``, ``start``, then
+        ``server`` to ``hedge_won``."""
+        server, flags = self.server[b], self.flags[b]
+        return (
+            self.close[b], self.start[b], names[server], server,
+            REPLICA_LANE_RETRY if flags & RETRIED else REPLICA_LANE_SERVE,
+            self.parts[b], hedges.get(b), bool(flags & HEDGE_WON),
+        )
+
     def replay_capture(
         self,
         capture: "QueryTraceCapture",
@@ -238,41 +269,25 @@ class RunLog:
         each query's events and the order of settlements are the loop's,
         so the capture ends in the state inline calls would leave.
         """
-        capture.begin_run(arrivals)
+        capture.begin_run(arrivals, self, names)
         # Python floats, without copying n-length arrays.
         ready = memoryview(arrivals)
         settled = memoryview(latencies)
         # A settled query ran the attempt it was last requeued with.
-        requeued = {qid: (attempt, t) for qid, attempt, t in self.requeued}
-        hedges = {
-            b: HedgeLeg(start=t, server=names[s], server_index=s, parts=parts)
-            for b, s, t, _, parts in self.hedges
-        }
+        _, _, requeued, hedges = self._tables(names)
         sheds, fails = iter(self.shed), iter(self.failed)
         shed, fail = next(sheds, None), next(fails, None)
         qids = memoryview(self.done_qids)
         pos = 0
-        batches = zip(
-            self.start, self.server, self.flags, self.close, self.parts,
-            self.done_t, self.done_n,
-        )
-        for b, (start, server, flags, close, parts, completion, n) in (
-            enumerate(batches)
-        ):
+        for b, (completion, n) in enumerate(zip(self.done_t, self.done_n)):
             while shed is not None and shed[0] <= b:
                 capture.shed(shed[1], shed[2])
                 shed = next(sheds, None)
-            name = names[server]
-            lane = (
-                REPLICA_LANE_RETRY if flags & RETRIED else REPLICA_LANE_SERVE
-            )
-            hedge = hedges.get(b)
-            won = bool(flags & HEDGE_WON)
+            close, start, *shared = self._shared(b, names, hedges)
             while fail is not None and fail[0] == b:
                 _, qid, attempt, t, outcome, end, dropped = fail
                 capture.attempt(qid, AttemptEvent(
-                    attempt, t, close, start, end, outcome, name,
-                    server, lane, parts, hedge, won,
+                    attempt, t, close, start, end, outcome, *shared
                 ))
                 if dropped:
                     capture.drop(qid, end)
@@ -281,11 +296,34 @@ class RunLog:
                 hit = requeued.get(qid)
                 attempt, t = hit if hit is not None else (0, ready[qid])
                 capture.attempt(qid, AttemptEvent(
-                    attempt, t, close, start, completion, "completed", name,
-                    server, lane, parts, hedge, won,
+                    attempt, t, close, start, completion, "completed",
+                    *shared
                 ))
                 capture.settle(qid, settled[qid], completion)
             pos += n
         while shed is not None:
             capture.shed(shed[1], shed[2])
             shed = next(sheds, None)
+
+    def chain(
+        self, row: int, arrivals: np.ndarray, names: Sequence[str]
+    ) -> List[AttemptEvent]:
+        """The attempts :meth:`replay_capture` fed the capture for the
+        ``row``-th settled query, in the order its settlement sorted
+        them."""
+        ends, failed, requeued, hedges = self._tables(names)
+        qid = self.done_qids[row]
+        events = []
+        for b, attempt, t, outcome, end in failed.get(qid, ()):
+            close, start, *shared = self._shared(b, names, hedges)
+            events.append(AttemptEvent(
+                attempt, t, close, start, end, outcome, *shared
+            ))
+        b = int(np.searchsorted(ends, row, side="right"))
+        attempt, t = requeued.get(qid, (0, float(arrivals[qid])))
+        close, start, *shared = self._shared(b, names, hedges)
+        events.append(AttemptEvent(
+            attempt, t, close, start, self.done_t[b], "completed", *shared
+        ))
+        events.sort(key=lambda a: a.attempt)
+        return events

@@ -196,6 +196,7 @@ class Tracer:
         with self._lock:
             self._spans.clear()
             self._epoch = time.perf_counter()
+            self._id = 0
 
 
 class _NoopSpanContext:

@@ -65,6 +65,16 @@ class TestSpeedupStudy:
         with pytest.raises(error, match="batch_sizes"):
             SpeedupStudy(batch_sizes=batches)
 
+    @pytest.mark.parametrize(
+        "models,error",
+        [({}, ValueError), ({"rm1": "rm1"}, TypeError),
+         ({"rm1": None}, TypeError)],
+        ids=repr,
+    )
+    def test_bad_models_rejected_at_construction(self, models, error):
+        with pytest.raises(error, match="models"):
+            SpeedupStudy(models=models)
+
     def test_numpy_batch_sizes_accepted(self):
         study = SpeedupStudy(batch_sizes=np.array([1, 16]))
         assert study.batch_sizes == [1, 16]

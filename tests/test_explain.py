@@ -2,9 +2,9 @@
 
 Pins the tentpole contracts: capture is strictly observational (bit-
 identical schedules with capture on or off, across the plain scheduler,
-the resilient scheduler, and the sharded gather path), every retained
-decomposition sums *exactly* (``==``) to its measured latency, the
-reservoir's tail-biased retention is deterministic and bounded, and the
+the resilient scheduler, and the sharded gather path), every completed
+query is kept and its decomposition sums *exactly* (``==``) to its
+measured latency, the capture's memory per query stays bounded, and the
 acceptance scenario — the 5x GPU throttle — attributes its p99 to the
 fault-correlated service component with a what-if bound consistent with
 an actual fault-disabled rerun. The ``repro explain`` CLI surfaces
@@ -12,9 +12,10 @@ an actual fault-disabled rerun. The ``repro explain`` CLI surfaces
 attribution diffs) ride along.
 """
 
+import gc
 import json
 import math
-import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.explain import Explanation, explain_scenario, render_html
 from repro.ledger import diff_records, load_records
 from repro.models import build_model
 from repro.monitor import run_monitored_scenario
-from repro.resilience.faults import hashed_uniform
+from repro.monitor.scenario import build_scenario, service_model_for
 from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
 from repro.telemetry.chrome_trace import (
     load_chrome_trace,
@@ -42,6 +43,7 @@ from repro.telemetry.querytrace import (
     ServiceParts,
     decompose_attempts,
 )
+from repro.telemetry.runlog import RunLog
 
 QUERIES = 1200
 SEED = 2020
@@ -178,111 +180,86 @@ class TestConservation:
         assert math.fsum(comps[k] for k in COMPONENTS) == latency
 
 
-class TestReservoir:
-    """Tail-biased, deterministic, bounded retention."""
+class TestKeepAll:
+    """Every completed query is kept, in bounded memory per query."""
 
-    def _all_latencies(self):
+    @staticmethod
+    def _bytes_per_query(queries):
+        """Bytes a capture holds after a plain rm1/t4 run at 0.7x peak,
+        per completed query: what deleting it frees, with the result
+        still alive."""
+        stm = service_model_for(build_model("rm1"), "t4", 64)
+        policy = BatchingPolicy(max_batch=64, batch_timeout_s=0.002)
+        qps = 0.7 * policy.max_batch / stm.seconds(policy.max_batch)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            capture = QueryTraceCapture()
+            result = QueryScheduler(
+                stm, policy, seed=SEED, querytrace=capture
+            ).run(qps, queries)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            completed = capture.completed
+            del capture
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert completed == len(result.latencies_s) == queries
+        return freed / completed
+
+    def test_memory_per_query_bounded(self):
+        small = self._bytes_per_query(10_000)
+        large = self._bytes_per_query(20_000)
+        assert small <= 256 and large <= 256, (small, large)
+        # No growth with the run size; the typed arrays over-allocate
+        # as they grow, hence a few percent of slack.
+        assert large <= 1.05 * small, (small, large)
+
+    @pytest.mark.parametrize("scenario,kwargs,parts", [
+        # Parked and retried work: chains of several attempts.
+        ("crash", dict(fallback=None, load=0.7, deadline_s=0.004),
+         ("retry",)),
+        # Hedge legs, failover and degradation.
+        ("mixed", dict(fallback="broadwell"), None),
+        # Per-shard gather pieces.
+        ("shard_slowdown", dict(), None),
+    ])
+    def test_rows_match_their_rebuilt_chains(self, scenario, kwargs, parts):
+        """Every row equals the decomposition of the attempt chain its
+        view rebuilds from the run log."""
+        model, platform = (
+            ("rm2", "broadwell") if scenario.startswith("shard")
+            else ("rm1", "t4")
+        )
+        setup = build_scenario(
+            model, platform, scenario, queries=600, seed=SEED, **kwargs
+        )
         qt = QueryTraceCapture()
-        _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
-        return {qid: rec.latency for qid, rec in qt.records.items()}
+        policy = setup.policy if parts is None else setup.policy_with(*parts)
+        setup.scheduler(policy, querytrace=qt).run(setup.qps, setup.queries)
+        records = list(qt.records.values())
+        assert len(records) == qt.completed > 0
+        if parts:
+            assert any(len(r.attempts) > 1 for r in records)
+        for rec in records:
+            comps, intervals, shards = decompose_attempts(
+                rec.arrival, rec.completion, rec.latency, list(rec.attempts)
+            )
+            assert rec.components == comps
+            assert rec.intervals == intervals
+            assert rec.shard_seconds == shards
 
-    def test_threshold_splits_tail_and_sample(self):
-        full = self._all_latencies()
-        thr = float(np.percentile(sorted(full.values()), 60.0))
-        qt = QueryTraceCapture(
-            tail_threshold_s=thr, sample_rate=0.05, seed=SEED
+    def test_keeps_every_query_above_ten_thousand(self):
+        qt = QueryTraceCapture()
+        ms = _monitored(
+            "slowdown", capture=qt, queries=12_000,
+            scenario_overrides=THROTTLE,
         )
-        _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
-        expected = {
-            qid for qid, lat in full.items()
-            if lat >= thr or hashed_uniform(SEED, qid) < 0.05
-        }
-        assert set(qt.records) == expected
-        for qid, rec in qt.records.items():
-            if rec.latency >= thr:
-                assert rec.reason == "tail"
-            else:
-                assert rec.reason == "sample"
-                assert hashed_uniform(SEED, qid) < 0.05
-        # Aggregates still cover every completed query.
-        assert qt.completed == len(full)
-
-    def test_retention_deterministic(self):
-        def retained():
-            qt = QueryTraceCapture(tail_threshold_s=0.002, sample_rate=0.1)
-            _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
-            return {qid: rec.reason for qid, rec in qt.records.items()}
-
-        assert retained() == retained()
-
-    def test_max_queries_cap_keeps_highest_latency(self):
-        full = self._all_latencies()
-        qt = QueryTraceCapture(max_queries=64)
-        _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
-        assert len(qt.records) == 64
-        assert qt.evicted == len(full) - 64
-        kept = np.sort([r.latency for r in qt.records.values()])
-        top = np.sort(sorted(full.values()))[-64:]
-        assert np.array_equal(kept, top)
-
-    def test_samples_evicted_before_tail(self):
-        full = self._all_latencies()
-        thr = float(np.percentile(sorted(full.values()), 90.0))
-        tail_qids = {qid for qid, lat in full.items() if lat >= thr}
-        cap = len(tail_qids) + 8
-        qt = QueryTraceCapture(
-            tail_threshold_s=thr, sample_rate=1.0, max_queries=cap
-        )
-        _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
-        assert qt.evicted > 0
-        retained_tail = {
-            qid for qid, rec in qt.records.items() if rec.reason == "tail"
-        }
-        # Eviction consumed the uniform sample; no tail record was lost.
-        assert retained_tail == tail_qids
-
-    def test_aggregates_independent_of_retention(self):
-        def totals(**kwargs):
-            qt = QueryTraceCapture(**kwargs)
-            _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
-            return qt.component_totals
-
-        assert totals() == totals(max_queries=32)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sample_rate"):
-            QueryTraceCapture(sample_rate=1.5)
-        with pytest.raises(ValueError, match="max_queries"):
-            QueryTraceCapture(max_queries=0)
-
-    @pytest.mark.parametrize(
-        "kwargs,error",
-        [
-            (dict(sample_rate=float("nan")), ValueError),
-            (dict(sample_rate=-0.1), ValueError),
-            (dict(sample_rate=True), TypeError),
-            (dict(sample_rate="0.5"), TypeError),
-            (dict(max_queries=2.5), TypeError),
-            (dict(max_queries=True), TypeError),
-            (dict(max_queries="10"), TypeError),
-            (dict(tail_threshold_s=float("nan")), ValueError),
-            (dict(tail_threshold_s=-1e-3), ValueError),
-            (dict(tail_threshold_s="1"), TypeError),
-            (dict(tail_threshold_s=False), TypeError),
-        ],
-        ids=repr,
-    )
-    def test_bad_retention_arguments_named(self, kwargs, error):
-        (name,) = kwargs
-        with pytest.raises(error, match=name):
-            QueryTraceCapture(**kwargs)
-
-    def test_numpy_and_unbounded_retention_arguments_accepted(self):
-        qt = QueryTraceCapture(
-            tail_threshold_s=np.float64(math.inf), sample_rate=np.float64(1),
-            max_queries=np.int64(8),
-        )
-        assert qt.max_queries == 8
+        assert ms.result.completed > 10_000
+        assert len(qt.records) == qt.completed == ms.result.completed
+        assert all(r.conservation_ok() for r in qt.records.values())
 
 
 class TestExplanationEngine:
@@ -486,15 +463,10 @@ class _ScalarReference:
 
     def what_if(self, component, percentile):
         base = self.sorted_lat
-        coverage = (
-            len(self.records) / self.capture.completed
-            if self.capture.completed else 0.0
-        )
         if not len(base):
             return {
                 "component": component, "percentile": percentile,
                 "observed_s": 0.0, "bound_s": 0.0, "improvement_s": 0.0,
-                "coverage": 0.0,
             }
         adjusted = base.copy()
         used = {}
@@ -515,7 +487,7 @@ class _ScalarReference:
         return {
             "component": component, "percentile": percentile,
             "observed_s": observed, "bound_s": bound,
-            "improvement_s": observed - bound, "coverage": coverage,
+            "improvement_s": observed - bound,
         }
 
     def fault_attribution(self, percentile, majority=0.5):
@@ -602,18 +574,6 @@ def quiet_run():
     )
 
 
-@pytest.fixture(scope="module")
-def sampled_run():
-    """Tail-biased sampling: only part of the completed queries kept."""
-    capture = QueryTraceCapture(
-        tail_threshold_s=0.004, sample_rate=0.1, seed=SEED
-    )
-    return explain_scenario(
-        "rm1", "t4", "slowdown", capture=capture, queries=600, seed=SEED,
-        scenario_overrides=THROTTLE,
-    )
-
-
 class TestColumnarOracle:
     """The columnar engine against the per-record scalar reference."""
 
@@ -630,11 +590,6 @@ class TestColumnarOracle:
         assert exp.fault_windows == ()
         _assert_matches_reference(exp)
 
-    def test_sampled_capture(self, sampled_run):
-        exp = sampled_run[0]
-        assert 0 < len(exp.records) < exp.capture.completed
-        _assert_matches_reference(exp)
-
     @pytest.mark.parametrize("latencies", [[], [0.001, 0.002, 0.004]])
     def test_empty_capture(self, latencies):
         exp = Explanation(
@@ -645,8 +600,8 @@ class TestColumnarOracle:
         _assert_matches_reference(exp)
 
     def test_tied_latencies_fill_distinct_slots(self):
-        """Retained records sharing one latency each replace their own
-        slot of the sorted population, in qid order, and records with a
+        """Captured queries sharing one latency each replace their own
+        slot of the sorted population, in qid order, and queries with a
         zero knob value take no slot."""
         # qid -> (arrival, queue_wait); every latency is dyadic, so ties
         # are exact.
@@ -656,22 +611,25 @@ class TestColumnarOracle:
             (1.0, 0.0625), (1.25, 0.0), (1.5, 0.046875),
         ]
         latencies = [lat, lat, lat, 0.0625, lat, 0.25, lat]
-        capture = QueryTraceCapture()
-        capture.begin_run(np.array([a for a, _ in specs]))
+        # One query per batch, closed at its arrival and started after
+        # its queue wait, fed through the run-log replay.
+        log = RunLog(detail=True)
         for qid, ((arrival, queue), latency) in enumerate(
             zip(specs, latencies)
         ):
-            ready = arrival + queue
+            start = arrival + queue
             completion = arrival + latency
-            capture.attempt(qid, AttemptEvent(
-                attempt=0, ready=ready, batch_close=ready, start=ready,
-                end=completion, outcome="completed", server="t4",
-                server_index=0, lane=0,
-                parts=ServiceParts(base_s=completion - ready),
-            ))
-            capture.settle(qid, latency, completion)
-        # Two more queries at the tied latency completed but were not
-        # retained, so the population holds more ties than the records.
+            log.batch(start, completion, 1, 0, 0)
+            log.close.append(arrival)
+            log.parts.append(ServiceParts(base_s=completion - start))
+            log.settled(completion, [qid])
+        capture = QueryTraceCapture()
+        log.replay_capture(
+            capture, np.array([a for a, _ in specs]), np.array(latencies),
+            ["t4"],
+        )
+        # Two more queries at the tied latency completed outside the
+        # capture, so the population holds more ties than the records.
         population = latencies + [lat, lat]
         exp = Explanation(capture, SimpleNamespace(latencies_s=population))
         n = len(population)
@@ -699,10 +657,10 @@ class TestFlowEvents:
         phases = {}
         for event in doc["traceEvents"]:
             phases.setdefault(event["ph"], []).append(event)
-        retained = len(exp.capture.records)
-        assert len(phases["s"]) == retained
-        assert len(phases["f"]) == retained
-        assert len(phases["t"]) >= retained
+        completed = exp.capture.completed
+        assert len(phases["s"]) == completed
+        assert len(phases["f"]) == completed
+        assert len(phases["t"]) >= completed
         for ph in ("s", "t", "f"):
             assert all("id" in e for e in phases[ph])
         # t/f bind to the *end* of their enclosing slice.
@@ -767,7 +725,8 @@ class TestCli:
         assert doc["gate"]["ok"]
         assert doc["fault_attribution"]["ok"]
         assert set(doc["profiles"]) == {"p50", "p95", "p99"}
-        assert doc["coverage"]["retained"] <= doc["coverage"]["completed"]
+        assert set(doc["coverage"]) == {"completed", "shed", "dropped"}
+        assert all("coverage" not in row for row in doc["what_if"])
         assert doc["what_if"]
 
     def test_focused_what_if(self, capsys):
@@ -776,20 +735,6 @@ class TestCli:
         assert code == 0
         assert "what-if zero service:" in out
         assert "queueing relief not re-simulated" in out
-
-    def test_eviction_warning(self, capsys, tmp_path):
-        """A reservoir cap below the run size warns in text and markdown."""
-        report = tmp_path / "explain.md"
-        code = main(self.CI_ARGS + [
-            "--max-queries", "64", "--report", str(report),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        found = re.search(
-            r"warning: (\d+) query records evicted .*--max-queries 64", out
-        )
-        assert found and int(found.group(1)) > 0
-        assert found.group(0) in report.read_text(encoding="utf-8")
 
     def test_unknown_what_if_knob(self):
         with pytest.raises(SystemExit, match="unknown what-if knob"):

@@ -263,10 +263,14 @@ class TestGoldenEquivalence:
 def _capture_state(capture):
     """A capture's counters, aggregates and records; ``repr`` tells
     every float bit apart."""
+    records = [
+        (r.qid, r.arrival, r.completion, r.latency, r.components,
+         r.intervals, r.attempts, r.shard_seconds)
+        for _, r in sorted(capture.records.items())
+    ]
     return repr((
         capture.completed, capture.shed_queries, capture.dropped_queries,
-        capture.component_totals, capture.shard_totals,
-        sorted(capture.records.items()),
+        capture.component_totals, capture.shard_totals, records,
     ))
 
 
@@ -279,7 +283,7 @@ def _both_settlements(monkeypatch, build, qps, n, window_s=0.005):
 
     def run():
         ts = TimeSeries(window_s)
-        capture = QueryTraceCapture(seed=0, max_queries=n)
+        capture = QueryTraceCapture()
         result = build(timeseries=ts, querytrace=capture).run(qps, n)
         return result, ts.to_state(), capture
 

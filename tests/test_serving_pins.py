@@ -293,7 +293,7 @@ def _observed_scenario(scenario):
     )
     with telemetry.capture() as (tracer, _):
         result = scheduler.run(setup.qps, num_queries=setup.queries)
-    # Span ids count every span the process has made; drop them.
+    # Span ids are not part of the pin.
     spans = [dict(_plain(s), span_id=None) for s in tracer.spans()]
     return result, capture, spans
 

@@ -311,6 +311,24 @@ class TestGlobalState:
             pass
         assert len(tracer) == 0
 
+    def test_fresh_capture_restarts_span_ids(self):
+        """Span ids depend only on the captured run, not on what the
+        process traced before."""
+        from repro.monitor import run_monitored_scenario
+
+        def ids():
+            with telemetry.capture() as (tracer, _):
+                with tracer.span("outer"):
+                    run_monitored_scenario(
+                        "rm1", "t4", "slowdown", queries=200
+                    )
+            return [(s.span_id, s.parent_id) for s in tracer.spans()]
+
+        first = ids()
+        second = ids()
+        assert first == second
+        assert any(parent is not None for _, parent in first)
+
     def test_span_equality_for_noop_add(self):
         span = Span(name="n", category="c", start_s=0.0, end_s=1.0)
         assert span.duration_s == 1.0
