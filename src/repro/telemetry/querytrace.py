@@ -6,11 +6,12 @@ dispatch and finish per attempt, retry backoff gaps, hedge issue/win,
 and the per-shard gather fan-out of the winning attempt. The
 schedulers fill it after the run, replaying their
 :class:`~repro.telemetry.runlog.RunLog` in loop order through
-:meth:`~QueryTraceCapture.begin_run`, ``attempt``, ``shed``, ``drop``
-and ``settle``. Capture is strictly observational: the replay only
-*copies* floats the run already computed, draws no randomness, and
-reads nothing back, so results are bit-identical with capture on or
-off (the same contract :class:`~repro.telemetry.timeseries.TimeSeries`
+:meth:`~QueryTraceCapture.begin_run`, ``shed``, ``drop`` and
+``settle``; a settlement decomposes the attempt chain the log
+rebuilds. Capture is strictly observational: the replay only *copies*
+floats the run already computed, draws no randomness, and reads
+nothing back, so results are bit-identical with capture on or off (the
+same contract :class:`~repro.telemetry.timeseries.TimeSeries`
 established).
 
 At settlement each completed query's chain is walked into a monotone
@@ -28,7 +29,8 @@ and the interval cover as flat ``(label, end)`` rows (the cover is
 contiguous from the arrival), plus a per-shard side table. The attempt
 chains themselves are not stored: the capture holds the run log it was
 replayed from and rebuilds a query's chain when a record reads it.
-:class:`QueryTraceRecord` is a view of one row.
+:class:`QueryTraceRecord` is a view of one row. A capture records one
+run, so a view never changes under its reader.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -140,8 +144,7 @@ def _scalar(column: str) -> property:
 
 class QueryTraceRecord:
     """One completed query: a read-only view of its row of a
-    :class:`QueryTraceCapture`'s columns, read field by field. A new run
-    on the same capture replaces what the view reads."""
+    :class:`QueryTraceCapture`'s columns, read field by field."""
 
     __slots__ = ("_capture", "_row")
 
@@ -178,7 +181,9 @@ class QueryTraceRecord:
     def attempts(self) -> Tuple[AttemptEvent, ...]:
         """The attempt chain, rebuilt from the capture's run log."""
         cap = self._capture
-        return tuple(cap._log.chain(self._row, cap._arrivals, cap._names))
+        return tuple(cap._log.chain(
+            cap._log.batch_of(self._row), self.qid, self.arrival, cap._names
+        ))
 
     @property
     def shard_seconds(self) -> Dict[str, Dict[str, float]]:
@@ -200,6 +205,28 @@ class QueryTraceRecord:
     def dominant_component(self) -> str:
         components = self.components
         return max(COMPONENTS, key=components.__getitem__)
+
+
+class _Records(Mapping):
+    """A capture's completed queries by qid, in settle order, as row
+    views; the qid index is built on the first lookup."""
+
+    __slots__ = ("_capture", "_index")
+
+    def __init__(self, capture: "QueryTraceCapture") -> None:
+        self._capture = capture
+        self._index: Dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return self._capture.completed
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._capture._cols["qid"])
+
+    def __getitem__(self, qid: int) -> QueryTraceRecord:
+        if len(self._index) != len(self):
+            self._index = {q: row for row, q in enumerate(self)}
+        return QueryTraceRecord(self._capture, self._index[qid])
 
 
 class _Walk:
@@ -350,22 +377,19 @@ class QueryTraceCapture:
     """Every completed query's exact critical-path decomposition, kept
     as one row of typed columns per query.
 
-    ``seed`` is accepted and unused: every query is kept, so nothing is
-    sampled.
+    A capture records one run; attach a fresh one to each run. ``seed``
+    is accepted and unused: every query is kept, so nothing is sampled.
     """
 
     def __init__(self, *, seed: int = 2020) -> None:
         # The stack benchmark still passes a seed; nothing reads it.
-        self.reset()
-
-    def reset(self) -> None:
-        """Clear all state; called automatically at the start of a run."""
         self._log: Optional["RunLog"] = None
         self._arrivals = None
         self._names: Sequence[str] = ()
-        self._pending: Dict[int, List[AttemptEvent]] = {}
         self._cols = {name: array(code) for name, code in _COLUMNS.items()}
         self._shard_code: Dict[str, int] = {}
+        #: Every completed query by qid, in settle order, as row views.
+        self.records: Mapping[int, QueryTraceRecord] = _Records(self)
         self.shed_queries = 0
         self.dropped_queries = 0
 
@@ -374,33 +398,32 @@ class QueryTraceCapture:
     def begin_run(
         self, arrivals, log: "RunLog", names: Sequence[str]
     ) -> None:
-        """Start a fresh run replayed from ``log``. The arrival array,
-        the log and the server ``names`` are held by reference (neither
-        side mutates them); attempt chains are rebuilt from them."""
-        self.reset()
-        self._arrivals = arrivals
-        self._log = log
-        self._names = names
-
-    def attempt(self, qid: int, event: AttemptEvent) -> None:
-        """Record one dispatch attempt of query ``qid``."""
-        self._pending.setdefault(qid, []).append(event)
+        """Start the run replayed from ``log``. The arrival array, the
+        log and the server ``names`` are held by reference (neither side
+        mutates them); attempt chains are rebuilt from them. A capture
+        records one run, so the views it hands out never change."""
+        if self._log is not None:
+            raise RuntimeError(
+                "a QueryTraceCapture records one run; attach a fresh one "
+                "to each run"
+            )
+        self._arrivals, self._log, self._names = arrivals, log, names
 
     def shed(self, qid: int, at: float) -> None:
-        """Query shed before dispatch; its raw events are discarded."""
+        """Query shed before dispatch."""
         self.shed_queries += 1
-        self._pending.pop(qid, None)
 
     def drop(self, qid: int, at: float) -> None:
-        """Query dropped after exhausting retries; events discarded."""
+        """Query dropped after exhausting retries."""
         self.dropped_queries += 1
-        self._pending.pop(qid, None)
 
-    def settle(self, qid: int, latency: float, completion: float) -> None:
-        """Query completed: decompose its chain into a new row."""
-        attempts = self._pending.pop(qid, [])
-        attempts.sort(key=lambda a: a.attempt)
+    def settle(
+        self, qid: int, latency: float, completion: float, batch: int
+    ) -> None:
+        """Query completed in the log's batch ``batch``: decompose the
+        attempt chain the log rebuilds into a new row."""
         arrival = float(self._arrivals[qid])
+        attempts = self._log.chain(batch, qid, arrival, self._names)
         comps, intervals, shard_seconds = decompose_attempts(
             arrival, completion, latency, attempts
         )
@@ -430,23 +453,13 @@ class QueryTraceCapture:
         return len(self._cols["qid"])
 
     @property
-    def records(self) -> Dict[int, QueryTraceRecord]:
-        """Every completed query by qid, in settle order: a new dict of
-        row views on each read, so keep it for repeated lookups."""
-        return {
-            qid: QueryTraceRecord(self, row)
-            for row, qid in enumerate(self._cols["qid"])
-        }
-
-    @property
     def shard_names(self) -> Tuple[str, ...]:
         """Shard names by the code the ``shard`` column stores."""
         return tuple(self._shard_code)
 
     def columns(self) -> Dict[str, np.ndarray]:
         """Every column (see :data:`_COLUMNS`) as an array viewing the
-        capture's storage, valid until its next run; ``components`` is
-        n x 7."""
+        capture's storage; ``components`` is n x 7."""
         out = {
             name: np.frombuffer(values, dtype=values.typecode)
             for name, values in self._cols.items()

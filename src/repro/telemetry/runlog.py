@@ -226,15 +226,13 @@ class RunLog:
             )
 
     def _tables(self, names: Sequence[str]) -> tuple:
-        """Each batch's end in the settled rows, failed attempts by qid,
-        the last requeue ``(attempt, ready)`` by qid and successful hedge
-        legs by batch; built on first use."""
+        """Failed attempts by qid, the last requeue ``(attempt, ready)``
+        by qid and successful hedge legs by batch; built on first use."""
         if self._chains is None:
             failed: Dict[int, list] = {}
             for b, qid, attempt, t, outcome, end, _ in self.failed:
                 failed.setdefault(qid, []).append((b, attempt, t, outcome, end))
             self._chains = (
-                np.cumsum(_column(self.done_n)),
                 failed,
                 {qid: (attempt, t) for qid, attempt, t in self.requeued},
                 {
@@ -244,17 +242,6 @@ class RunLog:
             )
         return self._chains
 
-    def _shared(self, b: int, names: Sequence[str], hedges) -> tuple:
-        """The :class:`AttemptEvent` fields every member of batch ``b``
-        shares, in field order: ``batch_close``, ``start``, then
-        ``server`` to ``hedge_won``."""
-        server, flags = self.server[b], self.flags[b]
-        return (
-            self.close[b], self.start[b], names[server], server,
-            REPLICA_LANE_RETRY if flags & RETRIED else REPLICA_LANE_SERVE,
-            self.parts[b], hedges.get(b), bool(flags & HEDGE_WON),
-        )
-
     def replay_capture(
         self,
         capture: "QueryTraceCapture",
@@ -262,19 +249,16 @@ class RunLog:
         latencies: np.ndarray,
         names: Sequence[str],
     ) -> None:
-        """Feed ``capture`` every attempt, shed, drop and settlement,
-        batch by batch in loop order (the log needs ``detail``).
+        """Feed ``capture`` every shed, drop and settlement, batch by
+        batch in loop order (the log needs ``detail``).
 
-        Within a batch the failed attempts go before the settled ones;
-        each query's events and the order of settlements are the loop's,
-        so the capture ends in the state inline calls would leave.
+        Within a batch the drops go before the settlements; the order of
+        settlements is the loop's, so the capture ends in the state
+        inline calls would leave.
         """
         capture.begin_run(arrivals, self, names)
-        # Python floats, without copying n-length arrays.
-        ready = memoryview(arrivals)
+        # Python floats, without copying an n-length array.
         settled = memoryview(latencies)
-        # A settled query ran the attempt it was last requeued with.
-        _, _, requeued, hedges = self._tables(names)
         sheds, fails = iter(self.shed), iter(self.failed)
         shed, fail = next(sheds, None), next(fails, None)
         qids = memoryview(self.done_qids)
@@ -283,47 +267,41 @@ class RunLog:
             while shed is not None and shed[0] <= b:
                 capture.shed(shed[1], shed[2])
                 shed = next(sheds, None)
-            close, start, *shared = self._shared(b, names, hedges)
             while fail is not None and fail[0] == b:
-                _, qid, attempt, t, outcome, end, dropped = fail
-                capture.attempt(qid, AttemptEvent(
-                    attempt, t, close, start, end, outcome, *shared
-                ))
-                if dropped:
-                    capture.drop(qid, end)
+                if fail[6]:
+                    capture.drop(fail[1], fail[5])
                 fail = next(fails, None)
             for qid in qids[pos:pos + n]:
-                hit = requeued.get(qid)
-                attempt, t = hit if hit is not None else (0, ready[qid])
-                capture.attempt(qid, AttemptEvent(
-                    attempt, t, close, start, completion, "completed",
-                    *shared
-                ))
-                capture.settle(qid, settled[qid], completion)
+                capture.settle(qid, settled[qid], completion, b)
             pos += n
         while shed is not None:
             capture.shed(shed[1], shed[2])
             shed = next(sheds, None)
 
+    def batch_of(self, row: int) -> int:
+        """The batch the ``row``-th settled query settled in."""
+        ends = np.cumsum(_column(self.done_n))
+        return int(np.searchsorted(ends, row, side="right"))
+
     def chain(
-        self, row: int, arrivals: np.ndarray, names: Sequence[str]
+        self, b: int, qid: int, arrival: float, names: Sequence[str]
     ) -> List[AttemptEvent]:
-        """The attempts :meth:`replay_capture` fed the capture for the
-        ``row``-th settled query, in the order its settlement sorted
-        them."""
-        ends, failed, requeued, hedges = self._tables(names)
-        qid = self.done_qids[row]
+        """Query ``qid``'s attempts, in attempt order: each failed one,
+        then the one that completed in batch ``b``. A query settles with
+        the attempt it was last requeued with, or attempt 0 ready at its
+        ``arrival``."""
+        failed, requeued, hedges = self._tables(names)
+        rows = failed.get(qid, []) + [
+            (b, *requeued.get(qid, (0, arrival)), "completed", self.done_t[b])
+        ]
         events = []
-        for b, attempt, t, outcome, end in failed.get(qid, ()):
-            close, start, *shared = self._shared(b, names, hedges)
+        for at, attempt, t, outcome, end in rows:
+            server, flags = self.server[at], self.flags[at]
             events.append(AttemptEvent(
-                attempt, t, close, start, end, outcome, *shared
+                attempt, t, self.close[at], self.start[at], end, outcome,
+                names[server], server,
+                REPLICA_LANE_RETRY if flags & RETRIED else REPLICA_LANE_SERVE,
+                self.parts[at], hedges.get(at), bool(flags & HEDGE_WON),
             ))
-        b = int(np.searchsorted(ends, row, side="right"))
-        attempt, t = requeued.get(qid, (0, float(arrivals[qid])))
-        close, start, *shared = self._shared(b, names, hedges)
-        events.append(AttemptEvent(
-            attempt, t, close, start, self.done_t[b], "completed", *shared
-        ))
         events.sort(key=lambda a: a.attempt)
         return events

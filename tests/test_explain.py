@@ -217,39 +217,19 @@ class TestKeepAll:
         # as they grow, hence a few percent of slack.
         assert large <= 1.05 * small, (small, large)
 
-    @pytest.mark.parametrize("scenario,kwargs,parts", [
-        # Parked and retried work: chains of several attempts.
-        ("crash", dict(fallback=None, load=0.7, deadline_s=0.004),
-         ("retry",)),
-        # Hedge legs, failover and degradation.
-        ("mixed", dict(fallback="broadwell"), None),
-        # Per-shard gather pieces.
-        ("shard_slowdown", dict(), None),
-    ])
-    def test_rows_match_their_rebuilt_chains(self, scenario, kwargs, parts):
-        """Every row equals the decomposition of the attempt chain its
-        view rebuilds from the run log."""
-        model, platform = (
-            ("rm2", "broadwell") if scenario.startswith("shard")
-            else ("rm1", "t4")
-        )
-        setup = build_scenario(
-            model, platform, scenario, queries=600, seed=SEED, **kwargs
-        )
+    def test_capture_records_one_run(self):
+        """A second run on a used capture is refused, so no view of the
+        first run ever reads another run's rows."""
         qt = QueryTraceCapture()
-        policy = setup.policy if parts is None else setup.policy_with(*parts)
-        setup.scheduler(policy, querytrace=qt).run(setup.qps, setup.queries)
-        records = list(qt.records.values())
-        assert len(records) == qt.completed > 0
-        if parts:
-            assert any(len(r.attempts) > 1 for r in records)
-        for rec in records:
-            comps, intervals, shards = decompose_attempts(
-                rec.arrival, rec.completion, rec.latency, list(rec.attempts)
-            )
-            assert rec.components == comps
-            assert rec.intervals == intervals
-            assert rec.shard_seconds == shards
+        first = _monitored("slowdown", capture=qt, scenario_overrides=THROTTLE)
+        exp = Explanation(qt, first.result)
+        top, view = exp.top_queries(3), exp.records[0]
+        state = (view.qid, view.latency, view.components, view.attempts)
+        with pytest.raises(RuntimeError, match="records one run"):
+            _monitored("crash", capture=qt, queries=300)
+        assert exp.top_queries(3) == top
+        assert (view.qid, view.latency, view.components, view.attempts) == state
+        assert len(qt.records) == qt.completed == first.result.completed
 
     def test_keeps_every_query_above_ten_thousand(self):
         qt = QueryTraceCapture()
