@@ -5,10 +5,14 @@ every query it records the causal chain — enqueue, batch admission,
 dispatch and finish per attempt, retry backoff gaps, hedge issue/win,
 and the per-shard gather fan-out of the winning attempt. The
 schedulers fill it after the run, replaying their
-:class:`~repro.telemetry.runlog.RunLog` in loop order through
-:meth:`~QueryTraceCapture.begin_run`, ``shed``, ``drop`` and
-``settle``; a settlement decomposes the attempt chain the log
-rebuilds. Capture is strictly observational: the replay only *copies*
+:class:`~repro.telemetry.runlog.RunLog` in loop order:
+:meth:`~QueryTraceCapture.begin_run`, then
+:meth:`~QueryTraceCapture.settle_rows` per chunk of at most 1024
+settled queries. A query that ran one attempt with no hedge leg (almost
+every one) is walked in array steps that mirror
+:func:`decompose_attempts` float for float; any other decomposes the
+attempt chain the log rebuilds. The shed and drop counts read the log.
+Capture is strictly observational: the replay only *copies*
 floats the run already computed, draws no randomness, and reads
 nothing back, so results are bit-identical with capture on or off (the
 same contract :class:`~repro.telemetry.timeseries.TimeSeries`
@@ -279,6 +283,94 @@ def _emit_execution(
         walk.emit(label, end, shard)
 
 
+#: The component of each :meth:`_Walk.emit` step a single winning
+#: attempt with no hedge leg takes in :func:`decompose_attempts`: wait
+#: to ready, formation to close, wait to start, then the execution's
+#: service, straggler and gather segments, then service to completion.
+_STEP_CODES = np.array(
+    [_CODE[k] for k in (
+        "queue_wait", "batch_formation", "queue_wait", "service",
+        "straggler_wait", "gather_network", "service",
+    )],
+    dtype=np.int8,
+)
+
+#: Rows per float conversion in the exactness check of
+#: :meth:`QueryTraceCapture.settle_rows`.
+_FSUM_BLOCK = 64
+
+#: The two steps that carry a shard annotation: straggler and gather.
+_SHARD_STEPS = slice(4, 6)
+
+
+@dataclass(slots=True)
+class SettledRows:
+    """A chunk of settled queries in settle order, one array per field,
+    as :meth:`QueryTraceCapture.settle_rows` takes them.
+
+    Each row has its query's ``arrival``, its ``ready`` time (after the
+    last requeue, else the arrival) and the settling batch's close,
+    start and ``completion``; the primary copy's service seconds
+    (``base + pcie + slowdown``), straggler extra and gather seconds;
+    and, as indices into ``shard_names``, the batch's replica and the
+    gather's worst shard (``-1`` for none). A ``chained`` row (a failed
+    attempt, or a hedge leg on its batch) is decomposed from the attempt
+    chain the run log rebuilds instead.
+    """
+
+    qid: np.ndarray
+    batch: np.ndarray
+    arrival: np.ndarray
+    ready: np.ndarray
+    close: np.ndarray
+    start: np.ndarray
+    completion: np.ndarray
+    latency: np.ndarray
+    service_s: np.ndarray
+    straggler_s: np.ndarray
+    gather_s: np.ndarray
+    straggler_shard: np.ndarray
+    gather_shard: np.ndarray
+    chained: np.ndarray
+    shard_names: Sequence[str]
+
+
+def _walk_columns(
+    rows: SettledRows,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk each row as one winning attempt with no hedge leg: the
+    :data:`_STEP_CODES` steps as array operations, each mirroring one
+    :meth:`_Walk.emit` of :func:`decompose_attempts` (clamp to the
+    completion, skip unless past the current point, the execution's
+    last planned segment forced to the completion).
+
+    Returns ``(ends, widths, emitted)``, each n x 7 by step.
+    """
+    completion = rows.completion
+    straggles, gathers = rows.straggler_s > 0.0, rows.gather_s > 0.0
+    shape = (len(completion), len(_STEP_CODES))
+    ends, widths = np.empty(shape), np.zeros(shape)
+    emitted = np.zeros(shape, dtype=bool)
+    cur = rows.arrival
+
+    def emit(step: int, end: np.ndarray, planned=True) -> None:
+        nonlocal cur
+        end = np.where(end > completion, completion, end)
+        go = ~(end <= cur) & planned
+        ends[:, step], emitted[:, step] = end, go
+        widths[go, step] = (end - cur)[go]
+        cur = np.where(go, end, cur)
+
+    emit(0, rows.ready)
+    emit(1, rows.close)
+    emit(2, rows.start)
+    emit(3, np.where(straggles | gathers, cur + rows.service_s, completion))
+    emit(4, np.where(gathers, cur + rows.straggler_s, completion), straggles)
+    emit(5, completion, gathers)
+    emit(6, completion)
+    return ends, widths, emitted
+
+
 def decompose_attempts(
     arrival: float,
     completion: float,
@@ -390,8 +482,6 @@ class QueryTraceCapture:
         self._shard_code: Dict[str, int] = {}
         #: Every completed query by qid, in settle order, as row views.
         self.records: Mapping[int, QueryTraceRecord] = _Records(self)
-        self.shed_queries = 0
-        self.dropped_queries = 0
 
     # -- capture hooks (called by the run-log replay) -----------------------
 
@@ -409,48 +499,125 @@ class QueryTraceCapture:
             )
         self._arrivals, self._log, self._names = arrivals, log, names
 
-    def shed(self, qid: int, at: float) -> None:
-        """Query shed before dispatch."""
-        self.shed_queries += 1
+    def settle_rows(self, rows: "SettledRows") -> None:
+        """Append a chunk of settled queries, in settle order, as new
+        rows. A row not ``chained`` is walked in array steps
+        (:func:`_walk_columns`); a chained one decomposes the attempt
+        chain the run log rebuilds. Either way the row holds exactly
+        what :func:`decompose_attempts` gives for its chain."""
+        n = len(rows.qid)
+        ends, widths, emitted = _walk_columns(rows)
+        walked = emitted & ~rows.chained[:, None]
+        comps = np.zeros((n, _NCOMP))
+        for step, code in enumerate(_STEP_CODES):
+            comps[:, code] += widths[:, step]
+        attempts = np.ones(n, dtype=np.uint32)
+        # A walked row's cover is its emitted steps; its shard entries
+        # (row, component, name in the table, seconds) name the replica
+        # a straggler waited on, then the gather's worst shard.
+        count = walked.sum(axis=1)
+        shard_step = walked[:, _SHARD_STEPS].copy()
+        shard_step[:, 1] &= rows.gather_shard >= 0
+        entry_row, step = np.nonzero(shard_step)
+        entries = [
+            entry_row, _STEP_CODES[_SHARD_STEPS][step],
+            np.stack((rows.straggler_shard, rows.gather_shard), 1)[shard_step],
+            widths[:, _SHARD_STEPS][shard_step],
+        ]
+        # A chained row's cover and entries go in after those of the
+        # walked rows up to it (it has none of its own there).
+        cover_before = np.cumsum(count)
+        entries_before = np.cumsum(shard_step.sum(axis=1))
+        table = list(rows.shard_names)
+        cover_at, cover, entry_at, entry = [], [], [], []
+        for i in np.flatnonzero(rows.chained).tolist():
+            arrival = float(rows.arrival[i])
+            chain = self._log.chain(
+                int(rows.batch[i]), int(rows.qid[i]), arrival, self._names
+            )
+            c, intervals, shard_seconds = decompose_attempts(
+                arrival, float(rows.completion[i]), float(rows.latency[i]),
+                chain,
+            )
+            comps[i] = [c[k] for k in COMPONENTS]
+            attempts[i], count[i] = len(chain), len(intervals)
+            cover_at += [cover_before[i]] * len(intervals)
+            cover += intervals
+            for comp, shards in shard_seconds.items():
+                for name, seconds in shards.items():
+                    entry_at.append(entries_before[i])
+                    entry.append((i, _CODE[comp], len(table), seconds))
+                    table.append(name)
+        fsums = np.fromiter((
+            math.fsum(row)
+            for lo in range(0, n, _FSUM_BLOCK)
+            for row in comps[lo:lo + _FSUM_BLOCK].tolist()
+        ), float, n)
+        for i in np.flatnonzero(rows.latency - fsums != 0.0).tolist():
+            balanced = dict(zip(COMPONENTS, comps[i].tolist()))
+            _balance(balanced, float(rows.latency[i]))
+            comps[i] = [balanced[k] for k in COMPONENTS]
 
-    def drop(self, qid: int, at: float) -> None:
-        """Query dropped after exhausting retries."""
-        self.dropped_queries += 1
+        labels = np.broadcast_to(_STEP_CODES, walked.shape)[walked]
+        cover_ends = ends[walked]
+        if cover:
+            labels = np.insert(labels, cover_at, [_CODE[v[0]] for v in cover])
+            cover_ends = np.insert(cover_ends, cover_at, [v[2] for v in cover])
+        if entry:
+            entries = [
+                np.insert(values, entry_at, chained)
+                for values, chained in zip(entries, zip(*entry))
+            ]
 
-    def settle(
-        self, qid: int, latency: float, completion: float, batch: int
-    ) -> None:
-        """Query completed in the log's batch ``batch``: decompose the
-        attempt chain the log rebuilds into a new row."""
-        arrival = float(self._arrivals[qid])
-        attempts = self._log.chain(batch, qid, arrival, self._names)
-        comps, intervals, shard_seconds = decompose_attempts(
-            arrival, completion, latency, attempts
-        )
         cols = self._cols
-        row = len(cols["qid"])
-        cols["qid"].append(qid)
-        cols["arrival"].append(arrival)
-        cols["completion"].append(completion)
-        cols["latency"].append(latency)
-        cols["components"].extend(map(comps.__getitem__, COMPONENTS))
-        cols["attempts"].append(len(attempts))
-        cols["label"].extend([_CODE[i[0]] for i in intervals])
-        cols["end"].extend([i[2] for i in intervals])
-        cols["cover"].append(len(cols["end"]))
+        first_row, first_end = len(cols["qid"]), len(cols["end"])
+        entry_row, entry_comp, entry_name, entry_s = entries
+        for column, values in (
+            ("qid", rows.qid), ("arrival", rows.arrival),
+            ("completion", rows.completion), ("latency", rows.latency),
+            ("components", comps), ("attempts", attempts),
+            ("label", labels), ("end", cover_ends),
+            ("cover", first_end + np.cumsum(count)),
+            ("shard_row", first_row + entry_row),
+            ("shard_component", entry_comp),
+            ("shard", self._shard_codes(entry_name, table)),
+            ("shard_seconds", entry_s),
+        ):
+            cols[column].frombytes(np.ascontiguousarray(
+                values, dtype=cols[column].typecode
+            ).reshape(-1).view(np.uint8))
+
+    def _shard_codes(
+        self, names: np.ndarray, table: Sequence[str]
+    ) -> np.ndarray:
+        """Each entry's shard code; ``names`` index ``table``. Names new
+        to the capture are coded in order of first appearance, as a
+        ``setdefault`` per entry in settle order would code them."""
         codes = self._shard_code
-        for comp, shards in shard_seconds.items():
-            for name, seconds in shards.items():
-                cols["shard_row"].append(row)
-                cols["shard_component"].append(_CODE[comp])
-                cols["shard"].append(codes.setdefault(name, len(codes)))
-                cols["shard_seconds"].append(seconds)
+        uniq, first, inverse = np.unique(
+            names, return_index=True, return_inverse=True
+        )
+        for u in uniq[np.argsort(first)].tolist():
+            codes.setdefault(table[u], len(codes))
+        return np.array(
+            [codes[table[u]] for u in uniq.tolist()], dtype=np.int64
+        )[inverse]
 
     # -- reads ----------------------------------------------------------------
 
     @property
     def completed(self) -> int:
         return len(self._cols["qid"])
+
+    @property
+    def shed_queries(self) -> int:
+        """Queries shed before dispatch."""
+        return len(self._log.shed) if self._log is not None else 0
+
+    @property
+    def dropped_queries(self) -> int:
+        """Queries dropped after exhausting their retries."""
+        return self._log.dropped() if self._log is not None else 0
 
     @property
     def shard_names(self) -> Tuple[str, ...]:

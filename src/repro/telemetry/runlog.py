@@ -3,7 +3,8 @@
 The resilient engine's loop observes a run only by appending to a
 :class:`RunLog`. Every view is a projection replayed after the loop, in
 loop order: :meth:`RunLog.flush` fills a ``TimeSeries``,
-:meth:`RunLog.replay_capture` feeds a ``QueryTraceCapture`` (the plain
+:meth:`RunLog.replay_capture` fills a ``QueryTraceCapture`` in
+chunks of settled rows gathered from the columns (the plain
 ``QueryScheduler``'s too, through :meth:`RunLog.of_plain_run`), and
 the engine replays its trace spans from the per-batch columns.
 
@@ -15,12 +16,14 @@ settled query ran attempt 0, ready at its arrival.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.telemetry.chrome_trace import REPLICA_LANE_RETRY, REPLICA_LANE_SERVE
-from repro.telemetry.querytrace import AttemptEvent, HedgeLeg, ServiceParts
+from repro.telemetry.querytrace import (
+    AttemptEvent, HedgeLeg, ServiceParts, SettledRows,
+)
 
 if TYPE_CHECKING:
     from repro.telemetry import TimeSeries
@@ -39,6 +42,11 @@ RETRIED, DEGRADED_BATCH, CRASHED_BATCH, HEDGE_WON = 1, 2, 4, 8
 
 #: Settled queries per ``latency_s`` ingest call in :meth:`RunLog.flush`.
 _LATENCY_CHUNK = 4096
+
+#: Settled queries per :meth:`QueryTraceCapture.settle_rows` call in
+#: :meth:`RunLog.replay_capture`: the replay's working set is this many
+#: rows, whatever the run's length.
+_SETTLE_CHUNK = 1024
 
 
 def _column(values: array) -> np.ndarray:
@@ -64,6 +72,40 @@ class _Rows:
     def __iter__(self):
         return zip(*self.columns)
 
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+class _Walks(NamedTuple):
+    """What the capture replay reads besides the per-row columns, built
+    once per log. Per batch, from its primary copy's
+    :class:`ServiceParts`: service seconds (``base + pcie + slowdown``),
+    straggler extra, gather seconds and the gather's worst shard (the
+    first slowest piece, as an index into ``shard_names``, which start
+    with the server names; ``-1`` for none). Sorted: the qids with a
+    failed attempt, the batches with a hedge leg, and the requeued qids
+    with the ready time of their last requeue."""
+
+    service_s: np.ndarray
+    straggler_s: np.ndarray
+    gather_s: np.ndarray
+    worst: np.ndarray
+    shard_names: Tuple[str, ...]
+    failed: np.ndarray
+    hedged: np.ndarray
+    requeued: np.ndarray
+    ready: np.ndarray
+
+
+def _needs_chain(
+    walks: _Walks, qid: np.ndarray, batch: np.ndarray
+) -> np.ndarray:
+    """Which settled rows the capture decomposes from their rebuilt
+    attempt chain: queries with a failed attempt, and members of a batch
+    with a hedge leg. Every other row ran one attempt, on its batch's
+    primary copy."""
+    return np.isin(qid, walks.failed) | np.isin(batch, walks.hedged)
+
 
 class RunLog:
     """One run's batches, settlements and side events, in loop order.
@@ -84,7 +126,7 @@ class RunLog:
         "done_t", "done_n", "done_qids",
         "hedges", "failed", "shed", "requeued",
         "mark_server", "mark_t", "mark_state", "counts",
-        "gather_t", "fanout", "gather_s", "_chains",
+        "gather_t", "fanout", "gather_s", "_chains", "_ends", "_walks",
     )
 
     def __init__(self, detail: bool = False) -> None:
@@ -115,6 +157,8 @@ class RunLog:
         self.fanout = array("q")
         self.gather_s = array("d")
         self._chains = None
+        self._ends = None
+        self._walks = None
 
     @classmethod
     def of_plain_run(
@@ -217,7 +261,7 @@ class RunLog:
         # In chunks, so no temporary is as long as the run; consecutive
         # calls record what one call would.
         qids = _column(self.done_qids)
-        ends = np.cumsum(done_n)
+        ends = self._settle_ends()
         for lo in range(0, qids.size, _LATENCY_CHUNK):
             at = np.arange(lo, min(lo + _LATENCY_CHUNK, qids.size))
             ts.observe_each(
@@ -249,39 +293,92 @@ class RunLog:
         latencies: np.ndarray,
         names: Sequence[str],
     ) -> None:
-        """Feed ``capture`` every shed, drop and settlement, batch by
-        batch in loop order (the log needs ``detail``).
-
-        Within a batch the drops go before the settlements; the order of
-        settlements is the loop's, so the capture ends in the state
-        inline calls would leave.
-        """
+        """Fill ``capture`` with every settled query, in loop order, a
+        chunk of at most :data:`_SETTLE_CHUNK` rows at a time (the log
+        needs ``detail``); its shed and drop counts read the log."""
         capture.begin_run(arrivals, self, names)
-        # Python floats, without copying an n-length array.
-        settled = memoryview(latencies)
-        sheds, fails = iter(self.shed), iter(self.failed)
-        shed, fail = next(sheds, None), next(fails, None)
-        qids = memoryview(self.done_qids)
-        pos = 0
-        for b, (completion, n) in enumerate(zip(self.done_t, self.done_n)):
-            while shed is not None and shed[0] <= b:
-                capture.shed(shed[1], shed[2])
-                shed = next(sheds, None)
-            while fail is not None and fail[0] == b:
-                if fail[6]:
-                    capture.drop(fail[1], fail[5])
-                fail = next(fails, None)
-            for qid in qids[pos:pos + n]:
-                capture.settle(qid, settled[qid], completion, b)
-            pos += n
-        while shed is not None:
-            capture.shed(shed[1], shed[2])
-            shed = next(sheds, None)
+        walks = self._walk_tables(names)
+        qids = _column(self.done_qids)
+        done_t, ends = _column(self.done_t), self._settle_ends()
+        close, start = _column(self.close), _column(self.start)
+        server = _column(self.server)
+        # The short chunk goes first, so the last one is full: the
+        # replay's peak is one full chunk above what the capture keeps.
+        n, chunk = qids.size, _SETTLE_CHUNK
+        for hi in range(n % chunk or chunk, n + 1, chunk):
+            lo = max(hi - chunk, 0)
+            qid = qids[lo:hi]
+            b = np.searchsorted(ends, np.arange(lo, hi), side="right")
+            arrival = arrivals[qid]
+            ready = arrival.copy()
+            if walks.requeued.size:
+                at = np.searchsorted(walks.requeued, qid)
+                at[at == walks.requeued.size] = 0
+                hit = walks.requeued[at] == qid
+                ready[hit] = walks.ready[at[hit]]
+            capture.settle_rows(SettledRows(
+                qid=qid, batch=b, arrival=arrival, ready=ready,
+                close=close[b], start=start[b], completion=done_t[b],
+                latency=latencies[qid], service_s=walks.service_s[b],
+                straggler_s=walks.straggler_s[b], gather_s=walks.gather_s[b],
+                straggler_shard=server[b], gather_shard=walks.worst[b],
+                chained=_needs_chain(walks, qid, b),
+                shard_names=walks.shard_names,
+            ))
+
+    def dropped(self) -> int:
+        """Queries dropped after exhausting their retries."""
+        return sum(self.failed.columns[6])
+
+    def _settle_ends(self) -> np.ndarray:
+        """The running count of settled queries after each batch; built
+        on first use, once the loop is done."""
+        if self._ends is None:
+            self._ends = np.cumsum(_column(self.done_n))
+        return self._ends
+
+    def _walk_tables(self, names: Sequence[str]) -> _Walks:
+        """The log's :class:`_Walks`, built on first use."""
+        if self._walks is None:
+            shard_names = list(names)
+            code: Dict[str, int] = {}
+            worst = array("q")
+            for parts in self.parts:
+                pieces = parts.gather_pieces
+                if pieces:
+                    shard = max(pieces, key=lambda piece: piece[1])[0]
+                    if shard not in code:
+                        code[shard] = len(shard_names)
+                        shard_names.append(shard)
+                    worst.append(code[shard])
+                else:
+                    worst.append(-1)
+            n = len(self.parts)
+            # The last requeue of each query wins.
+            requeued, last = np.unique(
+                _column(self.requeued.columns[0])[::-1], return_index=True
+            )
+            self._walks = _Walks(
+                np.fromiter((
+                    p.base_s + p.pcie_extra_s + p.slowdown_extra_s
+                    for p in self.parts
+                ), float, n),
+                np.fromiter(
+                    (p.straggler_extra_s for p in self.parts), float, n
+                ),
+                np.fromiter((p.gather_s for p in self.parts), float, n),
+                np.array(worst),
+                tuple(shard_names),
+                np.unique(_column(self.failed.columns[1])),
+                np.unique(_column(self.hedges.columns[0])),
+                requeued,
+                _column(self.requeued.columns[2])[::-1][last],
+            )
+        return self._walks
 
     def batch_of(self, row: int) -> int:
         """The batch the ``row``-th settled query settled in."""
-        ends = np.cumsum(_column(self.done_n))
-        return int(np.searchsorted(ends, row, side="right"))
+        return int(np.searchsorted(self._settle_ends(), row, side="right"))
 
     def chain(
         self, b: int, qid: int, arrival: float, names: Sequence[str]

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -29,7 +29,7 @@ from repro.explain import Explanation, explain_scenario, render_html
 from repro.ledger import diff_records, load_records
 from repro.models import build_model
 from repro.monitor import run_monitored_scenario
-from repro.monitor.scenario import build_scenario, service_model_for
+from repro.monitor.scenario import SCENARIOS, build_scenario, service_model_for
 from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
 from repro.telemetry.chrome_trace import (
     load_chrome_trace,
@@ -43,6 +43,7 @@ from repro.telemetry.querytrace import (
     ServiceParts,
     decompose_attempts,
 )
+from repro.telemetry import querytrace, runlog
 from repro.telemetry.runlog import RunLog
 
 QUERIES = 1200
@@ -240,6 +241,258 @@ class TestKeepAll:
         assert ms.result.completed > 10_000
         assert len(qt.records) == qt.completed == ms.result.completed
         assert all(r.conservation_ok() for r in qt.records.values())
+
+
+def _columns_state(capture):
+    """Every column's bytes, the shard names and the shed and drop
+    counts: the whole state a replay leaves in a capture."""
+    return (
+        {name: col.tobytes() for name, col in capture.columns().items()},
+        capture.shard_names, capture.shed_queries, capture.dropped_queries,
+    )
+
+
+def _scenario_run(model, platform, scenario, fallback):
+    def run(capture):
+        setup = build_scenario(
+            model, platform, scenario, queries=2500, fallback=fallback
+        )
+        setup.scheduler(setup.policy, querytrace=capture).run(
+            setup.qps, setup.queries
+        )
+    return run
+
+
+def _requeued_run(scenario, deadline_s, parts):
+    def run(capture):
+        setup = build_scenario(
+            "rm1", "t4", scenario, queries=3000, fallback=None, load=0.7,
+            deadline_s=deadline_s,
+        )
+        setup.scheduler(setup.policy_with(*parts), querytrace=capture).run(
+            setup.qps, setup.queries
+        )
+    return run
+
+
+def _plain_run(max_batch):
+    def run(capture):
+        stm = service_model_for(build_model("rm1"), "t4", 64)
+        policy = BatchingPolicy(max_batch=max_batch, batch_timeout_s=0.002)
+        qps = 0.7 * max_batch / stm.seconds(max_batch)
+        QueryScheduler(stm, policy, seed=SEED, querytrace=capture).run(
+            qps, 2500
+        )
+    return run
+
+
+#: Runs whose columnar replay must equal the forced scalar walk: every
+#: scenario on rm1/t4 with and without a fallback (hedge legs) and on
+#: rm2/broadwell (shard gathers), the requeued-work runs of the serving
+#: pins (parked, retried, dropped and shed queries), and plain runs.
+_WALK_RUNS = {
+    **{
+        f"{scenario}-{model}-{platform}-{fallback}": _scenario_run(
+            model, platform, scenario, fallback
+        )
+        for scenario in sorted(SCENARIOS)
+        for model, platform, fallback in (
+            ("rm1", "t4", None), ("rm1", "t4", "broadwell"),
+            ("rm2", "broadwell", None),
+        )
+    },
+    "requeued-crash": _requeued_run("crash", 0.004, ("retry",)),
+    "requeued-mixed": _requeued_run(
+        "mixed", None, ("retry", "shed", "degrade")
+    ),
+    **{f"plain-{b}": _plain_run(b) for b in (1, 8, 64)},
+}
+
+_WIDTH = st.floats(0.0, 1e-2)
+_MAYBE = st.one_of(st.just(0.0), _WIDTH)
+#: Where a point lies from the one before: on it, before it or after.
+_OFFSET = st.one_of(st.just(0.0), st.floats(-2e-3, 1e-2))
+
+
+@st.composite
+def _settled_query(draw):
+    """One settled query: its winning attempt's times and service
+    parts, its latency a few ulps off the telescoped one, and whether an
+    earlier attempt failed (which makes its row chained)."""
+    arrival = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    ready = arrival + draw(_MAYBE)  # parked or retried work is later
+    close = ready + draw(_OFFSET)
+    start = close + draw(_OFFSET)
+    parts = ServiceParts(
+        base_s=draw(_WIDTH), pcie_extra_s=draw(_MAYBE),
+        slowdown_extra_s=draw(_MAYBE), straggler_extra_s=draw(_MAYBE),
+        gather_s=draw(_MAYBE),
+        gather_pieces=tuple(draw(st.lists(st.tuples(
+            st.sampled_from(("shard0", "shard1", "shard2")),
+            st.sampled_from((1e-4, 2e-4)), st.booleans(),
+        ), max_size=3))),
+    )
+    planned = start + (
+        parts.base_s + parts.pcie_extra_s + parts.slowdown_extra_s
+        + parts.straggler_extra_s + parts.gather_s
+    )
+    # Early completions make the clamp fire.
+    completion = max(arrival, planned + draw(st.one_of(
+        st.just(0.0), st.floats(-1e-2, 1e-3)
+    )))
+    latency = completion - arrival
+    for toward in draw(st.lists(st.sampled_from((-math.inf, math.inf)),
+                                max_size=3)):
+        latency = math.nextafter(latency, toward)
+    return dict(
+        arrival=arrival, ready=ready, close=close, start=start, parts=parts,
+        completion=completion, latency=latency, retried=draw(st.booleans()),
+    )
+
+
+class TestColumnarSettlement:
+    """The replay walks single-attempt rows in array steps; every row
+    must hold exactly what the scalar :func:`decompose_attempts` gives."""
+
+    @pytest.mark.parametrize("key", sorted(_WALK_RUNS))
+    def test_matches_forced_scalar_walk(self, monkeypatch, key):
+        run = _WALK_RUNS[key]
+        columnar = QueryTraceCapture()
+        run(columnar)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                runlog, "_needs_chain",
+                lambda walks, qid, batch: np.ones(len(qid), dtype=bool),
+            )
+            scalar = QueryTraceCapture()
+            run(scalar)
+        assert columnar.completed > 0
+        assert _columns_state(columnar) == _columns_state(scalar)
+
+    @given(queries=st.lists(_settled_query(), min_size=1, max_size=6))
+    @example(queries=[dict(
+        # Balancing this row takes the nextafter steps.
+        arrival=0.0, ready=0.0, close=0.005042653912063212,
+        start=0.005042653912063212,
+        parts=ServiceParts(base_s=0.008064461769149236,
+                           gather_s=0.0008030645622482694),
+        completion=0.013910180243460716, latency=0.013910180243460716,
+        retried=False,
+    )])
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_decompose_attempts(self, queries):
+        """Each query settles alone in its batch; a retried one first
+        timed out in a batch of its own."""
+        log = RunLog(detail=True)
+        settled_in = []
+        for qid, q in enumerate(queries):
+            if q["retried"]:
+                failed_at = (q["arrival"] + q["ready"]) / 2
+                log.failed.append(
+                    len(log.size), qid, 0, q["arrival"], "timeout", failed_at,
+                    False,
+                )
+                log.batch(q["arrival"], failed_at, 1, 0, 0)
+                log.close.append(q["arrival"])
+                log.parts.append(ServiceParts(base_s=failed_at))
+                log.settled(failed_at, [])
+                log.requeued.append(qid, 1, q["ready"])
+            elif q["ready"] > q["arrival"]:
+                log.requeued.append(qid, 0, q["ready"])
+            settled_in.append(len(log.size))
+            log.batch(q["start"], q["completion"], 1, 0, 0)
+            log.close.append(q["close"])
+            log.parts.append(q["parts"])
+            log.settled(q["completion"], [qid])
+        capture = QueryTraceCapture()
+        log.replay_capture(
+            capture, np.array([q["arrival"] for q in queries]),
+            np.array([q["latency"] for q in queries]), ["t4"],
+        )
+        first_seen = {}
+        for qid, (q, b) in enumerate(zip(queries, settled_in)):
+            chain = log.chain(b, qid, q["arrival"], ["t4"])
+            comps, intervals, shards = decompose_attempts(
+                q["arrival"], q["completion"], q["latency"], chain
+            )
+            record = capture.records[qid]
+            assert record.components == comps
+            assert record.intervals == intervals
+            assert record.shard_seconds == shards
+            assert len(record.attempts) == len(chain)
+            for by_shard in shards.values():
+                for name in by_shard:
+                    first_seen.setdefault(name)
+        # Shards are coded in order of first appearance.
+        assert capture.shard_names == tuple(first_seen)
+
+    @pytest.mark.parametrize("key", ["explain_faults", "requeued-crash"])
+    def test_scalar_walk_only_for_chained_queries(self, monkeypatch, key):
+        """The scalar walk runs once per settled query with a failed
+        attempt or a hedge leg, and never else: on the ``explain_faults``
+        run (whose retried queries are all shed, so it never runs), and
+        on a run whose retried queries settle."""
+        calls = []
+        scalar = querytrace.decompose_attempts
+
+        def counted(*args):
+            calls.append(1)
+            return scalar(*args)
+
+        monkeypatch.setattr(querytrace, "decompose_attempts", counted)
+        qt = QueryTraceCapture()
+        if key == "explain_faults":
+            _monitored(
+                "slowdown", capture=qt, queries=10_000,
+                scenario_overrides=THROTTLE,
+            )
+        else:
+            _WALK_RUNS[key](qt)
+        monkeypatch.undo()
+        chained = sum(
+            1 for r in qt.records.values()
+            if len(r.attempts) > 1 or r.attempts[-1].hedge is not None
+        )
+        assert len(calls) == chained < qt.completed // 10
+        assert chained > 0 or key == "explain_faults"
+
+    @staticmethod
+    def _replay_transient(monkeypatch, queries):
+        """Bytes the ``explain_faults`` run's capture replay holds at its
+        peak above what it leaves behind, and the bytes of the columns
+        the capture keeps."""
+        transient = []
+        replay = RunLog.replay_capture
+
+        def measured(log, *args):
+            gc.collect()
+            tracemalloc.reset_peak()
+            replay(log, *args)
+            current, peak = tracemalloc.get_traced_memory()
+            transient.append(peak - current)
+
+        monkeypatch.setattr(RunLog, "replay_capture", measured)
+        qt = QueryTraceCapture()
+        tracemalloc.start()
+        try:
+            _monitored(
+                "slowdown", capture=qt, queries=queries,
+                scenario_overrides=THROTTLE,
+            )
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        kept = sum(col.nbytes for col in qt.columns().values())
+        return transient[0], kept
+
+    def test_replay_memory_is_chunked(self, monkeypatch):
+        """The replay works a bounded chunk of rows at a time, so its
+        transient peak does not grow with the run, and at 40k queries it
+        is a small part of what the capture keeps."""
+        small, _ = self._replay_transient(monkeypatch, 10_000)
+        large, kept = self._replay_transient(monkeypatch, 40_000)
+        assert abs(large - small) <= 0.1 * small, (small, large)
+        assert large <= 0.15 * kept, (large, kept)
 
 
 class TestExplanationEngine:
