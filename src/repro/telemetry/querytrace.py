@@ -565,8 +565,8 @@ class QueryTraceCapture:
             cover_ends = np.insert(cover_ends, cover_at, [v[2] for v in cover])
         if entry:
             entries = [
-                np.insert(values, entry_at, chained)
-                for values, chained in zip(entries, zip(*entry))
+                np.insert(values, entry_at, inserted)
+                for values, inserted in zip(entries, zip(*entry))
             ]
 
         cols = self._cols
