@@ -590,18 +590,12 @@ class QueryTraceCapture:
     def _shard_codes(
         self, names: np.ndarray, table: Sequence[str]
     ) -> np.ndarray:
-        """Each entry's shard code; ``names`` index ``table``. Names new
-        to the capture are coded in order of first appearance, as a
-        ``setdefault`` per entry in settle order would code them."""
+        """Each entry's shard code; ``names`` index ``table``. A name new
+        to the capture takes the next code, in settle order."""
         codes = self._shard_code
-        uniq, first, inverse = np.unique(
-            names, return_index=True, return_inverse=True
-        )
-        for u in uniq[np.argsort(first)].tolist():
-            codes.setdefault(table[u], len(codes))
-        return np.array(
-            [codes[table[u]] for u in uniq.tolist()], dtype=np.int64
-        )[inverse]
+        return np.array([
+            codes.setdefault(table[i], len(codes)) for i in names.tolist()
+        ], dtype=np.int64)
 
     # -- reads ----------------------------------------------------------------
 

@@ -31,6 +31,7 @@ from repro.models import build_model
 from repro.monitor import run_monitored_scenario
 from repro.monitor.scenario import SCENARIOS, build_scenario, service_model_for
 from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
+from repro.telemetry import querytrace, runlog
 from repro.telemetry.chrome_trace import (
     load_chrome_trace,
     querytrace_flow_events,
@@ -43,7 +44,6 @@ from repro.telemetry.querytrace import (
     ServiceParts,
     decompose_attempts,
 )
-from repro.telemetry import querytrace, runlog
 from repro.telemetry.runlog import RunLog
 
 QUERIES = 1200
