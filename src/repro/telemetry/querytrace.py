@@ -476,7 +476,6 @@ class QueryTraceCapture:
     def __init__(self, *, seed: int = 2020) -> None:
         # The stack benchmark still passes a seed; nothing reads it.
         self._log: Optional["RunLog"] = None
-        self._arrivals = None
         self._names: Sequence[str] = ()
         self._cols = {name: array(code) for name, code in _COLUMNS.items()}
         self._shard_code: Dict[str, int] = {}
@@ -485,19 +484,17 @@ class QueryTraceCapture:
 
     # -- capture hooks (called by the run-log replay) -----------------------
 
-    def begin_run(
-        self, arrivals, log: "RunLog", names: Sequence[str]
-    ) -> None:
-        """Start the run replayed from ``log``. The arrival array, the
-        log and the server ``names`` are held by reference (neither side
-        mutates them); attempt chains are rebuilt from them. A capture
-        records one run, so the views it hands out never change."""
+    def begin_run(self, log: "RunLog", names: Sequence[str]) -> None:
+        """Start the run replayed from ``log``. The log and the server
+        ``names`` are held by reference (neither side mutates them);
+        attempt chains are rebuilt from them. A capture records one run,
+        so the views it hands out never change."""
         if self._log is not None:
             raise RuntimeError(
                 "a QueryTraceCapture records one run; attach a fresh one "
                 "to each run"
             )
-        self._arrivals, self._log, self._names = arrivals, log, names
+        self._log, self._names = log, names
 
     def settle_rows(self, rows: "SettledRows") -> None:
         """Append a chunk of settled queries, in settle order, as new

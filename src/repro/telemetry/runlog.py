@@ -296,7 +296,7 @@ class RunLog:
         """Fill ``capture`` with every settled query, in loop order, a
         chunk of at most :data:`_SETTLE_CHUNK` rows at a time (the log
         needs ``detail``); its shed and drop counts read the log."""
-        capture.begin_run(arrivals, self, names)
+        capture.begin_run(self, names)
         walks = self._walk_tables(names)
         qids = _column(self.done_qids)
         done_t, ends = _column(self.done_t), self._settle_ends()
