@@ -295,8 +295,9 @@ _STEP_CODES = np.array(
     dtype=np.int8,
 )
 
-#: Rows per float conversion in the exactness check of
-#: :meth:`QueryTraceCapture.settle_rows`.
+#: Rows converted to Python floats at a time by the exactness check of
+#: :meth:`QueryTraceCapture.settle_rows`, so the check adds no
+#: chunk-long list of floats to the replay's memory peak.
 _FSUM_BLOCK = 64
 
 #: The two steps that carry a shard annotation: straggler and gather.
