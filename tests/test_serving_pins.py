@@ -6,8 +6,10 @@ shortest round-trip repr, so equal JSON means equal bits). The pins
 cover the plain ``QueryScheduler`` across batch caps, timeouts and
 loads from light to overload, with the metrics registry,
 ``TimeSeries`` and ``QueryTraceCapture`` attached, one retry-heavy
-``ResilientScheduler`` run, and every named fault scenario as
-``repro monitor`` runs it. A change to either engine must leave every
+``ResilientScheduler`` run, every named fault scenario as
+``repro monitor`` runs it, every ``repro shard`` matrix row, and the
+per-piece outcomes of direct shard gathers under every gather policy.
+A change to either engine or to the shard gather must leave every
 digest unchanged.
 """
 
@@ -20,6 +22,17 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.distserve import (
+    GatherHedgePolicy,
+    GatherPolicy,
+    LocalityAwarePlacement,
+    PartialGatherPolicy,
+    ReplicatedReadPolicy,
+    ShardGatherModel,
+    build_layout,
+    run_shard_matrix,
+)
+from repro.distserve.scenario import synthesize_shard_plan
 from repro.models import build_model
 from repro.monitor.scenario import (
     SCENARIOS,
@@ -31,6 +44,7 @@ from repro.monitor.scenario import (
 from repro.runtime import BatchingPolicy, QueryScheduler
 from repro.telemetry import TimeSeries
 from repro.telemetry.querytrace import QueryTraceCapture
+from repro.workloads import ZipfIndices
 
 #: Loads as fractions of the server's full-batch peak rate; 1.2 is
 #: overload (the queue grows for the whole run).
@@ -385,3 +399,119 @@ def test_requeued_work_capture_pins(key):
     assert capture.dropped_queries == result.dropped
     state = _capture_state(capture, keep=len(capture.records))
     assert _sha(state) == REQUEUED_PINS[key]
+
+
+def _matrix_row_state(row) -> str:
+    """Digest of one ``run_shard_matrix`` row: latencies, batch sizes
+    and every gather counter."""
+    result = row.result
+    return _sha(
+        np.ascontiguousarray(result.latencies_s, dtype=np.float64).tobytes()
+        + np.asarray(result.batch_sizes, dtype=np.int64).tobytes()
+        + _sha(result.gather_counts).encode()
+    )
+
+
+#: shard scenario -> row label -> digest of that ``run_shard_matrix``
+#: row (rm2/broadwell, seed 2020, the default 1500 queries). The rows
+#: cover every gather branch: plain fan-out, hedged RPCs, replicated
+#: quorum reads, partial gathers and blocked recovery.
+SHARD_MATRIX_PINS = {
+    "shard_crash": {
+        "single-node":
+            "91634f5f19d97f5268c89123891e966eafe383164b88859a482c8d2405df1884",
+        "blind":
+            "a6e6007dc02c6cdb2ce8290968905a4f12535d9c7c02411be64512156b530950",
+        "blind+hedge":
+            "096cd6a626caeb70fa33f29677760d2e95ebd673f3af2d3ba3335291f6e57c71",
+        "locality":
+            "8415fd09e23d397561452d249c0c81f0bfd6e1fbeb15b25e3e0377acf5428292",
+        "locality+policies":
+            "cb6f322911f4baf2f3530e04fe345ff7b63733b82ecf1ff9610261fcbd8f5c76",
+    },
+    "shard_network": {
+        "single-node":
+            "91634f5f19d97f5268c89123891e966eafe383164b88859a482c8d2405df1884",
+        "blind":
+            "9139e0e524e84a863b62892943d0af9d88e249bbcba20db76cd68c6d590714be",
+        "blind+hedge":
+            "288a9297ebf23f39fa639a1f63b74fa7db3b2e63e3054b1e1d55f495d48a1826",
+        "locality":
+            "5c833fbdbdc74c891eb813d3f76a69d0a1f8a8470e5a2ec7cb990ec12e2e0a3c",
+        "locality+policies":
+            "e53e0782b897051abab3b596838b8e14e1cc2dc997602e4ebf3a575e548f9d3b",
+    },
+    "shard_slowdown": {
+        "single-node":
+            "91634f5f19d97f5268c89123891e966eafe383164b88859a482c8d2405df1884",
+        "blind":
+            "2a600f9d98edd55067e5d68abd3de93b2060c5f84446e7e7e4c76bdd1b709f9e",
+        "blind+hedge":
+            "9e4675fe2bda603ade6f54ea3d1227bfb516a652a4c50c7a810f8c3106bd4d0d",
+        "locality":
+            "1dde5da951457af15501a8b51760253ccb6b2018e6766718d70f983c566ecdb0",
+        "locality+policies":
+            "09f0b62ba0336624ff2adf3b5c29ec47e08cdc7d1ad92da04871646f1284a0f6",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "scenario", ["shard_crash", "shard_network", "shard_slowdown"]
+)
+def test_shard_matrix_pins(scenario):
+    matrix = run_shard_matrix("rm2", "broadwell", scenario, seed=2020)
+    digests = {row.label: _matrix_row_state(row) for row in matrix.rows}
+    assert digests == SHARD_MATRIX_PINS[scenario]
+
+
+#: Gather policy name -> digest of every :class:`GatherOutcome` (with
+#: ``detail=True`` pieces) and the final counters of a run of direct
+#: gathers under the crash + drop + network plan of
+#: ``tests/test_distserve.py::TestConservationUnderShardFaults``.
+GATHER_DETAIL_PINS = {
+    "cached":
+        "849d63f42ebd4dec60e40f51f15322b74ca06adf4ed7b101139955a7da431afa",
+    "full":
+        "1b88868d28d1fbe4458ad7cfb4b646e7207dd4a558a7888f05b889f4cca4b394",
+    "hedge":
+        "534d159b2972295c7f89d956c3926dbaa63e991d11d91474cbeeaf23b774d910",
+    "none":
+        "5c95e4b16cba3ce8337e0d9f68e1fa7099a0b3f59942b6d85816761cb9be7756",
+    "replicate":
+        "13799ef5d8d4a99cb1e92efbeaf5a7a7c89bd109c53cb670db6753722a1a0687",
+}
+
+GATHER_POLICIES = {
+    "none": GatherPolicy.none(),
+    "hedge": GatherPolicy(hedge=GatherHedgePolicy(delay_s=1e-3)),
+    "replicate": GatherPolicy(replicate=ReplicatedReadPolicy(replicas=2)),
+    "cached": GatherPolicy(partial=PartialGatherPolicy(mode="cached")),
+    "full": GatherPolicy.full(),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GATHER_DETAIL_PINS))
+def test_gather_detail_pins(policy):
+    layout = build_layout(
+        build_model("rm2"), 4, placement=LocalityAwarePlacement(hot_k=1024),
+        distribution=ZipfIndices(alpha=1.1),
+    )
+    plan = synthesize_shard_plan(
+        50, layout.names, 0.15, target=layout.names[0],
+        slowdown_windows=1, slowdown_multiplier=6.0, crash_windows=1,
+        crash_duration_frac=0.1, straggler_probability=0.08,
+        drop_probability=0.05, pcie_windows=1, pcie_scale=0.3,
+    )
+    run = ShardGatherModel(
+        layout, policy=GATHER_POLICIES[policy], fault_plan=plan, seed=0,
+    ).start_run()
+    outcomes = [
+        _plain(run.gather(batch, t, detail=True))
+        for t in np.linspace(0.0, 0.16, 400).tolist()
+        for batch in (1, 17, 32)
+    ]
+    assert any(o["pieces"] for o in outcomes)
+    assert _sha({"outcomes": outcomes, "counts": run.counts}) == (
+        GATHER_DETAIL_PINS[policy]
+    )
