@@ -32,17 +32,23 @@ Three gather-side robustness policies:
 Determinism: every stochastic decision is keyed by
 ``(seed, shard, gather index, attempt)`` through the same splitmix64
 hash as replica faults, so toggling any gather policy never reshuffles
-which RPCs are unlucky.
+which RPCs are unlucky. Because the keys are counters, the draws are
+table reads: each shard's injector answers window questions by
+bisection and attempt-0 straggler hits from array-hashed chunks, and a
+batch size's RPC pieces (bytes, network and lookup seconds) are
+computed once and reused by every gather of that size.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.distserve.placement import GatherPart, ShardLayout
+from repro.distserve.placement import ShardLayout
 from repro.distserve.topology import NetworkModel
-from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.resilience.faults import FaultInjector, FaultPlan, check_real
 
 if TYPE_CHECKING:
     from repro.telemetry import TimeSeries
@@ -76,10 +82,18 @@ class ReplicatedReadPolicy:
     quorum: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("replicas", "quorum"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if not (1 <= self.quorum <= self.replicas):
-            raise ValueError("quorum must be in [1, replicas]")
+            raise ValueError(
+                f"quorum must be in [1, replicas], got {self.quorum}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,8 +103,12 @@ class GatherHedgePolicy:
     delay_s: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0.0:
-            raise ValueError("hedge delay must be >= 0")
+        check_real("delay_s", self.delay_s)
+        if not (0.0 <= self.delay_s < math.inf):
+            raise ValueError(
+                f"delay_s: hedge delay must be >= 0 and finite, got "
+                f"{self.delay_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,8 +123,12 @@ class PartialGatherPolicy:
             raise ValueError(
                 f"mode must be 'impute_mean' or 'cached', got {self.mode!r}"
             )
-        if self.wait_budget_s <= 0.0:
-            raise ValueError("wait_budget_s must be positive")
+        check_real("wait_budget_s", self.wait_budget_s)
+        if not (0.0 < self.wait_budget_s < math.inf):
+            raise ValueError(
+                f"wait_budget_s must be positive and finite, got "
+                f"{self.wait_budget_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,6 +188,53 @@ class GatherOutcome:
     pieces: Tuple[Tuple[str, float, bool], ...] = ()
 
 
+def _outcome(
+    seconds: float, fanout: int, hedged: int, imputed: int, cached: int,
+    partial: bool, blocked: bool, pieces: Tuple[Tuple[str, float, bool], ...],
+) -> GatherOutcome:
+    """A :class:`GatherOutcome` built without the frozen dataclass's
+    ``object.__setattr__`` per field (one gather per batch)."""
+    out = object.__new__(GatherOutcome)
+    out.__dict__.update(
+        seconds=seconds, fanout=fanout, hedged=hedged, imputed=imputed,
+        cached=cached, partial=partial, blocked=blocked, pieces=pieces,
+    )
+    return out
+
+
+#: A colocated layout's gather: exactly zero overhead.
+_COLOCATED = GatherOutcome(seconds=0.0)
+
+
+class _Piece(NamedTuple):
+    """One RPC's worth of a batch size's gather; no fault changes it."""
+
+    #: The shard the piece's rows live on, and that shard's injector.
+    name: str
+    injector: FaultInjector
+    #: Holders raced for a replicated hot piece (the shard first);
+    #: empty for a piece that goes to its shard alone.
+    holders: Tuple[FaultInjector, ...]
+    #: Hot and cold lookups the piece carries (lost with it).
+    hot: int
+    cold: int
+    #: The shard's per-lookup work/response scale.
+    work_scale: float
+    #: Network round trip at full bandwidth.
+    rpc_s: float
+    #: Shard compute for the piece's row fetches.
+    lookup_s: float
+
+
+class _GatherPlan(NamedTuple):
+    """A batch size's gather: its pieces, in issue order."""
+
+    pieces: Tuple[_Piece, ...]
+    #: Remote shards touched, and the lookups routed to them.
+    fanout: int
+    lookups: int
+
+
 class ShardGatherModel:
     """Deterministic cost oracle for sharded gathers under faults.
 
@@ -199,14 +268,69 @@ class ShardGatherModel:
             )
             for name in layout.names
         }
-        self._parts_cache: Dict[int, Tuple[GatherPart, ...]] = {}
+        self._plans: Dict[int, _GatherPlan] = {}
 
-    def partition(self, batch_size: int) -> Tuple[GatherPart, ...]:
-        parts = self._parts_cache.get(batch_size)
-        if parts is None:
-            parts = self.layout.partition(batch_size)
-            self._parts_cache[batch_size] = parts
-        return parts
+    def plan(self, batch_size: int) -> _GatherPlan:
+        """The remote pieces of one ``batch_size`` gather, built once."""
+        plan = self._plans.get(batch_size)
+        if plan is None:
+            plan = self._plans[batch_size] = self._build_plan(batch_size)
+        return plan
+
+    def rpc_seconds(
+        self, lookups: int, work_scale: float, bandwidth_scale: float = 1.0
+    ) -> float:
+        """Network round trip of an RPC carrying ``lookups`` rows."""
+        layout = self.layout
+        return self.network.rpc_seconds(
+            lookups * layout.request_bytes_per_lookup,
+            lookups * layout.response_bytes_per_lookup * work_scale,
+            bandwidth_scale=bandwidth_scale,
+        )
+
+    def _build_plan(self, batch_size: int) -> _GatherPlan:
+        hardware = self.layout.hardware
+        replicate = self.policy.replicate
+        remote = [
+            p for p in self.layout.partition(batch_size) if not p.shard.local
+        ]
+        pieces: List[_Piece] = []
+        for part in remote:
+            shard = part.shard
+            ws = shard.work_scale
+            injector = self.injectors[shard.name]
+
+            def piece(holders, hot: int, cold: int, work: float) -> _Piece:
+                return _Piece(
+                    shard.name, injector, holders, hot, cold, ws,
+                    self.rpc_seconds(hot + cold, ws),
+                    hardware.lookup_seconds(work),
+                )
+
+            # Hot/cold split is a *layout* property: hot rows are cached
+            # on their holders whether or not replicated reads are on.
+            n_hot = (
+                int(round(part.lookups * shard.replicated_mass))
+                if shard.replicated_mass > 0.0 else 0
+            )
+            n_cold = part.lookups - n_hot
+            hot_work = n_hot * ws * shard.hot_work_scale
+            cold_work = n_cold * ws
+            if replicate is not None and shard.replica_names and n_hot > 0:
+                # Race the replicated hot set across holders; the cold
+                # remainder only lives here, so it goes out alone.
+                holders = (injector,) + tuple(
+                    self.injectors[name] for name in
+                    shard.replica_names[: max(0, replicate.replicas - 1)]
+                )
+                pieces.append(piece(holders, n_hot, 0, hot_work))
+                if n_cold > 0:
+                    pieces.append(piece((), 0, n_cold, cold_work))
+            else:
+                pieces.append(piece((), n_hot, n_cold, hot_work + cold_work))
+        return _GatherPlan(
+            tuple(pieces), len(remote), sum(p.lookups for p in remote)
+        )
 
     def start_run(self) -> "GatherRun":
         return GatherRun(self)
@@ -277,66 +401,49 @@ class GatherRun:
     # -- one RPC attempt ------------------------------------------------------
 
     def _rpc(
-        self,
-        holder: str,
-        req_bytes: float,
-        resp_bytes: float,
-        work: float,
-        t: float,
-        gidx: int,
+        self, inj: FaultInjector, piece: _Piece, t: float, gidx: int,
         attempt: int,
     ) -> Optional[float]:
         """Latency of one shard RPC issued at ``t``; None if lost."""
-        model = self.model
-        inj = model.injectors[holder]
+        counts = self.counts
         if inj.crashed_at(t) is not None:
-            self.counts["crashed_rpcs"] += 1
+            counts["crashed_rpcs"] += 1
             return None
         scale = inj.pcie_scale(t)
         if scale < 1.0:
-            self.counts["net_degraded_rpcs"] += 1
-        seconds = model.network.rpc_seconds(
-            req_bytes, resp_bytes, bandwidth_scale=scale
-        )
-        seconds += (
-            model.layout.hardware.lookup_seconds(work)
-            * inj.slowdown_multiplier(t)
-        )
+            counts["net_degraded_rpcs"] += 1
+        if scale == 1.0:
+            seconds = piece.rpc_s
+        else:
+            seconds = self.model.rpc_seconds(
+                piece.hot + piece.cold, piece.work_scale, scale
+            )
+        seconds += piece.lookup_s * inj.slowdown_multiplier(t)
         mult = inj.straggler_multiplier(gidx, attempt)
         if mult > 1.0:
-            self.counts["straggler_rpcs"] += 1
+            counts["straggler_rpcs"] += 1
             seconds *= mult
         if inj.crash_during(t, t + seconds) is not None:
-            self.counts["crashed_rpcs"] += 1
+            counts["crashed_rpcs"] += 1
             return None
         if inj.should_drop(gidx, attempt):
-            self.counts["dropped_rpcs"] += 1
+            counts["dropped_rpcs"] += 1
             return None
         return seconds
 
     def _single_holder(
-        self,
-        holder: str,
-        req_bytes: float,
-        resp_bytes: float,
-        work: float,
-        t: float,
-        gidx: int,
-        attempt_base: int,
+        self, piece: _Piece, t: float, gidx: int, attempt_base: int
     ) -> Optional[float]:
         """One holder, with hedging: reissue after the hedge delay."""
         hedge = self.model.policy.hedge
-        r = self._rpc(holder, req_bytes, resp_bytes, work, t, gidx,
-                      attempt_base)
+        inj = piece.injector
+        r = self._rpc(inj, piece, t, gidx, attempt_base)
         if hedge is None:
             return r
         if r is not None and r <= hedge.delay_s:
             return r
         self.counts["hedged_rpcs"] += 1
-        r2 = self._rpc(
-            holder, req_bytes, resp_bytes, work, t + hedge.delay_s, gidx,
-            attempt_base + 1,
-        )
+        r2 = self._rpc(inj, piece, t + hedge.delay_s, gidx, attempt_base + 1)
         candidates = []
         if r is not None:
             candidates.append(r)
@@ -350,30 +457,19 @@ class GatherRun:
         return best
 
     def _replicated(
-        self,
-        shard,
-        req_bytes: float,
-        resp_bytes: float,
-        work: float,
-        t: float,
-        gidx: int,
+        self, piece: _Piece, t: float, gidx: int
     ) -> Optional[float]:
         """Quorum/fastest-of-R read of a shard's replicated hot set."""
-        policy = self.model.policy.replicate
-        holders = (shard.name,) + shard.replica_names[
-            : max(0, policy.replicas - 1)
-        ]
         responses = []
-        for hi, holder in enumerate(holders):
+        for hi, holder in enumerate(piece.holders):
             # Distinct attempt stream per holder so draws are
             # independent; hedging does not stack on replicated reads
             # (R-way redundancy already shields stragglers).
-            r = self._rpc(holder, req_bytes, resp_bytes, work, t, gidx,
-                          10 + hi)
+            r = self._rpc(holder, piece, t, gidx, 10 + hi)
             if r is not None:
                 responses.append(r)
         self.counts["replicated_reads"] += 1
-        quorum = min(policy.quorum, len(holders))
+        quorum = min(self.model.policy.replicate.quorum, len(piece.holders))
         if len(responses) < quorum:
             self.counts["quorum_failures"] += 1
             return None
@@ -393,114 +489,68 @@ class GatherRun:
         returned ``seconds`` is bit-identical with the flag on or off.
         """
         model = self.model
-        parts = model.partition(batch_size)
-        remote = [p for p in parts if not p.shard.local]
-        if not remote:
+        plan = model.plan(batch_size)
+        if not plan.pieces:
             # Colocated layout: exactly zero overhead (the shard compute
             # already lives inside the replica's service-time model).
-            return GatherOutcome(seconds=0.0)
+            return _COLOCATED
         gidx = self.index
         self.index += 1
-        policy = model.policy
-        partial = policy.partial
-        layout = model.layout
-        req_bpl = layout.request_bytes_per_lookup
-        resp_bpl = layout.response_bytes_per_lookup
-        hedged_before = self.counts["hedged_rpcs"]
+        partial = model.policy.partial
+        counts = self.counts
+        hedged_before = counts["hedged_rpcs"]
         worst = 0.0
         imputed = 0
         cached = 0
         lost_any = False
         blocked = False
         piece_detail: List[Tuple[str, float, bool]] = []
-        for part in remote:
-            shard = part.shard
-            ws = shard.work_scale
-            # Hot/cold split is a *layout* property: hot rows are cached
-            # on their holders whether or not replicated reads are on.
-            n_hot = (
-                int(round(part.lookups * shard.replicated_mass))
-                if shard.replicated_mass > 0.0 else 0
-            )
-            n_cold = part.lookups - n_hot
-            hot_work = n_hot * ws * shard.hot_work_scale
-            cold_work = n_cold * ws
-            # pieces: (hot lookups, cold lookups, req, resp, work, rtt)
-            pieces: List[Tuple[int, int, float, float, float,
-                               Optional[float]]] = []
-            if (
-                policy.replicate is not None
-                and shard.replica_names
-                and n_hot > 0
-            ):
-                # Race the replicated hot set across holders; the cold
-                # remainder only lives here, so it goes out alone.
-                req = n_hot * req_bpl
-                resp = n_hot * resp_bpl * ws
-                r = self._replicated(shard, req, resp, hot_work, start, gidx)
-                pieces.append((n_hot, 0, req, resp, hot_work, r))
-                if n_cold > 0:
-                    req = n_cold * req_bpl
-                    resp = n_cold * resp_bpl * ws
-                    r = self._single_holder(
-                        shard.name, req, resp, cold_work, start, gidx, 0
-                    )
-                    pieces.append((0, n_cold, req, resp, cold_work, r))
+        # Pieces are settled in issue order; a lost one's blocked
+        # recovery only adds to counters, so it may run before the next
+        # piece goes out.
+        for piece in plan.pieces:
+            if piece.holders:
+                r = self._replicated(piece, start, gidx)
             else:
-                req = part.lookups * req_bpl
-                resp = part.lookups * resp_bpl * ws
-                work = hot_work + cold_work
-                r = self._single_holder(
-                    shard.name, req, resp, work, start, gidx, 0
-                )
-                pieces.append((n_hot, n_cold, req, resp, work, r))
-            for p_hot, p_cold, req, resp, work, r in pieces:
-                if r is not None:
-                    worst = max(worst, r)
+                r = self._single_holder(piece, start, gidx, 0)
+            if r is not None:
+                worst = max(worst, r)
+                if detail:
+                    piece_detail.append((piece.name, r, False))
+                continue
+            lost_any = True
+            if partial is None:
+                # Block: retry against the shard until it recovers.
+                blocked = True
+                wait, r_rec = self._blocked_recover(piece, start, gidx)
+                counts["blocked_wait_s"] += wait
+                if r_rec is None:
+                    imputed += piece.hot + piece.cold
+                    worst = max(worst, wait)
                     if detail:
-                        piece_detail.append((shard.name, r, False))
-                    continue
-                lost_any = True
-                if partial is None:
-                    # Block: retry against the shard until it recovers.
-                    blocked = True
-                    wait, r_rec = self._blocked_recover(
-                        shard.name, req, resp, work, start, gidx
-                    )
-                    self.counts["blocked_wait_s"] += wait
-                    if r_rec is None:
-                        imputed += p_hot + p_cold
-                        worst = max(worst, wait)
-                        if detail:
-                            piece_detail.append((shard.name, wait, True))
-                    else:
-                        recovered = wait + r_rec
-                        worst = max(worst, recovered)
-                        if detail:
-                            piece_detail.append((shard.name, recovered, True))
+                        piece_detail.append((piece.name, wait, True))
                 else:
-                    if partial.mode == "cached":
-                        # Stale cache exists only for the hot set.
-                        cached += p_hot
-                        imputed += p_cold
-                    else:
-                        imputed += p_hot + p_cold
-                    worst = max(worst, partial.wait_budget_s)
+                    recovered = wait + r_rec
+                    worst = max(worst, recovered)
                     if detail:
-                        piece_detail.append(
-                            (shard.name, partial.wait_budget_s, True)
-                        )
-        fanout = len(remote)
+                        piece_detail.append((piece.name, recovered, True))
+            else:
+                if partial.mode == "cached":
+                    # Stale cache exists only for the hot set.
+                    cached += piece.hot
+                    imputed += piece.cold
+                else:
+                    imputed += piece.hot + piece.cold
+                worst = max(worst, partial.wait_budget_s)
+                if detail:
+                    piece_detail.append(
+                        (piece.name, partial.wait_budget_s, True)
+                    )
+        fanout = plan.fanout
         net = model.network
-        total = (
-            fanout * net.client_issue_s
-            + worst
-            + fanout * net.merge_s_per_shard
-        )
-        counts = self.counts
         counts["gathers"] += 1
         counts["fanout_rpcs"] += fanout
-        counts["remote_lookups"] += sum(p.lookups for p in remote)
+        counts["remote_lookups"] += plan.lookups
         if imputed:
             counts["imputed_lookups"] += imputed
         if cached:
@@ -509,25 +559,16 @@ class GatherRun:
             counts["partial_gathers"] += 1
         if blocked:
             counts["blocked_gathers"] += 1
-        return GatherOutcome(
-            seconds=total,
-            fanout=fanout,
-            hedged=int(counts["hedged_rpcs"] - hedged_before),
-            imputed=imputed,
-            cached=cached,
-            partial=lost_any,
-            blocked=blocked,
-            pieces=tuple(piece_detail),
+        return _outcome(
+            fanout * net.client_issue_s + worst
+            + fanout * net.merge_s_per_shard,
+            fanout,
+            int(counts["hedged_rpcs"] - hedged_before), imputed, cached,
+            lost_any, blocked, tuple(piece_detail),
         )
 
     def _blocked_recover(
-        self,
-        holder: str,
-        req_bytes: float,
-        resp_bytes: float,
-        work: float,
-        t: float,
-        gidx: int,
+        self, piece: _Piece, t: float, gidx: int
     ) -> Tuple[float, Optional[float]]:
         """No partial policy: wait out the crash, then retry.
 
@@ -536,12 +577,11 @@ class GatherRun:
         recovery time — this is the blocking path whose tail cost the
         partial policy exists to avoid.
         """
-        inj = self.model.injectors[holder]
+        inj = piece.injector
         at = t
         for attempt in range(1, _BLOCKED_MAX_ATTEMPTS + 1):
             at = max(at + _BLOCKED_RETRY_S, inj.next_available(at))
-            r = self._rpc(holder, req_bytes, resp_bytes, work, at, gidx,
-                          100 + attempt)
+            r = self._rpc(inj, piece, at, gidx, 100 + attempt)
             if r is not None:
                 return at - t, r
         return at - t, None

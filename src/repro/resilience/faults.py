@@ -14,13 +14,23 @@ identifiers — ``(replica, batch index)`` and ``(query id, attempt)`` —
 through a splitmix64 hash, so toggling a resilience policy on or off
 never reshuffles which queries are unlucky. That is what makes
 policy-on vs. policy-off comparisons under the same seed fair.
+
+Because every draw is a pure function of its keys, an injector reads
+its answers from tables: the windows become piecewise-constant
+segments looked up by bisection, and which batch indices straggle is
+hashed a chunk of indices at a time (:func:`hashed_uniform_array`).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -35,16 +45,22 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "hashed_uniform",
+    "hashed_uniform_array",
+    "check_real",
 ]
 
 _MASK64 = (1 << 64) - 1
+#: splitmix64's increment and its two mixing multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + _GAMMA) & _MASK64
     z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
@@ -56,7 +72,54 @@ def hashed_uniform(*keys: int) -> float:
     return (x >> 11) / float(1 << 53)
 
 
+def _key_column(key: Any) -> np.ndarray:
+    """One key column as ``uint64``, wrapped mod 2**64 like ``& _MASK64``."""
+    if isinstance(key, numbers.Integral):
+        return np.array(int(key) & _MASK64, dtype=np.uint64)
+    column = np.asarray(key)
+    if column.dtype.kind in "iu":
+        # A signed -> unsigned cast wraps two's complement, mod 2**64.
+        return column.astype(np.uint64)
+    if column.dtype == object:
+        return np.array(
+            [int(k) & _MASK64 for k in column.ravel()], dtype=np.uint64
+        ).reshape(column.shape)
+    raise TypeError(
+        f"key_columns must hold integers, got dtype {column.dtype}"
+    )
+
+
+def hashed_uniform_array(*key_columns: Any) -> np.ndarray:
+    """:func:`hashed_uniform` element-wise over broadcast key columns.
+
+    Each column is an integer or an integer array; the draws equal the
+    scalar function's bit for bit. ``uint64`` multiplies wrap mod 2**64
+    as the scalar ``& _MASK64`` does, and ``(x >> 11) / 2**53`` is exact
+    in float64.
+    """
+    columns = [_key_column(k) for k in key_columns]
+    x = np.zeros(np.broadcast_shapes(*(c.shape for c in columns)),
+                 dtype=np.uint64)
+    gamma, mix1, mix2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+    with np.errstate(over="ignore"):
+        for column in columns:
+            z = (x ^ column) + gamma
+            z = (z ^ (z >> np.uint64(30))) * mix1
+            z = (z ^ (z >> np.uint64(27))) * mix2
+            x = z ^ (z >> np.uint64(31))
+    return (x >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def check_real(name: str, value: Any) -> None:
+    """Reject anything but a real number (a ``bool`` included), naming
+    ``name``. Range checks are the caller's, written so NaN fails them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_window(start_s: float, end_s: float) -> None:
+    check_real("start_s", start_s)
+    check_real("end_s", end_s)
     if not (0.0 <= start_s < end_s):
         raise ValueError(
             f"fault window must satisfy 0 <= start < end, got "
@@ -75,11 +138,12 @@ class SlowdownWindow:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
-        if self.multiplier < 1.0:
-            raise ValueError("slowdown multiplier must be >= 1")
-
-    def active(self, t: float) -> bool:
-        return self.start_s <= t < self.end_s
+        check_real("multiplier", self.multiplier)
+        if not self.multiplier >= 1.0:
+            raise ValueError(
+                f"multiplier: slowdown multiplier must be >= 1, got "
+                f"{self.multiplier!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,9 +156,6 @@ class CrashWindow:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
-
-    def active(self, t: float) -> bool:
-        return self.start_s <= t < self.end_s
 
 
 @dataclass(frozen=True)
@@ -110,11 +171,12 @@ class PcieDegradationWindow:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
+        check_real("bandwidth_scale", self.bandwidth_scale)
         if not (0.0 < self.bandwidth_scale <= 1.0):
-            raise ValueError("bandwidth_scale must be in (0, 1]")
-
-    def active(self, t: float) -> bool:
-        return self.start_s <= t < self.end_s
+            raise ValueError(
+                f"bandwidth_scale must be in (0, 1], got "
+                f"{self.bandwidth_scale!r}"
+            )
 
 
 #: For shard servers the same window models NIC/link degradation — the
@@ -134,12 +196,22 @@ class StragglerSpec:
     max_multiplier: float = 20.0
 
     def __post_init__(self) -> None:
+        for name in ("probability", "alpha", "max_multiplier"):
+            check_real(name, getattr(self, name))
         if not (0.0 <= self.probability <= 1.0):
-            raise ValueError("straggler probability must be in [0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("Pareto alpha must be positive")
-        if self.max_multiplier < 1.0:
-            raise ValueError("max_multiplier must be >= 1")
+            raise ValueError(
+                f"probability: straggler probability must be in [0, 1], "
+                f"got {self.probability!r}"
+            )
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(
+                f"alpha: Pareto alpha must be positive and finite, got "
+                f"{self.alpha!r}"
+            )
+        if not self.max_multiplier >= 1.0:
+            raise ValueError(
+                f"max_multiplier must be >= 1, got {self.max_multiplier!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -151,11 +223,12 @@ class DropSpec:
     probability: float = 0.0
 
     def __post_init__(self) -> None:
+        check_real("probability", self.probability)
         if not (0.0 <= self.probability <= 1.0):
-            raise ValueError("drop probability must be in [0, 1]")
-
-
-_NO_SLOWDOWNS: Tuple[SlowdownWindow, ...] = ()
+            raise ValueError(
+                f"probability: drop probability must be in [0, 1], got "
+                f"{self.probability!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -329,12 +402,76 @@ _STREAM_STRAGGLER = 0x5354524147474C45  # "STRAGGLE"
 _STREAM_DROP = 0x44524F5053  # "DROPS"
 
 
+#: Attempt-0 straggler hits are hashed this many batch indices at a time.
+_CHUNK_BITS = 10
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
+
+def _segments(
+    windows: Sequence[Any], value_at: Callable[[float], Any]
+) -> Tuple[List[float], List[Any]]:
+    """A window list as a piecewise-constant function of time.
+
+    Returns ``(edges, values)``: the sorted distinct window starts and
+    ends, and ``values[i]``, the answer for every ``t`` with
+    ``edges[i-1] <= t < edges[i]`` (``values[0]`` before the first
+    edge, ``values[-1]`` from the last one on), so a lookup is
+    ``values[bisect_right(edges, t)]``. Every window is half-open, so
+    which windows are active is constant on a segment: ``value_at``
+    runs once, at the segment's first instant.
+    """
+    edges = sorted({w.start_s for w in windows} | {w.end_s for w in windows})
+    return edges, [value_at(-math.inf)] + [value_at(e) for e in edges]
+
+
+def _product(windows: Sequence[Any], attr: str) -> Callable[[float], float]:
+    """Product of ``attr`` over the windows active at ``t``, multiplied
+    in list order."""
+
+    def value_at(t: float) -> float:
+        out = 1.0
+        for w in windows:
+            if w.start_s <= t < w.end_s:
+                out *= getattr(w, attr)
+        return out
+
+    return value_at
+
+
+def _crash_state(
+    crashes: Sequence[CrashWindow],
+) -> Callable[[float], Optional[Tuple[CrashWindow, CrashWindow, float]]]:
+    """At ``t``: None outside every crash, else (the first active window
+    in list order, the earliest-starting active one — list order breaks
+    ties — and the first instant outside every crash from ``t`` on).
+    Overlapping windows chain: recovery jumps window end to window end."""
+
+    def active(t: float) -> list:
+        return [w for w in crashes if w.start_s <= t < w.end_s]
+
+    def value_at(t: float):
+        hits = active(t)
+        if not hits:
+            return None
+        at = hits[0].end_s
+        while True:
+            chained = active(at)
+            if not chained:
+                break
+            at = chained[0].end_s
+        return hits[0], min(hits, key=lambda w: w.start_s), at
+
+    return value_at
+
+
 class FaultInjector:
     """Deterministic per-replica fault oracle.
 
     All methods are pure functions of the construction arguments —
     calling them in any order, any number of times, yields the same
-    answers.
+    answers. Window answers are read from :func:`_segments` tables
+    built here; attempt-0 straggler hits from chunks of
+    :func:`hashed_uniform_array` draws built on first use.
     """
 
     def __init__(self, faults: ServerFaults, seed: int, server_name: str) -> None:
@@ -342,77 +479,95 @@ class FaultInjector:
         self.seed = int(seed)
         self.server_name = server_name
         self._name_key = zlib.crc32(server_name.encode("utf-8"))
+        self._slowdown = _segments(
+            faults.slowdowns, _product(faults.slowdowns, "multiplier")
+        )
+        self._pcie = _segments(
+            faults.pcie, _product(faults.pcie, "bandwidth_scale")
+        )
+        self._crash = _segments(faults.crashes, _crash_state(faults.crashes))
+        #: chunk -> one byte per batch index, 1 where attempt 0 straggles.
+        self._straggler_hits: Dict[int, bytes] = {}
 
     # -- windows -------------------------------------------------------------
 
     def slowdown_multiplier(self, t: float) -> float:
         """Product of every slowdown window active at ``t`` (>= 1)."""
-        mult = 1.0
-        for w in self.faults.slowdowns:
-            if w.active(t):
-                mult *= w.multiplier
-        return mult
+        edges, values = self._slowdown
+        return values[bisect_right(edges, t)]
 
     def pcie_scale(self, t: float) -> float:
         """Effective PCIe bandwidth scale at ``t`` (1.0 = healthy)."""
-        scale = 1.0
-        for w in self.faults.pcie:
-            if w.active(t):
-                scale *= w.bandwidth_scale
-        return scale
+        edges, values = self._pcie
+        return values[bisect_right(edges, t)]
 
     def crashed_at(self, t: float) -> Optional[CrashWindow]:
-        """The crash window covering ``t``, if any."""
-        for w in self.faults.crashes:
-            if w.active(t):
-                return w
-        return None
+        """The crash window covering ``t``, if any (the first listed)."""
+        edges, states = self._crash
+        state = states[bisect_right(edges, t)]
+        return None if state is None else state[0]
 
     def crash_during(self, start: float, end: float) -> Optional[CrashWindow]:
         """Earliest crash window intersecting [start, end), if any."""
-        hit: Optional[CrashWindow] = None
-        for w in self.faults.crashes:
-            if w.start_s < end and w.end_s > start:
-                if hit is None or w.start_s < hit.start_s:
-                    hit = w
-        return hit
+        edges, states = self._crash
+        i = bisect_right(edges, start)
+        state = states[i]
+        if state is None:
+            # No window covers ``start``, so the next edge is the
+            # earliest crash start after it, if any.
+            if i == len(edges):
+                return None
+            state = states[i + 1]
+        # A window covering ``start`` starts no later than any window
+        # that begins after it.
+        hit = state[1]
+        return hit if hit.start_s < end else None
 
     def next_available(self, t: float) -> float:
         """Earliest time >= ``t`` the server is outside any crash window."""
-        at = t
-        # Windows may chain; a few passes settle any realistic plan.
-        for _ in range(len(self.faults.crashes) + 1):
-            w = self.crashed_at(at)
-            if w is None:
-                return at
-            at = w.end_s
-        return at
+        edges, states = self._crash
+        state = states[bisect_right(edges, t)]
+        return t if state is None else state[2]
 
     # -- keyed stochastic faults ---------------------------------------------
+
+    def _hit_chunk(self, chunk: int) -> bytes:
+        first = chunk << _CHUNK_BITS
+        index = np.arange(first, first + (1 << _CHUNK_BITS), dtype=np.int64)
+        u = hashed_uniform_array(
+            self.seed, self._name_key, _STREAM_STRAGGLER, index
+        )
+        hits = (u < self.faults.stragglers.probability).tobytes()
+        self._straggler_hits[chunk] = hits
+        return hits
 
     def straggler_multiplier(self, batch_index: int, attempt: int = 0) -> float:
         """Service-time multiplier for one batch (1.0 = no straggler).
 
         ``attempt`` > 0 re-rolls independently (hedged/retried RPCs get
         fresh queue luck); attempt 0 reproduces the legacy keying so
-        existing seeds are unchanged.
+        existing seeds are unchanged. Whether attempt 0 straggles is
+        read from a chunk of array draws; only a hit pays a scalar
+        draw, for its Pareto tail.
         """
         spec = self.faults.stragglers
         if spec.probability <= 0.0:
             return 1.0
         if attempt == 0:
-            u = hashed_uniform(self.seed, self._name_key, _STREAM_STRAGGLER,
-                               batch_index)
-        else:
-            u = hashed_uniform(self.seed, self._name_key, _STREAM_STRAGGLER,
-                               batch_index, 2, attempt)
-        if u >= spec.probability:
-            return 1.0
-        # Second, decorrelated draw shapes the Pareto tail.
-        if attempt == 0:
+            chunk = batch_index >> _CHUNK_BITS
+            hits = self._straggler_hits.get(chunk)
+            if hits is None:
+                hits = self._hit_chunk(chunk)
+            if not hits[batch_index & _CHUNK_MASK]:
+                return 1.0
+            # Second, decorrelated draw shapes the Pareto tail.
             v = hashed_uniform(self.seed, self._name_key, _STREAM_STRAGGLER,
                                batch_index, 1)
         else:
+            u = hashed_uniform(self.seed, self._name_key, _STREAM_STRAGGLER,
+                               batch_index, 2, attempt)
+            if u >= spec.probability:
+                return 1.0
             v = hashed_uniform(self.seed, self._name_key, _STREAM_STRAGGLER,
                                batch_index, 3, attempt)
         mult = (1.0 - v) ** (-1.0 / spec.alpha)
