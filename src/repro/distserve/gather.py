@@ -289,7 +289,6 @@ class ShardGatherModel:
         )
 
     def _build_plan(self, batch_size: int) -> _GatherPlan:
-        hardware = self.layout.hardware
         replicate = self.policy.replicate
         remote = [
             p for p in self.layout.partition(batch_size) if not p.shard.local
@@ -298,15 +297,6 @@ class ShardGatherModel:
         for part in remote:
             shard = part.shard
             ws = shard.work_scale
-            injector = self.injectors[shard.name]
-
-            def piece(holders, hot: int, cold: int, work: float) -> _Piece:
-                return _Piece(
-                    shard.name, injector, holders, hot, cold, ws,
-                    self.rpc_seconds(hot + cold, ws),
-                    hardware.lookup_seconds(work),
-                )
-
             # Hot/cold split is a *layout* property: hot rows are cached
             # on their holders whether or not replicated reads are on.
             n_hot = (
@@ -319,17 +309,27 @@ class ShardGatherModel:
             if replicate is not None and shard.replica_names and n_hot > 0:
                 # Race the replicated hot set across holders; the cold
                 # remainder only lives here, so it goes out alone.
-                holders = (injector,) + tuple(
-                    self.injectors[name] for name in
-                    shard.replica_names[: max(0, replicate.replicas - 1)]
+                holders = tuple(
+                    self.injectors[name] for name in (shard.name,)
+                    + shard.replica_names[: max(0, replicate.replicas - 1)]
                 )
-                pieces.append(piece(holders, n_hot, 0, hot_work))
+                pieces.append(self._piece(shard, holders, n_hot, 0, hot_work))
                 if n_cold > 0:
-                    pieces.append(piece((), 0, n_cold, cold_work))
+                    pieces.append(self._piece(shard, (), 0, n_cold, cold_work))
             else:
-                pieces.append(piece((), n_hot, n_cold, hot_work + cold_work))
+                pieces.append(self._piece(shard, (), n_hot, n_cold,
+                                          hot_work + cold_work))
         return _GatherPlan(
             tuple(pieces), len(remote), sum(p.lookups for p in remote)
+        )
+
+    def _piece(self, shard, holders, hot: int, cold: int,
+               work: float) -> _Piece:
+        ws = shard.work_scale
+        return _Piece(
+            shard.name, self.injectors[shard.name], holders, hot, cold, ws,
+            self.rpc_seconds(hot + cold, ws),
+            self.layout.hardware.lookup_seconds(work),
         )
 
     def start_run(self) -> "GatherRun":

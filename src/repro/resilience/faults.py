@@ -80,10 +80,6 @@ def _key_column(key: Any) -> np.ndarray:
     if column.dtype.kind in "iu":
         # A signed -> unsigned cast wraps two's complement, mod 2**64.
         return column.astype(np.uint64)
-    if column.dtype == object:
-        return np.array(
-            [int(k) & _MASK64 for k in column.ravel()], dtype=np.uint64
-        ).reshape(column.shape)
     raise TypeError(
         f"key_columns must hold integers, got dtype {column.dtype}"
     )

@@ -124,15 +124,15 @@ class TestHashedUniformArray:
             for i in index
         ]
 
-    @given(st.lists(_KEYS, min_size=1, max_size=20), _KEYS)
-    def test_signed_and_object_columns_wrap(self, column, key):
-        expected = [hashed_uniform(key, k) for k in column]
-        as_objects = np.array(column, dtype=object)
-        assert hashed_uniform_array(key, as_objects).tolist() == expected
-        in_int64 = [k for k in column if -(2**63) <= k < 2**63]
+    @given(
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                 min_size=1, max_size=20),
+        _KEYS,
+    )
+    def test_signed_columns_wrap(self, column, key):
         assert hashed_uniform_array(
-            key, np.array(in_int64, dtype=np.int64)
-        ).tolist() == [hashed_uniform(key, k) for k in in_int64]
+            key, np.array(column, dtype=np.int64)
+        ).tolist() == [hashed_uniform(key, k) for k in column]
 
     def test_columns_broadcast(self):
         rows = np.arange(3, dtype=np.int64)[:, None]
