@@ -35,7 +35,7 @@ hash as replica faults, so toggling any gather policy never reshuffles
 which RPCs are unlucky. Because the keys are counters, the draws are
 table reads: each shard's injector answers window questions by
 bisection and attempt-0 straggler hits from array-hashed chunks, and a
-batch size's RPC pieces (bytes, network and lookup seconds) are
+batch size's RPC pieces (lookups, network and lookup seconds) are
 computed once and reused by every gather of that size.
 """
 
