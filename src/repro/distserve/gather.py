@@ -46,7 +46,7 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.distserve.placement import ShardLayout
+from repro.distserve.placement import ShardInfo, ShardLayout
 from repro.distserve.topology import NetworkModel
 from repro.resilience.faults import FaultInjector, FaultPlan, check_real
 
@@ -323,8 +323,8 @@ class ShardGatherModel:
             tuple(pieces), len(remote), sum(p.lookups for p in remote)
         )
 
-    def _piece(self, shard, holders, hot: int, cold: int,
-               work: float) -> _Piece:
+    def _piece(self, shard: ShardInfo, holders: Tuple[FaultInjector, ...],
+               hot: int, cold: int, work: float) -> _Piece:
         ws = shard.work_scale
         return _Piece(
             shard.name, self.injectors[shard.name], holders, hot, cold, ws,
