@@ -33,10 +33,10 @@ Determinism: every stochastic decision is keyed by
 ``(seed, shard, gather index, attempt)`` through the same splitmix64
 hash as replica faults, so toggling any gather policy never reshuffles
 which RPCs are unlucky. Because the keys are counters, the draws are
-table reads: each shard's injector answers window questions by
-bisection and attempt-0 straggler hits from array-hashed chunks, and a
-batch size's RPC pieces (lookups, network and lookup seconds) are
-computed once and reused by every gather of that size.
+table reads: each shard's injector reads attempt-0 straggler hits from
+array-hashed chunks, and a batch size's RPC pieces (lookups, network
+and lookup seconds) are computed once and reused by every gather of
+that size.
 """
 
 from __future__ import annotations
@@ -186,20 +186,6 @@ class GatherOutcome:
     #: critical-path ``max`` above — recording them never changes
     #: :attr:`seconds`.
     pieces: Tuple[Tuple[str, float, bool], ...] = ()
-
-
-def _outcome(
-    seconds: float, fanout: int, hedged: int, imputed: int, cached: int,
-    partial: bool, blocked: bool, pieces: Tuple[Tuple[str, float, bool], ...],
-) -> GatherOutcome:
-    """A :class:`GatherOutcome` built without the frozen dataclass's
-    ``object.__setattr__`` per field (one gather per batch)."""
-    out = object.__new__(GatherOutcome)
-    out.__dict__.update(
-        seconds=seconds, fanout=fanout, hedged=hedged, imputed=imputed,
-        cached=cached, partial=partial, blocked=blocked, pieces=pieces,
-    )
-    return out
 
 
 #: A colocated layout's gather: exactly zero overhead.
@@ -559,12 +545,19 @@ class GatherRun:
             counts["partial_gathers"] += 1
         if blocked:
             counts["blocked_gathers"] += 1
-        return _outcome(
-            fanout * net.client_issue_s + worst
-            + fanout * net.merge_s_per_shard,
-            fanout,
-            int(counts["hedged_rpcs"] - hedged_before), imputed, cached,
-            lost_any, blocked, tuple(piece_detail),
+        return GatherOutcome(
+            seconds=(
+                fanout * net.client_issue_s
+                + worst
+                + fanout * net.merge_s_per_shard
+            ),
+            fanout=fanout,
+            hedged=int(counts["hedged_rpcs"] - hedged_before),
+            imputed=imputed,
+            cached=cached,
+            partial=lost_any,
+            blocked=blocked,
+            pieces=tuple(piece_detail),
         )
 
     def _blocked_recover(

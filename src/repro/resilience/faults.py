@@ -15,10 +15,9 @@ through a splitmix64 hash, so toggling a resilience policy on or off
 never reshuffles which queries are unlucky. That is what makes
 policy-on vs. policy-off comparisons under the same seed fair.
 
-Because every draw is a pure function of its keys, an injector reads
-its answers from tables: the windows become piecewise-constant
-segments looked up by bisection, and which batch indices straggle is
-hashed a chunk of indices at a time (:func:`hashed_uniform_array`).
+Because every draw is a pure function of its keys, an injector hashes
+which batch indices straggle a chunk of indices at a time
+(:func:`hashed_uniform_array`) and reads the answers from that table.
 """
 
 from __future__ import annotations
@@ -26,11 +25,8 @@ from __future__ import annotations
 import math
 import numbers
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
-)
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -403,70 +399,12 @@ _CHUNK_BITS = 10
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
-def _segments(
-    windows: Sequence[Any], value_at: Callable[[float], Any]
-) -> Tuple[List[float], List[Any]]:
-    """A window list as a piecewise-constant function of time.
-
-    Returns ``(edges, values)``: the sorted distinct window starts and
-    ends, and ``values[i]``, the answer for every ``t`` with
-    ``edges[i-1] <= t < edges[i]`` (``values[0]`` before the first
-    edge, ``values[-1]`` from the last one on), so a lookup is
-    ``values[bisect_right(edges, t)]``. Every window is half-open, so
-    which windows are active is constant on a segment: ``value_at``
-    runs once, at the segment's first instant.
-    """
-    edges = sorted({w.start_s for w in windows} | {w.end_s for w in windows})
-    return edges, [value_at(-math.inf)] + [value_at(e) for e in edges]
-
-
-def _product(windows: Sequence[Any], attr: str) -> Callable[[float], float]:
-    """Product of ``attr`` over the windows active at ``t``, multiplied
-    in list order."""
-
-    def value_at(t: float) -> float:
-        out = 1.0
-        for w in windows:
-            if w.start_s <= t < w.end_s:
-                out *= getattr(w, attr)
-        return out
-
-    return value_at
-
-
-def _crash_state(
-    crashes: Sequence[CrashWindow],
-) -> Callable[[float], Optional[Tuple[CrashWindow, CrashWindow, float]]]:
-    """At ``t``: None outside every crash, else (the first active window
-    in list order, the earliest-starting active one — list order breaks
-    ties — and the first instant outside every crash from ``t`` on).
-    Overlapping windows chain: recovery jumps window end to window end."""
-
-    def active(t: float) -> list:
-        return [w for w in crashes if w.start_s <= t < w.end_s]
-
-    def value_at(t: float):
-        hits = active(t)
-        if not hits:
-            return None
-        at = hits[0].end_s
-        while True:
-            chained = active(at)
-            if not chained:
-                break
-            at = chained[0].end_s
-        return hits[0], min(hits, key=lambda w: w.start_s), at
-
-    return value_at
-
-
 class FaultInjector:
     """Deterministic per-replica fault oracle.
 
     All methods are pure functions of the construction arguments —
     calling them in any order, any number of times, yields the same
-    answers. Window answers are read from :func:`_segments` tables
-    built here; attempt-0 straggler hits from chunks of
+    answers. Attempt-0 straggler hits are read from chunks of
     :func:`hashed_uniform_array` draws built on first use.
     """
 
@@ -475,13 +413,6 @@ class FaultInjector:
         self.seed = int(seed)
         self.server_name = server_name
         self._name_key = zlib.crc32(server_name.encode("utf-8"))
-        self._slowdown = _segments(
-            faults.slowdowns, _product(faults.slowdowns, "multiplier")
-        )
-        self._pcie = _segments(
-            faults.pcie, _product(faults.pcie, "bandwidth_scale")
-        )
-        self._crash = _segments(faults.crashes, _crash_state(faults.crashes))
         #: chunk -> one byte per batch index, 1 where attempt 0 straggles.
         self._straggler_hits: Dict[int, bytes] = {}
 
@@ -489,41 +420,46 @@ class FaultInjector:
 
     def slowdown_multiplier(self, t: float) -> float:
         """Product of every slowdown window active at ``t`` (>= 1)."""
-        edges, values = self._slowdown
-        return values[bisect_right(edges, t)]
+        mult = 1.0
+        for w in self.faults.slowdowns:
+            if w.start_s <= t < w.end_s:
+                mult *= w.multiplier
+        return mult
 
     def pcie_scale(self, t: float) -> float:
         """Effective PCIe bandwidth scale at ``t`` (1.0 = healthy)."""
-        edges, values = self._pcie
-        return values[bisect_right(edges, t)]
+        scale = 1.0
+        for w in self.faults.pcie:
+            if w.start_s <= t < w.end_s:
+                scale *= w.bandwidth_scale
+        return scale
 
     def crashed_at(self, t: float) -> Optional[CrashWindow]:
         """The crash window covering ``t``, if any (the first listed)."""
-        edges, states = self._crash
-        state = states[bisect_right(edges, t)]
-        return None if state is None else state[0]
+        for w in self.faults.crashes:
+            if w.start_s <= t < w.end_s:
+                return w
+        return None
 
     def crash_during(self, start: float, end: float) -> Optional[CrashWindow]:
         """Earliest crash window intersecting [start, end), if any."""
-        edges, states = self._crash
-        i = bisect_right(edges, start)
-        state = states[i]
-        if state is None:
-            # No window covers ``start``, so the next edge is the
-            # earliest crash start after it, if any.
-            if i == len(edges):
-                return None
-            state = states[i + 1]
-        # A window covering ``start`` starts no later than any window
-        # that begins after it.
-        hit = state[1]
-        return hit if hit.start_s < end else None
+        hit: Optional[CrashWindow] = None
+        for w in self.faults.crashes:
+            if w.start_s < end and w.end_s > start:
+                if hit is None or w.start_s < hit.start_s:
+                    hit = w
+        return hit
 
     def next_available(self, t: float) -> float:
         """Earliest time >= ``t`` the server is outside any crash window."""
-        edges, states = self._crash
-        state = states[bisect_right(edges, t)]
-        return t if state is None else state[2]
+        at = t
+        # Overlapping windows chain; each window is left at most once.
+        for _ in range(len(self.faults.crashes) + 1):
+            w = self.crashed_at(at)
+            if w is None:
+                return at
+            at = w.end_s
+        return at
 
     # -- keyed stochastic faults ---------------------------------------------
 

@@ -1,12 +1,10 @@
-"""The fault injector's tables against the scans they replaced.
+"""The fault injector's straggler tables against the scalar hash.
 
-A :class:`FaultInjector` answers window questions from piecewise-constant
-tables looked up by bisection, and reads whether an attempt-0 batch
-straggles from chunks of :func:`hashed_uniform_array` draws. Each is
-checked here against a trusted reference: the scalar
-:func:`hashed_uniform`, and the linear window scans kept below as the
-oracle. The shard gather's count gate, and the boundary checks that
-keep a NaN out of the tables, live here too.
+A :class:`FaultInjector` reads whether an attempt-0 batch straggles
+from chunks of :func:`hashed_uniform_array` draws; both are checked
+here against the scalar :func:`hashed_uniform`, bit for bit. The window
+answers' edge and overlap rules, the shard gather's count gate, and the
+boundary checks that keep a NaN out of every fault spec live here too.
 """
 
 import math
@@ -42,41 +40,7 @@ _U64 = st.integers(min_value=0, max_value=2**64 - 1)
 _KEYS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
 
 
-# -- the linear scans the tables replaced (the oracle) --------------------
-
-
-def scan_product(windows, attr, t):
-    out = 1.0
-    for w in windows:
-        if w.start_s <= t < w.end_s:
-            out *= getattr(w, attr)
-    return out
-
-
-def scan_crashed_at(crashes, t):
-    for w in crashes:
-        if w.start_s <= t < w.end_s:
-            return w
-    return None
-
-
-def scan_crash_during(crashes, start, end):
-    hit = None
-    for w in crashes:
-        if w.start_s < end and w.end_s > start:
-            if hit is None or w.start_s < hit.start_s:
-                hit = w
-    return hit
-
-
-def scan_next_available(crashes, t):
-    at = t
-    for _ in range(len(crashes) + 1):
-        w = scan_crashed_at(crashes, at)
-        if w is None:
-            return at
-        at = w.end_s
-    return at
+# -- the scalar straggler draw (the oracle) ---------------------------------
 
 
 def scan_straggler(spec, seed, name_key, batch_index, attempt=0):
@@ -146,90 +110,43 @@ class TestHashedUniformArray:
             hashed_uniform_array(1, np.array([0.5]))
 
 
-# -- window tables == window scans ------------------------------------------
-
-#: Window edges on a coarse grid, so windows share edges, overlap, nest
-#: and abut, and lookups land exactly on edges.
-_EDGE = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+# -- window answers ------------------------------------------------------------
 
 
-@st.composite
-def _spans(draw, max_size=5):
-    out = []
-    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
-        a, b = sorted(draw(st.tuples(_EDGE, _EDGE)))
-        if a == b:
-            b = a + 0.25
-        out.append((a, b))
-    return out
-
-
-_FACTORS = st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.25, 1.1])
-_SCALES = st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.1, 0.9])
-
-
-@st.composite
-def _server_faults(draw):
-    slowdowns = tuple(
-        SlowdownWindow(a, b, draw(_FACTORS)) for a, b in draw(_spans())
-    )
-    pcie = tuple(
-        PcieDegradationWindow(a, b, draw(_SCALES)) for a, b in draw(_spans())
-    )
-    # Built without a FaultPlan, so crash windows may overlap.
-    crashes = tuple(CrashWindow(a, b) for a, b in draw(_spans()))
-    return ServerFaults(slowdowns=slowdowns, crashes=crashes, pcie=pcie)
-
-
-def _instants(f):
-    """Every edge, points between and around them, and out of range."""
-    edges = sorted({w.start_s for w in f.slowdowns + f.crashes + f.pcie}
-                   | {w.end_s for w in f.slowdowns + f.crashes + f.pcie})
-    points = set(edges) | {-1.0, 0.0, 0.1, 3.3, 100.0, math.inf}
-    points |= {math.nextafter(e, -math.inf) for e in edges}
-    points |= {(a + b) / 2 for a, b in zip(edges, edges[1:])}
-    return sorted(points)
-
-
-class TestWindowTables:
-    @given(_server_faults())
-    def test_tables_equal_scans(self, f):
-        inj = FaultInjector(f, seed=3, server_name="s")
-        for t in _instants(f):
-            assert inj.slowdown_multiplier(t) == scan_product(
-                f.slowdowns, "multiplier", t
-            )
-            assert inj.pcie_scale(t) == scan_product(
-                f.pcie, "bandwidth_scale", t
-            )
-            assert inj.crashed_at(t) is scan_crashed_at(f.crashes, t)
-            assert inj.next_available(t) == scan_next_available(
-                f.crashes, t
-            )
-
-    @given(_server_faults(), st.data())
-    def test_crash_during_equals_scan(self, f, data):
-        inj = FaultInjector(f, seed=3, server_name="s")
-        instants = _instants(f)
-        for start in instants:
-            for end in (start, math.nextafter(start, math.inf),
-                        data.draw(st.sampled_from(instants))):
-                assert inj.crash_during(start, end) is scan_crash_during(
-                    f.crashes, start, end
-                )
+class TestWindows:
+    def test_windows_are_half_open(self):
+        before, last = math.nextafter(1.0, -math.inf), math.nextafter(2.0, 0)
+        crash = CrashWindow(1.0, 2.0)
+        inj = FaultInjector(ServerFaults(
+            slowdowns=(SlowdownWindow(1.0, 2.0, 3.0),),
+            pcie=(PcieDegradationWindow(1.0, 2.0, 0.5),),
+            crashes=(crash,),
+        ), 0, "s")
+        for t, mult, scale, down in ((before, 1.0, 1.0, None),
+                                     (1.0, 3.0, 0.5, crash),
+                                     (last, 3.0, 0.5, crash),
+                                     (2.0, 1.0, 1.0, None)):
+            assert inj.slowdown_multiplier(t) == mult
+            assert inj.pcie_scale(t) == scale
+            assert inj.crashed_at(t) is down
+            assert inj.next_available(t) == (t if down is None else 2.0)
+        assert inj.crash_during(0.0, 1.0) is None
+        assert inj.crash_during(2.0, 3.0) is None
+        assert inj.crash_during(before, math.nextafter(1.0, 2.0)) is crash
 
     def test_overlapping_windows_multiply_in_list_order(self):
-        # 0.1 * 0.3 * 0.7 rounds differently from 0.7 * 0.3 * 0.1.
+        # 0.7 * 0.3 * 0.1 rounds differently from 0.1 * 0.3 * 0.7.
         windows = [PcieDegradationWindow(0.0, 2.0, 0.7),
                    PcieDegradationWindow(0.5, 2.0, 0.3),
                    PcieDegradationWindow(1.0, 2.0, 0.1)]
-        for order in (windows, windows[::-1]):
-            inj = FaultInjector(ServerFaults(pcie=order), 0, "s")
-            assert inj.pcie_scale(1.5) == scan_product(
-                order, "bandwidth_scale", 1.5
-            )
+        forward = FaultInjector(ServerFaults(pcie=windows), 0, "s")
+        reverse = FaultInjector(ServerFaults(pcie=windows[::-1]), 0, "s")
+        assert forward.pcie_scale(1.5) == 0.7 * 0.3 * 0.1
+        assert reverse.pcie_scale(1.5) == 0.1 * 0.3 * 0.7
+        assert forward.pcie_scale(1.5) != reverse.pcie_scale(1.5)
 
     def test_chained_overlapping_crashes(self):
+        # Built without a FaultPlan, so the crash windows may overlap.
         crashes = (CrashWindow(1.0, 3.0), CrashWindow(0.5, 1.5),
                    CrashWindow(2.5, 4.0), CrashWindow(4.0, 4.5))
         inj = FaultInjector(ServerFaults(crashes=crashes), 0, "s")
@@ -238,6 +155,12 @@ class TestWindowTables:
         assert inj.crash_during(1.2, 1.3) is crashes[1]
         assert inj.crash_during(0.0, 0.5) is None
         assert inj.crash_during(0.0, 0.6) is crashes[1]
+
+    def test_crash_during_breaks_start_ties_in_list_order(self):
+        crashes = (CrashWindow(1.0, 2.0), CrashWindow(1.0, 3.0))
+        for order in (crashes, crashes[::-1]):
+            inj = FaultInjector(ServerFaults(crashes=order), 0, "s")
+            assert inj.crash_during(0.0, 1.5) is order[0]
 
 
 class TestStragglerChunks:
