@@ -84,8 +84,8 @@ from repro.monitor import (
 from repro.monitor.scenario import (
     SCENARIOS,
     build_scenario,
+    monitor_setup,
     replica_scenario_names,
-    run_monitored_scenario,
     run_policy_matrix,
     service_model_for,
     shard_scenario_names,
@@ -927,27 +927,27 @@ def _monitor_alerts(summary, source, rules):
     return alerts
 
 
-def _monitored_kwargs(args) -> dict:
-    """The ``monitor`` / ``explain`` scenario flags as run keywords."""
-    kwargs = dict(
+def _monitored_setup(args):
+    """The ``monitor`` / ``explain`` scenario, built (and calibrated)
+    before any trace capture starts, so a trace holds only the serving
+    run and two runs at one seed write the same file."""
+    overrides = None
+    if args.slowdown_multiplier is not None:
+        overrides = {"slowdown_multiplier": args.slowdown_multiplier}
+    return _or_exit(
+        build_scenario, args.model, args.platform, args.scenario,
         batch_size=args.batch_size, queries=args.queries, qps=args.qps,
         seed=args.seed, fallback=args.fallback,
         window_s=None if args.window_ms is None else args.window_ms * 1e-3,
+        scenario_overrides=overrides,
     )
-    if args.slowdown_multiplier is not None:
-        kwargs["scenario_overrides"] = {
-            "slowdown_multiplier": args.slowdown_multiplier
-        }
-    return kwargs
 
 
 def _cmd_monitor(args) -> Tuple[str, int]:
     rules = _load_rules(args.rules)
+    setup = _monitored_setup(args)
     with _capturing(args.trace) as (tracer, registry):
-        ms = _or_exit(
-            run_monitored_scenario, args.model, args.platform, args.scenario,
-            **_monitored_kwargs(args),
-        )
+        ms = monitor_setup(setup)
 
     summary = ms.timeseries.summary()
     # Burn rates read the live TimeSeries: per-window histograms make
@@ -1012,7 +1012,7 @@ def _cmd_monitor(args) -> Tuple[str, int]:
 
 
 def _cmd_explain(args) -> Tuple[str, int]:
-    from repro.explain import explain_scenario, render_html, render_markdown
+    from repro.explain import explain_setup, render_html, render_markdown
     from repro.explain import render_text as render_explain_text
     from repro.telemetry.querytrace import COMPONENTS
 
@@ -1023,11 +1023,9 @@ def _cmd_explain(args) -> Tuple[str, int]:
             f"{', '.join(what_if_knobs)}"
         )
 
+    setup = _monitored_setup(args)
     with _capturing(args.trace) as (tracer, registry):
-        exp, ms = _or_exit(
-            explain_scenario, args.model, args.platform, args.scenario,
-            **_monitored_kwargs(args),
-        )
+        exp, ms = explain_setup(setup)
 
     extra = []
     if args.trace:

@@ -325,16 +325,11 @@ class ShardGatherModel:
 
     def fault_windows(self) -> List[Tuple[str, str, float, float]]:
         """(shard, kind, start, end) for every injected shard window."""
-        out: List[Tuple[str, str, float, float]] = []
-        for name in self.layout.names:
-            faults = self.fault_plan.for_server(name)
-            for w in faults.slowdowns:
-                out.append((name, "slowdown", w.start_s, w.end_s))
-            for w in faults.crashes:
-                out.append((name, "crash", w.start_s, w.end_s))
-            for w in faults.pcie:
-                out.append((name, "network", w.start_s, w.end_s))
-        return out
+        return [
+            (name, "network" if kind == "pcie" else kind, w.start_s, w.end_s)
+            for name in self.layout.names
+            for kind, w in self.fault_plan.for_server(name).windows()
+        ]
 
     def emit_fault_windows(self, ts: "TimeSeries") -> None:
         """Shard windows -> ``faults.window_active_s`` + shard states.

@@ -9,12 +9,13 @@ verdicts (is the excursion explained by the injected fault). See
 docs/observability.md ("Critical path & explain").
 """
 
-from repro.explain.engine import Explanation, explain_scenario
+from repro.explain.engine import Explanation, explain_scenario, explain_setup
 from repro.explain.report import render_html, render_markdown, render_text
 
 __all__ = [
     "Explanation",
     "explain_scenario",
+    "explain_setup",
     "render_html",
     "render_markdown",
     "render_text",

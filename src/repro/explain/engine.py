@@ -45,7 +45,7 @@ from repro.telemetry.querytrace import (
     QueryTraceRecord,
 )
 
-__all__ = ["Explanation", "explain_scenario"]
+__all__ = ["Explanation", "explain_scenario", "explain_setup"]
 
 #: Percentiles every profile table reports.
 PERCENTILES = (50.0, 95.0, 99.0)
@@ -467,21 +467,33 @@ def explain_scenario(
     capture: Optional[QueryTraceCapture] = None,
     **scenario_kwargs: Any,
 ) -> Tuple[Explanation, Any]:
-    """Run one monitored scenario under query-trace capture and explain
-    it. Returns ``(explanation, monitored_scenario)`` — the shared glue
-    the CLI and the golden tests both call, mirroring
-    :func:`~repro.monitor.run_monitored_scenario`.
+    """Build one scenario (``scenario_kwargs`` go to
+    :func:`~repro.monitor.scenario.build_scenario`) and explain its
+    monitored run with :func:`explain_setup`. Returns ``(explanation,
+    monitored_scenario)``, mirroring
+    :func:`~repro.monitor.run_monitored_scenario`."""
+    from repro.monitor.scenario import build_scenario
+
+    return explain_setup(
+        build_scenario(model, platform, scenario, **scenario_kwargs), capture
+    )
+
+
+def explain_setup(
+    setup: Any, capture: Optional[QueryTraceCapture] = None
+) -> Tuple[Explanation, Any]:
+    """Run a built scenario under query-trace capture and explain it:
+    the shared glue the CLI and the golden tests both call. Returns
+    ``(explanation, monitored_scenario)``.
 
     The fault-overlap slack is the scenario's telemetry window, so
     batches that started inside a fault window but finished just after
     it still count as overlapping.
     """
-    from repro.monitor import run_monitored_scenario
+    from repro.monitor.scenario import monitor_setup
 
     qt = capture if capture is not None else QueryTraceCapture()
-    ms = run_monitored_scenario(
-        model, platform, scenario, querytrace=qt, **scenario_kwargs
-    )
+    ms = monitor_setup(setup, qt)
     meta_keys = (
         "model", "platform", "scenario", "seed", "queries", "qps",
         "deadline_s", "horizon_s", "fallback",

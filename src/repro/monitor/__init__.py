@@ -35,6 +35,7 @@ from repro.monitor.report import MonitorReport
 from repro.monitor.scenario import (
     SCENARIOS,
     MonitoredScenario,
+    monitor_setup,
     run_monitored_scenario,
     scenario_kwargs,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "detect_regime_shifts",
     "detect_tail_excursions",
     "evaluate_burn_rates",
+    "monitor_setup",
     "run_monitored_scenario",
     "scenario_kwargs",
     "utilization_series",

@@ -3,7 +3,7 @@
 The scenario table is the single source of truth for what the serving
 subcommands inject, and :func:`build_scenario` is the one place a named
 scenario becomes a fleet, a fault plan and a policy set. The runners —
-:func:`run_monitored_scenario` (``repro monitor`` / ``explain``) and
+:func:`monitor_setup` (``repro monitor`` / ``explain``) and
 :func:`run_policy_matrix` (``repro resilience``) — are thin layers over
 it, and the CLI only renders what they return, so CLI output and test
 pins cannot drift apart.
@@ -41,6 +41,7 @@ __all__ = [
     "build_scenario",
     "MonitoredScenario",
     "run_monitored_scenario",
+    "monitor_setup",
     "PolicyMatrix",
     "run_policy_matrix",
 ]
@@ -167,15 +168,11 @@ class ScenarioSetup:
 
     def fault_windows(self):
         """All injected (start_s, end_s, kind) windows, sorted by start."""
-        windows = []
-        for name, faults in self.plan.servers.items():
-            for w in faults.slowdowns:
-                windows.append((w.start_s, w.end_s, f"{name}.slowdown"))
-            for w in faults.crashes:
-                windows.append((w.start_s, w.end_s, f"{name}.crash"))
-            for w in faults.pcie:
-                windows.append((w.start_s, w.end_s, f"{name}.pcie"))
-        return sorted(windows)
+        return sorted(
+            (w.start_s, w.end_s, f"{name}.{kind}")
+            for name, faults in self.plan.servers.items()
+            for kind, w in faults.windows()
+        )
 
     def policy_with(self, *parts: str) -> ResiliencePolicy:
         """The scenario's policy restricted to ``parts`` (none: off)."""
@@ -329,19 +326,29 @@ def run_monitored_scenario(
     querytrace: Any = None,
 ) -> MonitoredScenario:
     """Run one fault scenario with windowed telemetry attached: the
-    :func:`build_scenario` setup under its full policy set (the
-    ``repro resilience`` "faults + all" row), instrumented with a
-    :class:`TimeSeries` and, when given, ``querytrace``."""
-    setup = build_scenario(
-        model_name, platform, scenario, batch_size=batch_size,
-        queries=queries, qps=qps, seed=seed, window_s=window_s,
-        fallback=fallback, scenario_overrides=scenario_overrides,
+    :func:`build_scenario` setup, run by :func:`monitor_setup`."""
+    return monitor_setup(
+        build_scenario(
+            model_name, platform, scenario, batch_size=batch_size,
+            queries=queries, qps=qps, seed=seed, window_s=window_s,
+            fallback=fallback, scenario_overrides=scenario_overrides,
+        ),
+        querytrace,
     )
+
+
+def monitor_setup(
+    setup: ScenarioSetup, querytrace: Any = None
+) -> MonitoredScenario:
+    """Run a built scenario under its full policy set (the ``repro
+    resilience`` "faults + all" row), instrumented with a
+    :class:`TimeSeries` and, when given, ``querytrace``. A caller that
+    traces the run builds the setup first, so the calibration's
+    wall-clock profiles stay out of the trace."""
     timeseries = TimeSeries(window_s=setup.window_s)
-    scheduler = setup.scheduler(
+    result = setup.scheduler(
         setup.policy, timeseries=timeseries, querytrace=querytrace
-    )
-    result = scheduler.run(setup.qps, num_queries=queries)
+    ).run(setup.qps, num_queries=setup.queries)
     return MonitoredScenario(
         **vars(setup), result=result, timeseries=timeseries
     )

@@ -19,7 +19,10 @@ Chrome-trace spans are projections of that log, replayed after the
 loop in loop order. So settlement does not depend on which sinks are
 attached: a batch that finishes on a replica that drops no responses,
 inside every member's retry deadline, settles in one array operation,
-and any other batch settles member by member.
+and any other batch settles member by member. This is the only serving
+loop that takes sinks: the plain scheduler is a bare kernel, so an
+observed single-server run is this engine with one replica named after
+its service model's platform.
 
 **Equivalence contract:** with one replica, a null
 :class:`~repro.resilience.faults.FaultPlan`, and an empty
@@ -40,7 +43,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -148,17 +151,14 @@ class ResilientScheduleResult(ScheduleResult):
         return scalars
 
 
-def _fault_windows(servers: List[ServerState]) -> Iterator[tuple]:
-    """``(server, label, window)`` for every injected window, server by
-    server: slowdowns, crashes, then PCIe degradations."""
-    for s in servers:
-        faults = s.injector.faults
-        for w in faults.slowdowns:
-            yield s, f"slowdown x{w.multiplier:g}", w
-        for w in faults.crashes:
-            yield s, "crash", w
-        for w in faults.pcie:
-            yield s, f"pcie x{w.bandwidth_scale:g}", w
+def _window_label(kind: str, w) -> str:
+    """A fault window's span label: its kind, with the slowdown
+    multiplier or the PCIe bandwidth scale."""
+    if kind == "slowdown":
+        return f"slowdown x{w.multiplier:g}"
+    if kind == "pcie":
+        return f"pcie x{w.bandwidth_scale:g}"
+    return kind
 
 
 #: A run's result counts, and its per-fault counts in report order.
@@ -622,12 +622,16 @@ class ResilientScheduler:
             # Injected windows as active seconds per window, so the
             # monitor ties tail excursions to faults even in windows no
             # batch sampled.
-            for s, label, w in _fault_windows(servers):
-                ts.count_interval("faults.window_active_s", w.start_s, w.end_s)
-                if label == "crash":
-                    ts.mark_state_interval(
-                        f"replica.{s.name}", w.start_s, w.end_s, "crashed"
+            for s in servers:
+                for kind, w in s.injector.faults.windows():
+                    ts.count_interval(
+                        "faults.window_active_s", w.start_s, w.end_s
                     )
+                    if kind == "crash":
+                        ts.mark_state_interval(
+                            f"replica.{s.name}", w.start_s, w.end_s,
+                            "crashed",
+                        )
             if grun is not None:
                 self.gather.emit_fault_windows(ts)
             log.flush(ts, names, latencies)
@@ -657,12 +661,14 @@ class ResilientScheduler:
     ) -> None:
         """The run's spans: every injected fault window, then each
         batch's successful hedge leg and busy period, in loop order."""
-        for s, label, w in _fault_windows(servers):
-            tracer.add_span(
-                f"{s.name}.{label}", w.start_s, w.end_s - w.start_s,
-                category="resilience.fault", tid=REPLICA_LANE_FAULT,
-                pid=REPLICA_PID_BASE + s.index, process=s.name,
-            )
+        for s in servers:
+            for kind, w in s.injector.faults.windows():
+                tracer.add_span(
+                    f"{s.name}.{_window_label(kind, w)}", w.start_s,
+                    w.end_s - w.start_s, category="resilience.fault",
+                    tid=REPLICA_LANE_FAULT, pid=REPLICA_PID_BASE + s.index,
+                    process=s.name,
+                )
         if self.gather is not None:
             self.gather.trace_fault_windows(tracer)
         hedges = iter(log.hedges)

@@ -26,7 +26,7 @@ import math
 import numbers
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,6 +238,16 @@ class ServerFaults:
         object.__setattr__(self, "slowdowns", tuple(self.slowdowns))
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "pcie", tuple(self.pcie))
+
+    def windows(self) -> Iterator[Tuple[str, Any]]:
+        """``(kind, window)`` for every window: the slowdowns, the
+        crashes, then the PCIe (or network) degradations."""
+        for w in self.slowdowns:
+            yield "slowdown", w
+        for w in self.crashes:
+            yield "crash", w
+        for w in self.pcie:
+            yield "pcie", w
 
     @property
     def empty(self) -> bool:

@@ -32,13 +32,10 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry.runlog import RunLog
 
 if TYPE_CHECKING:  # avoid runtime circularity with repro.core
     from repro.core.speedup import SweepResult
     from repro.runtime.session import InferenceProfile
-    from repro.telemetry import TimeSeries
-    from repro.telemetry.querytrace import QueryTraceCapture
 
 __all__ = [
     "ServiceTimeModel",
@@ -374,10 +371,14 @@ class ScheduleResult:
 
 
 class QueryScheduler:
-    """Discrete-event simulation of one batching server.
+    """Discrete-event simulation of one batching server: the bare
+    kernel, which takes no sink.
 
-    A fleet of fault-prone replicas is a
-    :class:`~repro.resilience.ResilientScheduler`, or a named scenario's
+    A run observed through a ``TimeSeries`` or a ``QueryTraceCapture``
+    is a one-replica :class:`~repro.resilience.ResilientScheduler`
+    (``[Replica(service_model.platform, service_model)]``), whose
+    results are bit-identical to this loop's; a fleet of fault-prone
+    replicas is one too, or a named scenario's
     :func:`~repro.monitor.scenario.build_scenario`.
     """
 
@@ -386,22 +387,12 @@ class QueryScheduler:
         service_model: ServiceTimeModel,
         policy: BatchingPolicy,
         seed: int = 2020,
-        *,
-        timeseries: Optional["TimeSeries"] = None,
-        querytrace: Optional["QueryTraceCapture"] = None,
     ) -> None:
         check_policy(policy)
         self.service_model = service_model
         self.policy = policy
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        # Optional windowed telemetry sink. Emission is read-only with
-        # respect to simulation state (no RNG draws, no arithmetic on
-        # the sim's floats), so results with a sink attached are
-        # bit-identical to runs without one — pinned in tests.
-        self.timeseries = timeseries
-        # Optional per-query causal trace; same observational contract.
-        self.querytrace = querytrace
 
     def run(self, arrival_qps: float, num_queries: int = 2000) -> ScheduleResult:
         """Simulate ``num_queries`` Poisson arrivals at ``arrival_qps``."""
@@ -416,8 +407,8 @@ class QueryScheduler:
             for b in range(1, min(max_batch, num_queries) + 1)
         ]
 
-        # The loop records each batch's size and start; sinks replay
-        # them after the run, so they cannot perturb the simulation.
+        # The loop records each batch's size and start; the registry
+        # metrics replay them after the run.
         batch_sizes: List[int] = []
         starts = array("d")
         ready = form.ready
@@ -449,17 +440,6 @@ class QueryScheduler:
         duration = float(server_free_at - first_gap + first_gap)
         if telemetry.enabled():
             self._emit_metrics(arrivals, latencies, batch_sizes, starts)
-        if self.timeseries is not None:
-            self._emit_timeseries(
-                arrivals, latencies, batch_sizes, starts, finishes
-            )
-        if self.querytrace is not None:
-            RunLog.of_plain_run(
-                arrivals, batch_sizes, starts, finishes, service, max_batch
-            ).replay_capture(
-                self.querytrace, arrivals, latencies,
-                [self.service_model.platform],
-            )
         return ScheduleResult(
             queries=num_queries,
             duration_s=duration,
@@ -467,7 +447,7 @@ class QueryScheduler:
             batch_sizes=batch_sizes,
         )
 
-    # -- observation: replays of the recorded batches --------------------------
+    # -- observation: a replay of the recorded batches -------------------------
 
     def _emit_metrics(self, arrivals, latencies, batch_sizes, starts) -> None:
         registry = telemetry.get_registry()
@@ -496,26 +476,6 @@ class QueryScheduler:
             i += batch
         registry.counter("scheduler.queries", **labels).inc(len(latencies))
         registry.counter("scheduler.batches", **labels).inc(len(batch_sizes))
-
-    def _emit_timeseries(
-        self, arrivals, latencies, batch_sizes, starts, finishes
-    ) -> None:
-        ts = self.timeseries
-        ts.count_many("arrivals", arrivals)
-        depths = _queue_depths(arrivals, batch_sizes, starts)
-        i = 0
-        for batch, start, finish, depth in zip(
-            batch_sizes, starts, finishes.tolist(), depths
-        ):
-            ts.count("batches", start)
-            ts.sample("batch_occupancy", start, batch)
-            ts.sample("queue_depth", start, depth)
-            ts.count_interval("busy_s", start, finish)
-            ts.observe_many(
-                "latency_s", np.full(batch, finish), latencies[i:i + batch]
-            )
-            ts.count("completions", finish, batch)
-            i += batch
 
     def max_load_under_sla(
         self,

@@ -4,9 +4,10 @@ The resilient engine's loop observes a run only by appending to a
 :class:`RunLog`. Every view is a projection replayed after the loop, in
 loop order: :meth:`RunLog.flush` fills a ``TimeSeries``,
 :meth:`RunLog.replay_capture` fills a ``QueryTraceCapture`` in
-chunks of settled rows gathered from the columns (the plain
-``QueryScheduler``'s too, through :meth:`RunLog.of_plain_run`), and
-the engine replays its trace spans from the per-batch columns.
+chunks of settled rows gathered from the columns, and the engine
+replays its trace spans from the per-batch columns. The engine is the
+only serving loop that takes sinks: the plain ``QueryScheduler`` is a
+bare kernel, and an observed single-server run is a one-replica engine.
 
 Per-member rows are sparse: only requeued work (retried, or parked
 while the fleet was down) and failed attempts get one; any other
@@ -159,31 +160,6 @@ class RunLog:
         self._chains = None
         self._ends = None
         self._walks = None
-
-    @classmethod
-    def of_plain_run(
-        cls, arrivals, batch_sizes, starts, finishes, service, max_batch
-    ) -> "RunLog":
-        """The log of a single-server run with no faults: every batch
-        settles whole at its finish, one after another."""
-        log = cls(detail=True)
-        sizes = np.asarray(batch_sizes)
-        n = len(batch_sizes)
-        log.start = starts
-        log.size = array("q", batch_sizes)
-        log.server = array("q", bytes(8 * n))
-        log.flags = array("b", bytes(n))
-        # A batch that did not fill starts at its dispatch_at.
-        close = np.where(
-            sizes == max_batch, arrivals[np.cumsum(sizes) - 1],
-            np.frombuffer(starts),
-        )
-        log.close.frombytes(close.tobytes())
-        log.parts = [ServiceParts(base_s=service[b]) for b in batch_sizes]
-        log.done_t.frombytes(finishes.tobytes())
-        log.done_n = log.size
-        log.done_qids = array("q", range(len(arrivals)))
-        return log
 
     # -- appends (the loop) ---------------------------------------------------
 

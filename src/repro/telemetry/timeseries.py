@@ -275,9 +275,6 @@ class _HistogramTrack:
     def observe(self, index: int, value: float) -> None:
         self._hist(index).observe(value)
 
-    def observe_many(self, index: int, values: Sequence[float]) -> None:
-        self._hist(index).observe_many(values)
-
     def merge_window(self, index: int, other: StreamingHistogram) -> None:
         if other.count == 0:
             # Preserve the exact regime of an existing window; never
@@ -635,29 +632,6 @@ class TimeSeries:
         track = self._track(name, "histogram", hist_kwargs=hist_kwargs)
         if self._admit(index):
             track.observe(index, value)
-
-    def observe_many(
-        self,
-        name: str,
-        times: Sequence[float],
-        values: Sequence[float],
-        **hist_kwargs: Any,
-    ) -> None:
-        """Record ``values[k]`` into the window covering ``times[k]``.
-
-        Each window takes its values through
-        :meth:`StreamingHistogram.observe_many`, whose total may differ
-        from per-value calls in the last bit; :meth:`observe_each` is
-        the bit-exact form.
-        """
-        indices = self._indices("times", times)
-        v_arr = _aligned(indices, values)
-        if indices.size == 0:
-            return
-        track = self._track(name, "histogram", hist_kwargs=hist_kwargs)
-        floor = self._admit_all(indices)
-        for index in np.unique(indices[indices >= floor]):
-            track.observe_many(int(index), v_arr[indices == index])
 
     def observe_each(
         self,

@@ -12,13 +12,11 @@ from repro.workloads.generator import (
     operator_breakdown_batch_sizes,
     paper_batch_sizes,
 )
-from repro.workloads.traces import DiurnalTrace, TraceInterval, TraceReplay, replay
+from repro.workloads.traces import DiurnalTrace, TraceInterval
 
 __all__ = [
     "DiurnalTrace",
     "TraceInterval",
-    "TraceReplay",
-    "replay",
     "IndexDistribution",
     "UniformIndices",
     "ZipfIndices",

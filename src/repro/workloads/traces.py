@@ -3,10 +3,10 @@
 DeepRecSys-style capacity studies replay a day of traffic rather than
 a constant rate: load swings sinusoidally between a night-time trough
 and an evening peak, with lognormal noise. ``DiurnalTrace`` generates
-per-interval arrival rates and ``replay`` runs a
-:class:`~repro.runtime.scheduler.QueryScheduler` across them,
-reporting per-interval tail latency — which exposes the classic
-provisioning question (meet the SLA *at peak*, idle at trough).
+the per-interval arrival rates. Replaying them through a serving engine
+waits for engines that run over a given arrival array: one continuous
+run keeps the peak interval's backlog, which a run per interval, each
+starting from an empty queue, would drop.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from typing import List
 
 import numpy as np
 
-from repro.runtime.scheduler import QueryScheduler, ScheduleResult
-
-__all__ = ["DiurnalTrace", "TraceInterval", "TraceReplay", "replay"]
+__all__ = ["DiurnalTrace", "TraceInterval"]
 
 
 @dataclass(frozen=True)
@@ -66,43 +64,3 @@ class DiurnalTrace:
     def daily_queries(self) -> float:
         seconds_per_interval = 86_400.0 / self.intervals_per_day
         return sum(i.arrival_qps for i in self.intervals()) * seconds_per_interval
-
-
-@dataclass
-class TraceReplay:
-    """Replay outcome: one schedule result per trace interval."""
-
-    intervals: List[TraceInterval]
-    results: List[ScheduleResult]
-
-    @property
-    def worst_p99(self) -> float:
-        return max(r.p99 for r in self.results)
-
-    @property
-    def peak_interval(self) -> TraceInterval:
-        idx = int(np.argmax([i.arrival_qps for i in self.intervals]))
-        return self.intervals[idx]
-
-    def sla_violations(self, sla_seconds: float, percentile: float = 99.0) -> int:
-        return sum(
-            1 for r in self.results if not r.meets_sla(sla_seconds, percentile)
-        )
-
-    @property
-    def mean_utilized_batch(self) -> float:
-        return float(np.mean([r.mean_batch_size for r in self.results]))
-
-
-def replay(
-    scheduler: QueryScheduler,
-    trace: DiurnalTrace,
-    queries_per_interval: int = 600,
-) -> TraceReplay:
-    """Run the scheduler across every interval of the trace."""
-    intervals = trace.intervals()
-    results = [
-        scheduler.run(interval.arrival_qps, queries_per_interval)
-        for interval in intervals
-    ]
-    return TraceReplay(intervals=intervals, results=results)

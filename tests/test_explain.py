@@ -1,8 +1,8 @@
 """Tests for per-query critical-path capture and ``repro explain``.
 
 Pins the tentpole contracts: capture is strictly observational (bit-
-identical schedules with capture on or off, across the plain scheduler,
-the resilient scheduler, and the sharded gather path), every completed
+identical schedules with capture on or off, across the resilient
+scheduler and the sharded gather path), every completed
 query is kept and its decomposition sums *exactly* (``==``) to its
 measured latency, the capture's memory per query stays bounded, and the
 acceptance scenario — the 5x GPU throttle — attributes its p99 to the
@@ -24,13 +24,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import SpeedupStudy
 from repro.explain import Explanation, explain_scenario, render_html
 from repro.ledger import diff_records, load_records
 from repro.models import build_model
 from repro.monitor import run_monitored_scenario
 from repro.monitor.scenario import SCENARIOS, build_scenario, service_model_for
-from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
+from repro.resilience import Replica, ResilientScheduler
+from repro.runtime import BatchingPolicy
 from repro.telemetry import querytrace, runlog
 from repro.telemetry.chrome_trace import (
     load_chrome_trace,
@@ -52,12 +52,6 @@ THROTTLE = {"slowdown_multiplier": 5.0}
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    models = {n: build_model(n) for n in ("rm2", "rm3")}
-    return SpeedupStudy(models=models, batch_sizes=[1, 16, 256, 4096]).run()
-
-
-@pytest.fixture(scope="module")
 def throttle():
     """The acceptance scenario: one 5x GPU-throttle window on rm1/t4."""
     return explain_scenario(
@@ -74,6 +68,14 @@ def shard_run():
     )
 
 
+def _one_replica(stm, policy, capture):
+    """The plain loop's run with a capture attached: a fault-free
+    engine with one replica named after the platform."""
+    return ResilientScheduler(
+        [Replica(stm.platform, stm)], policy, seed=SEED, querytrace=capture
+    )
+
+
 def _monitored(scenario, *, capture, queries=600, **kwargs):
     return run_monitored_scenario(
         "rm1", "t4", scenario, queries=queries, seed=SEED,
@@ -83,23 +85,6 @@ def _monitored(scenario, *, capture, queries=600, **kwargs):
 
 class TestObservational:
     """Capture on vs off must be bit-identical — the PR 6 contract."""
-
-    def test_plain_scheduler_bit_identical(self, sweep):
-        stm = ServiceTimeModel(sweep, "rm3", "t4")
-        policy = BatchingPolicy(max_batch=64, batch_timeout_s=0.002)
-
-        def run(capture):
-            return QueryScheduler(
-                stm, policy, seed=3, querytrace=capture
-            ).run(2000, 400)
-
-        base = run(None)
-        qt = QueryTraceCapture()
-        traced = run(qt)
-        assert np.array_equal(base.latencies_s, traced.latencies_s)
-        assert base.batch_sizes == traced.batch_sizes
-        assert len(qt.records) == len(traced.latencies_s)
-        assert all(r.conservation_ok() for r in qt.records.values())
 
     def test_resilient_scheduler_bit_identical(self):
         base = _monitored("mixed", capture=None, fallback="gtx1080ti")
@@ -186,9 +171,9 @@ class TestKeepAll:
 
     @staticmethod
     def _bytes_per_query(queries):
-        """Bytes a capture holds after a plain rm1/t4 run at 0.7x peak,
-        per completed query: what deleting it frees, with the result
-        still alive."""
+        """Bytes a capture holds after a fault-free one-replica rm1/t4
+        run at 0.7x peak, per completed query: what deleting it frees,
+        with the result still alive."""
         stm = service_model_for(build_model("rm1"), "t4", 64)
         policy = BatchingPolicy(max_batch=64, batch_timeout_s=0.002)
         qps = 0.7 * policy.max_batch / stm.seconds(policy.max_batch)
@@ -196,9 +181,7 @@ class TestKeepAll:
         tracemalloc.start()
         try:
             capture = QueryTraceCapture()
-            result = QueryScheduler(
-                stm, policy, seed=SEED, querytrace=capture
-            ).run(qps, queries)
+            result = _one_replica(stm, policy, capture).run(qps, queries)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             completed = capture.completed
@@ -280,16 +263,15 @@ def _plain_run(max_batch):
         stm = service_model_for(build_model("rm1"), "t4", 64)
         policy = BatchingPolicy(max_batch=max_batch, batch_timeout_s=0.002)
         qps = 0.7 * max_batch / stm.seconds(max_batch)
-        QueryScheduler(stm, policy, seed=SEED, querytrace=capture).run(
-            qps, 2500
-        )
+        _one_replica(stm, policy, capture).run(qps, 2500)
     return run
 
 
 #: Runs whose columnar replay must equal the forced scalar walk: every
 #: scenario on rm1/t4 with and without a fallback (hedge legs) and on
 #: rm2/broadwell (shard gathers), the requeued-work runs of the serving
-#: pins (parked, retried, dropped and shed queries), and plain runs.
+#: pins (parked, retried, dropped and shed queries), and the plain
+#: loop's runs on one fault-free replica.
 _WALK_RUNS = {
     **{
         f"{scenario}-{model}-{platform}-{fallback}": _scenario_run(
@@ -999,6 +981,35 @@ class TestCli:
         assert record.has_timeseries()
         assert record.attribution is not None
         assert record.attribution["p99.service_s"] > 0.0
+
+    def test_trace_is_deterministic(self, shard_run, tmp_path):
+        """Two traced runs at one seed write the same bytes: calibration
+        runs before the capture starts, so its wall-clock profile spans
+        stay out, and every serving, flow and fault event stays in."""
+        args = [
+            "explain", "--model", "rm2", "--platform", "broadwell",
+            "--scenario", "shard_slowdown", "--queries", "600",
+            "--seed", str(SEED), "--what-if", "all",
+        ]
+        paths = [tmp_path / "a.trace.json", tmp_path / "b.trace.json"]
+        for path in paths:
+            assert main(args + ["--trace", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+        events = load_chrome_trace(str(paths[0]))["traceEvents"]
+        exp, ms = shard_run
+        by_cat = {}
+        for e in events:
+            by_cat.setdefault((e["ph"], e.get("cat")), []).append(e)
+        assert ("X", "session") not in by_cat
+        assert len(by_cat[("X", "resilience.server")]) == len(
+            ms.result.batch_sizes
+        )
+        assert len(by_cat[("s", "query")]) == ms.result.completed
+        assert len(by_cat[("f", "query")]) == ms.result.completed
+        assert [e["name"] for e in by_cat[("X", "distserve.fault")]] == [
+            f"{name}.{kind}" for name, kind, _, _ in ms.gather.fault_windows()
+        ]
 
     def _record_one(self, tmp_path, name, multiplier):
         ledger = tmp_path / name

@@ -120,7 +120,7 @@ class TestTailExcursions:
         ts = TimeSeries(window_s=1.0)
         for i, p99 in enumerate(window_p99s_ms):
             values = np.full(100, p99 * 1e-3)
-            ts.observe_many("latency_s", np.full(100, i + 0.5), values)
+            ts.observe_each("latency_s", np.full(100, i + 0.5), values)
         return ts
 
     def test_hot_window_flagged_against_median(self):
@@ -152,7 +152,7 @@ class TestBurnRate:
             lat = np.full(100, 1e-3)
             if i in hot:
                 lat[:50] = 10e-3
-            ts.observe_many("latency_s", np.full(100, i + 0.5), lat)
+            ts.observe_each("latency_s", np.full(100, i + 0.5), lat)
         return ts
 
     def _rule(self, **kw):
@@ -419,20 +419,6 @@ class TestBitIdentical:
         from repro.models import build_model
 
         return service_model_for(build_model("rm1"), "t4", 64)
-
-    def test_query_scheduler_unchanged_by_timeseries(self, stm):
-        from repro.runtime import BatchingPolicy, QueryScheduler
-
-        def run(ts):
-            sched = QueryScheduler(
-                stm, BatchingPolicy(max_batch=64), seed=7, timeseries=ts
-            )
-            return sched.run(2000.0, num_queries=400)
-
-        plain = run(None)
-        observed = run(TimeSeries(window_s=0.01))
-        assert np.array_equal(plain.latencies_s, observed.latencies_s)
-        assert np.array_equal(plain.batch_sizes, observed.batch_sizes)
 
     def test_resilient_scheduler_unchanged_by_timeseries(self, stm):
         from repro.resilience import (

@@ -4,8 +4,9 @@ Each digest is a sha256 over the exact float64 bytes of a run's outputs,
 or over the JSON of a sink's state (JSON prints every float with its
 shortest round-trip repr, so equal JSON means equal bits). The pins
 cover the plain ``QueryScheduler`` across batch caps, timeouts and
-loads from light to overload, with the metrics registry,
-``TimeSeries`` and ``QueryTraceCapture`` attached, one retry-heavy
+loads from light to overload, with its metrics registry, and the same
+runs on a one-replica ``ResilientScheduler`` with ``TimeSeries`` and
+``QueryTraceCapture`` attached, one retry-heavy
 ``ResilientScheduler`` run, every named fault scenario as
 ``repro monitor`` runs it, every ``repro shard`` matrix row, and the
 per-piece outcomes of direct shard gathers under every gather policy.
@@ -124,7 +125,9 @@ def _capture_state(capture: QueryTraceCapture, keep=PINNED_RECORDS) -> dict:
 def _plain_runs(stm, policy):
     """Digests over :data:`LOADS`: the bare results, the ``TimeSeries``
     state, the registry's ``scheduler.*`` snapshot of the bare run and
-    the ``QueryTraceCapture`` state."""
+    the ``QueryTraceCapture`` state. The plain loop takes no sink, so
+    the ``TimeSeries`` and the capture observe the same run on a
+    one-replica ``ResilientScheduler`` named after the platform."""
     peak = policy.max_batch / stm.seconds(policy.max_batch)
     bare, series, metrics, captures = [], [], [], []
     for load in LOADS:
@@ -133,10 +136,11 @@ def _plain_runs(stm, policy):
             result = QueryScheduler(stm, policy, seed=11).run(qps, QUERIES)
         ts = TimeSeries(window_s=QUERIES / qps / 16)
         capture = QueryTraceCapture(seed=11)
-        observed = QueryScheduler(
-            stm, policy, seed=11, timeseries=ts, querytrace=capture
+        observed = ResilientScheduler(
+            [Replica(stm.platform, stm)], policy, seed=11,
+            timeseries=ts, querytrace=capture,
         ).run(qps, QUERIES)
-        # Sinks are observational: the observed run equals the bare one.
+        # The one-replica engine with sinks equals the bare loop.
         assert _result_bytes(observed) == _result_bytes(result)
         bare.append(_result_bytes(result))
         series.append(ts.to_state())
@@ -156,37 +160,37 @@ def _plain_runs(stm, policy):
 PLAIN_PINS = {
     (1, 0.0): (
         "f4871a838666639316e537a4c49d9a695fc5013ced4890ab83a34a3f4733965d",
-        "7d7b9c2ab0d3fc59cd0dc01c17f7d5a09fc3f95f376bbfad493fb5d157addae7",
+        "e15c563e834d9de22d331975171ca5d9fd73b70b83c36a474a1e97cad18ecb30",
         "9717bbbac1be0d852c1fc11bc5b13b30088417312298b4c625f2e83be1e6d6de",
         "5b6c32fe341402c9e444aed883061c8080fb9b57e401e1fe85f6c5435ccaf99e",
     ),
     (1, 0.002): (
         "f4871a838666639316e537a4c49d9a695fc5013ced4890ab83a34a3f4733965d",
-        "7d7b9c2ab0d3fc59cd0dc01c17f7d5a09fc3f95f376bbfad493fb5d157addae7",
+        "e15c563e834d9de22d331975171ca5d9fd73b70b83c36a474a1e97cad18ecb30",
         "9717bbbac1be0d852c1fc11bc5b13b30088417312298b4c625f2e83be1e6d6de",
         "5b6c32fe341402c9e444aed883061c8080fb9b57e401e1fe85f6c5435ccaf99e",
     ),
     (7, 0.0): (
         "3bf8e88bf6155d61564900537acaddd306f14a6cf0ce30484f94d761644de5b6",
-        "a758e4e835f13a30b578376d4ff105f1d15f1c42c705122e348a6f9d5068f091",
+        "e24e217eaa194abfbfcc72c8570939df02b31910bcf3c3604b071c4fc6dd9130",
         "4095f908b0bb83f60486ea0c88a51a38ebcb116b7b7c45f4a30d19562b9fb6cd",
         "b8ac381038586f393a480baaec4aaf3b40e3129a8e7f3989bb5e22ed0bc421ac",
     ),
     (7, 0.002): (
         "1c029d19f16d82afc351f4f279b6f9f1623aeb2424f9f366a90ab74b866252b4",
-        "c572438d4ea9ba412d29dfdd4269bf193e8d727febc1913d969c46e6751976c3",
+        "7dd564fec82f8b0f5cc39247d2286dd29aa2a1e4680fd0d8f0937729ff003e6b",
         "b6850d03c1aa3be3c877a599f2cccd1a9d91bb2cb10b17569dba6e03e3476e8f",
         "dbc2c1e65b2d7924b990e6a7f90ad42900e9baaf55f39f53351190251999286b",
     ),
     (64, 0.0): (
         "beed17cdaf6aa69060184f6d97993bffaac807338ae62c010363862dd15007bd",
-        "5a405787a3173700396fe33796eac523e2146c13f5967d2bd0e833fd0100f8b4",
+        "ed0cfeb47fc4d3173e2cf530572bf57d1fea4e5eb2e0e31a49ef6d9e2a5f6e1a",
         "08097902f96e0843cc8b5f4777e8b3a2faa02070aea7c2ab9a936505afd48840",
         "25b31edc70a7a5f2195eb84fac0bd1a495fa5d317e3a71661e6f083267d1f4f8",
     ),
     (64, 0.002): (
         "50a406c1c1068a4b405084aef87c34e72f0ba096f02cf5788dd49943d7e3669b",
-        "1b214574a8ba85bf4a11777ff1387a17cca23464def16d61fc004d8ef4fab0ba",
+        "048020abe09904c2676da266c0dc0974eb6f1c9e748c05445975164d823fca02",
         "a439f33aeba598fb1561e17aba5e897e58da60f6484781420c73eb4a6c5a575b",
         "cc87c78875f110a03d69476f0d81b4a72a2c6fd9aa41fa969f69387d6cf5f6a6",
     ),
@@ -198,43 +202,6 @@ PLAIN_PINS = {
 def test_plain_loop_pins(rm1_t4, max_batch, timeout):
     policy = BatchingPolicy(max_batch=max_batch, batch_timeout_s=timeout)
     assert _plain_runs(rm1_t4, policy) == PLAIN_PINS[(max_batch, timeout)]
-
-
-#: (max_batch, batch_timeout_s) -> ``TimeSeries`` digest of the
-#: :func:`_plain_runs` runs on a one-replica ``ResilientScheduler``
-#: named after the platform. It adds the replica's tracks, samples
-#: ``queue_depth`` as the batch size and sums latencies value by value.
-ONE_REPLICA_TIMESERIES_PINS = {
-    (1, 0.0):
-        "e15c563e834d9de22d331975171ca5d9fd73b70b83c36a474a1e97cad18ecb30",
-    (1, 0.002):
-        "e15c563e834d9de22d331975171ca5d9fd73b70b83c36a474a1e97cad18ecb30",
-    (7, 0.0):
-        "e24e217eaa194abfbfcc72c8570939df02b31910bcf3c3604b071c4fc6dd9130",
-    (7, 0.002):
-        "7dd564fec82f8b0f5cc39247d2286dd29aa2a1e4680fd0d8f0937729ff003e6b",
-    (64, 0.0):
-        "ed0cfeb47fc4d3173e2cf530572bf57d1fea4e5eb2e0e31a49ef6d9e2a5f6e1a",
-    (64, 0.002):
-        "048020abe09904c2676da266c0dc0974eb6f1c9e748c05445975164d823fca02",
-}
-
-
-@pytest.mark.parametrize("max_batch", [1, 7, 64])
-@pytest.mark.parametrize("timeout", [0.0, 0.002])
-def test_one_replica_engine_timeseries_pins(rm1_t4, max_batch, timeout):
-    policy = BatchingPolicy(max_batch=max_batch, batch_timeout_s=timeout)
-    peak = policy.max_batch / rm1_t4.seconds(policy.max_batch)
-    series = []
-    for load in LOADS:
-        qps = peak * load
-        ts = TimeSeries(window_s=QUERIES / qps / 16)
-        ResilientScheduler(
-            [Replica(rm1_t4.platform, rm1_t4)], policy, seed=11,
-            timeseries=ts,
-        ).run(qps, QUERIES)
-        series.append(ts.to_state())
-    assert _sha(series) == ONE_REPLICA_TIMESERIES_PINS[(max_batch, timeout)]
 
 
 def _resilient_counters(result) -> dict:

@@ -30,7 +30,7 @@ def _filled_series(seed: int = 7, window_s: float = 0.5) -> TimeSeries:
     times = rng.uniform(0.0, 6.0, size=200)
     ts.count_many("arrivals", times)
     lat = rng.exponential(0.004, size=200)
-    ts.observe_many("latency_s", times, lat)
+    ts.observe_each("latency_s", times, lat)
     for t in times[::10]:
         ts.sample("queue_depth", t, float(rng.integers(0, 50)))
         ts.mark_state("replica.health", t, "healthy")
@@ -66,33 +66,6 @@ class TestWindowing:
         for t in times:
             b.count("n", t)
         assert a.to_state() == b.to_state()
-
-    def test_observe_many_matches_looped_observe(self):
-        rng = np.random.default_rng(4)
-        times = rng.uniform(0.0, 5.0, size=300)
-        values = rng.exponential(0.01, size=300)
-        a = TimeSeries(window_s=0.5)
-        a.observe_many("v", times, values)
-        b = TimeSeries(window_s=0.5)
-        for t, v in zip(times, values):
-            b.observe("v", t, v)
-        sa, sb = a.summary(), b.summary()
-        assert sa.window_indices() == sb.window_indices()
-        for i in sa.window_indices():
-            ha, hb = sa.histogram_summary("v", i), sb.histogram_summary("v", i)
-            if hb is None:
-                assert ha is None
-                continue
-            assert ha["count"] == hb["count"]
-            # Vectorized summation can differ from the loop by one ULP.
-            assert ha["sum"] == pytest.approx(hb["sum"])
-            for key in ("p50", "p95", "p99"):
-                assert ha[key] == hb[key]
-
-    def test_observe_many_misaligned_rejected(self):
-        ts = TimeSeries(window_s=1.0)
-        with pytest.raises(ValueError, match="align"):
-            ts.observe_many("v", [0.1, 0.2], [1.0])
 
     def test_count_interval_integrates_to_duration(self):
         # A busy period spanning several windows must contribute its
@@ -184,7 +157,7 @@ class TestNonFiniteTimes:
         (lambda ts, t: ts.count_many("x", [0.5, t]), "times"),
         (lambda ts, t: ts.count_each("x", [0.5, t]), "times"),
         (lambda ts, t: ts.sample_each("x", [0.5, t], [1.0, 2.0]), "times"),
-        (lambda ts, t: ts.observe_many("x", [0.5, t], [1.0, 2.0]), "times"),
+        (lambda ts, t: ts.observe_each("x", [t, 0.5], [1.0, 2.0]), "times"),
         (lambda ts, t: ts.observe_each("x", [0.5, t], [1.0, 2.0]), "times"),
         (lambda ts, t: ts.mark_state_each("x", [0.5, t], ["a", "b"]), "times"),
         (lambda ts, t: ts.count_interval_each("x", [0.5, t], [1.0, 2.0]),

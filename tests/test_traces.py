@@ -1,23 +1,8 @@
-"""Tests for diurnal load traces and scheduler replay."""
+"""Tests for diurnal load traces."""
 
-import numpy as np
 import pytest
 
-from repro.core import SpeedupStudy
-from repro.models import build_model
-from repro.runtime import BatchingPolicy, QueryScheduler, ServiceTimeModel
-from repro.workloads import DiurnalTrace, replay
-
-
-@pytest.fixture(scope="module")
-def scheduler():
-    sweep = SpeedupStudy(
-        models={"rm3": build_model("rm3")}, batch_sizes=[1, 16, 256, 4096]
-    ).run()
-    return QueryScheduler(
-        ServiceTimeModel(sweep, "rm3", "t4"),
-        BatchingPolicy(max_batch=256, batch_timeout_s=0.002),
-    )
+from repro.workloads import DiurnalTrace
 
 
 class TestDiurnalTrace:
@@ -52,31 +37,3 @@ class TestDiurnalTrace:
 
     def test_daily_queries_positive(self):
         assert DiurnalTrace().daily_queries > 0
-
-
-class TestReplay:
-    def test_replay_covers_all_intervals(self, scheduler):
-        trace = DiurnalTrace(
-            trough_qps=500, peak_qps=5_000, intervals_per_day=6, noise_sigma=0.0
-        )
-        result = replay(scheduler, trace, queries_per_interval=200)
-        assert len(result.results) == 6
-        assert result.worst_p99 > 0
-
-    def test_peak_hour_has_worst_latency(self, scheduler):
-        trace = DiurnalTrace(
-            trough_qps=1_000, peak_qps=60_000, intervals_per_day=8,
-            noise_sigma=0.0,
-        )
-        result = replay(scheduler, trace, queries_per_interval=400)
-        rates = [i.arrival_qps for i in result.intervals]
-        p99s = [r.p99 for r in result.results]
-        assert p99s.index(max(p99s)) == rates.index(max(rates))
-
-    def test_sla_violation_count(self, scheduler):
-        trace = DiurnalTrace(
-            trough_qps=500, peak_qps=2_000, intervals_per_day=4, noise_sigma=0.0
-        )
-        result = replay(scheduler, trace, queries_per_interval=200)
-        assert result.sla_violations(1e-9) == 4  # impossible SLA
-        assert result.sla_violations(60.0) == 0  # trivial SLA
