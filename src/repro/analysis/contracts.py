@@ -575,15 +575,12 @@ def _check_colocation(example: Mapping[str, Any]) -> None:
     from repro.models import build_model
     from repro.resilience.engine import ResilientScheduler
     from repro.resilience.faults import FaultPlan
+    from repro.monitor.scenario import service_model_for
     from repro.resilience.server import Replica
-    from repro.runtime.scheduler import BatchingPolicy, ServiceTimeModel
-    from repro.runtime.session import InferenceSession
+    from repro.runtime.scheduler import BatchingPolicy
 
     model = build_model(example["model"])
-    session = InferenceSession(model, "broadwell")
-    stm = ServiceTimeModel.from_profiles([
-        session.profile(b) for b in (1, 64)
-    ])
+    stm = service_model_for(model, "broadwell", 64)
     gather = ShardGatherModel(
         build_layout(model, 1),
         policy=GatherPolicy.full(),

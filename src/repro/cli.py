@@ -85,17 +85,12 @@ from repro.monitor.scenario import (
     SCENARIOS,
     build_scenario,
     monitor_setup,
+    plain_scheduler,
     replica_scenario_names,
     run_policy_matrix,
-    service_model_for,
     shard_scenario_names,
 )
-from repro.runtime import (
-    BatchingPolicy,
-    InferenceSession,
-    QueryScheduler,
-    ScheduleResult,
-)
+from repro.runtime import InferenceSession, ScheduleResult
 
 __all__ = ["main", "build_parser"]
 
@@ -655,22 +650,19 @@ def _traced_characterization(args) -> Tuple[
     session = _or_exit(InferenceSession, model, args.platform)
     batch = args.batch_size
 
-    service_model = None
-    if args.queries > 0:
-        service_model = service_model_for(model, args.platform, batch)
+    scheduler = None
+    if args.queries != 0:
+        scheduler, qps = _or_exit(
+            plain_scheduler, model, args.platform, batch,
+            queries=args.queries, qps=args.qps, seed=args.seed,
+        )
 
     result = None
     with telemetry.capture() as (tracer, registry):
-        session.profile(batch)
+        _or_exit(session.profile, batch)
         if not args.no_run:
             session.run_generated(batch)
-        if service_model is not None:
-            scheduler = QueryScheduler(
-                service_model, BatchingPolicy(max_batch=batch),
-                seed=args.seed,
-            )
-            peak = batch / service_model.seconds(batch)
-            qps = args.qps if args.qps else 0.5 * peak
+        if scheduler is not None:
             with tracer.span(
                 "scheduler.simulate", category="scheduler",
                 arrival_qps=qps, queries=args.queries,
@@ -693,7 +685,7 @@ def _cmd_trace_scheduler(args) -> str:
     setup = _or_exit(
         build_scenario, args.model, args.platform, "slowdown",
         batch_size=args.batch_size,
-        queries=args.queries if args.queries > 0 else 512,
+        queries=args.queries if args.queries != 0 else 512,
         qps=args.qps, seed=args.seed, load=0.5,
         scenario_overrides={"straggler_probability": 0.05},
     )
@@ -861,13 +853,14 @@ def _cmd_shard(args) -> Tuple[str, int]:
             ]
         )
 
+    setup = matrix.setup
     win = matrix.locality_win()
     code = 0
     lines = [
-        f"scenario '{matrix.scenario}' on {matrix.model}/{matrix.platform}: "
-        f"{matrix.queries} queries at {matrix.qps:.0f} QPS across "
+        f"scenario '{setup.scenario}' on {setup.model}/{setup.platform}: "
+        f"{setup.queries} queries at {setup.qps:.0f} QPS across "
         f"{matrix.shards} {matrix.sharding}-sharded servers "
-        f"(seed {matrix.seed})",
+        f"(seed {setup.seed})",
         render_table(
             ["placement/policy", "shards", "ok", "p50 ms", "p99 ms",
              "load imb", "hedges", "repl reads", "degraded", "blocked"],
@@ -894,12 +887,9 @@ def _cmd_shard(args) -> Tuple[str, int]:
         )
         code = 1
     if args.format == "json":
+        keys = ("model", "platform", "scenario", "seed", "qps")
         payload = {
-            "model": matrix.model,
-            "platform": matrix.platform,
-            "scenario": matrix.scenario,
-            "seed": matrix.seed,
-            "qps": matrix.qps,
+            **{key: getattr(setup, key) for key in keys},
             "shards": matrix.shards,
             "sharding": matrix.sharding,
             "locality_win": win,
@@ -1255,8 +1245,8 @@ def _cmd_record(args) -> str:
             )
     for name in names:
         for platform in args.platforms:
-            record = record_run(
-                name, platform, batch_size=args.batch_size,
+            record = _or_exit(
+                record_run, name, platform, batch_size=args.batch_size,
                 seed=args.seed, queries=args.queries, qps=args.qps,
             )
             path = (

@@ -28,7 +28,6 @@ from repro.distserve.gather import (
     ShardGatherModel,
 )
 from repro.distserve.placement import (
-    LocalityAwarePlacement,
     RoundRobinPlacement,
     ShardLayout,
     build_layout,
@@ -185,15 +184,10 @@ class ShardCaseResult:
 
 @dataclass
 class ShardMatrix:
-    """The full ``repro shard`` run bundle."""
+    """The full ``repro shard`` run bundle. ``setup`` is the
+    ``locality`` row's; every row is a variant of it."""
 
-    model: str
-    platform: str
-    scenario: str
-    seed: int
-    queries: int
-    qps: float
-    batch_size: int
+    setup: Any  # ScenarioSetup
     shards: int
     sharding: str
     rows: List[ShardCaseResult]
@@ -211,20 +205,14 @@ class ShardMatrix:
         return self.row("locality+policies").p99_ms < self.row("blind").p99_ms
 
 
-#: Row labels, fixed order (CLI table + ledger tags rely on these).
-_CASE_SINGLE = "single-node"
-_CASE_BLIND = "blind"
-_CASE_BLIND_HEDGE = "blind+hedge"
-_CASE_AWARE = "locality"
-_CASE_AWARE_FULL = "locality+policies"
-
-#: Ledger fingerprint tag per row (kept short for slugs/keys).
+#: Ledger fingerprint tag (kept short for slugs/keys) per row label, in
+#: the rows' fixed order (CLI table + ledger tags rely on it).
 CASE_TAGS = {
-    _CASE_SINGLE: "shard-single",
-    _CASE_BLIND: "shard-blind",
-    _CASE_BLIND_HEDGE: "shard-blindh",
-    _CASE_AWARE: "shard-loc",
-    _CASE_AWARE_FULL: "shard-locp",
+    "single-node": "shard-single",
+    "blind": "shard-blind",
+    "blind+hedge": "shard-blindh",
+    "locality": "shard-loc",
+    "locality+policies": "shard-locp",
 }
 
 
@@ -245,49 +233,40 @@ def run_shard_matrix(
 ) -> ShardMatrix:
     """Run the placement × gather-policy matrix under one shard scenario.
 
-    Every row sees the same arrivals, the same single serving replica
-    (no replica-level faults or policies — the matrix isolates the
-    *distribution* layer), and the same seeded shard fault plan aimed
-    at each layout's hottest shard.
+    Rows are variants of :func:`repro.monitor.scenario.build_scenario`
+    with the layout arguments as scenario overrides. Every row sees the
+    same arrivals, the same single serving replica (no replica-level
+    faults or policies — the matrix isolates the *distribution* layer),
+    and the same seeded shard fault plan aimed at each layout's hottest
+    shard.
     """
     from repro.models import build_model
-    from repro.monitor.scenario import (
-        check_scenario_inputs,
-        scenario_kwargs,
-        service_model_for,
-    )
-    from repro.resilience import Replica, ResilientScheduler
-    from repro.runtime import BatchingPolicy
+    from repro.monitor.scenario import build_scenario, scenario_kwargs
+    from repro.resilience import ResiliencePolicy
 
-    check_scenario_inputs(batch_size=batch_size, queries=queries, qps=qps)
-    is_shard, entry, fault_kwargs = split_shard_kwargs(
-        scenario_kwargs(scenario)
-    )
+    layout_keys = dict(shards=shards, sharding=sharding, alpha=alpha,
+                       hot_k=hot_k, replicas=replicas)
+    is_shard, _, fault_kwargs = split_shard_kwargs(scenario_kwargs(scenario))
     if not is_shard:
         raise ValueError(
             f"scenario {scenario!r} is not a shard scenario "
             f"(no {SHARD_FAULTS_KEY!r} marker)"
         )
-    # Scenario entry keys override the arguments.
-    setup = {
-        **dict(shards=shards, sharding=sharding, alpha=alpha, hot_k=hot_k,
-               replicas=replicas),
-        **entry,
-    }
+    built = build_scenario(
+        model_name, platform, scenario, batch_size=batch_size,
+        queries=queries, qps=qps, seed=seed, scenario_overrides=layout_keys,
+    )
     model = build_model(model_name)
-    service_model = service_model_for(model, platform, batch_size)
     # Explicit even for the single-node row, which would otherwise get
     # the colocated ``NetworkModel.local()`` default.
     network = NetworkModel()
 
-    single = shard_layout(model, setup, RoundRobinPlacement(), 1)
-    blind = shard_layout(model, setup, RoundRobinPlacement())
+    single = shard_layout(model, layout_keys, RoundRobinPlacement(), 1)
+    blind = shard_layout(model, layout_keys, RoundRobinPlacement())
     # The hot set is replicated on every shard (it is tiny); ``replicas``
     # only sets the replicated-*read* fan-out, so the aware layout stays
     # load-balanced regardless of how many holders a read races.
-    aware = shard_layout(
-        model, setup, LocalityAwarePlacement(hot_k=int(setup["hot_k"]))
-    )
+    aware = built.gather.layout
 
     # Policy time constants derive from the healthy gather cost of the
     # blind layout, so they are deterministic and scale with the model.
@@ -298,74 +277,56 @@ def run_shard_matrix(
     hedge = GatherHedgePolicy(delay_s=2.0 * healthy_gather_s)
     partial = PartialGatherPolicy(wait_budget_s=4.0 * healthy_gather_s)
 
-    # Offered load is calibrated against the *sharded* service time
-    # (model compute + healthy blind gather), so every row runs at the
-    # same moderate utilization and p99 reflects fault handling, not
-    # queueing collapse. The batching timeout is set to the batch fill
-    # time so batches run near-full — gather fan-out cost scales with
-    # batch size, and half-empty batches would hide it.
-    peak = batch_size / (service_model.seconds(batch_size) + healthy_gather_s)
+    # The matrix's load rule. Offered load is calibrated against the
+    # *sharded* service time (model compute + healthy blind gather), so
+    # every row runs at the same moderate utilization and p99 reflects
+    # fault handling, not queueing collapse. The batching timeout is
+    # the batch fill time so batches run near-full — gather fan-out
+    # cost scales with batch size, and half-empty batches would hide it.
+    service_s = built.replicas[0].service_model.seconds(batch_size)
+    peak = batch_size / (service_s + healthy_gather_s)
     qps = qps if qps is not None else 0.8 * peak
     horizon = queries / qps
-    batch_timeout_s = batch_size / qps
 
-    def plan_for(layout: ShardLayout) -> FaultPlan:
-        # A colocated single node has no shard servers to fault.
-        if layout.num_shards == 1:
-            return FaultPlan.none()
-        return hottest_shard_plan(layout, seed, horizon, fault_kwargs)
+    base = replace(
+        built, qps=qps, horizon_s=horizon, batch_timeout_s=batch_size / qps
+    )
 
-    blind_plan, aware_plan = plan_for(blind), plan_for(aware)
-    cases = [
-        (_CASE_SINGLE, single, FaultPlan.none(), GatherPolicy.none()),
-        (_CASE_BLIND, blind, blind_plan, GatherPolicy.none()),
-        (_CASE_BLIND_HEDGE, blind, blind_plan, GatherPolicy(hedge=hedge)),
-        (_CASE_AWARE, aware, aware_plan, GatherPolicy.none()),
-        (
-            _CASE_AWARE_FULL,
-            aware,
-            aware_plan,
-            GatherPolicy(
-                replicate=ReplicatedReadPolicy(replicas=int(setup["replicas"])),
-                hedge=hedge,
-                partial=partial,
-            ),
-        ),
-    ]
-
-    rows: List[ShardCaseResult] = []
-    for label, layout, plan, gather_policy in cases:
-        gather = ShardGatherModel(
-            layout, network=network, policy=gather_policy,
-            fault_plan=plan, seed=seed,
-        )
-        scheduler = ResilientScheduler(
-            [Replica(platform, service_model)],
-            BatchingPolicy(
-                max_batch=batch_size, batch_timeout_s=batch_timeout_s
-            ),
-            fault_plan=None,
+    def variant(layout, plan, policy=None):
+        return replace(base, plan=plan, gather=ShardGatherModel(
+            layout, network=network, policy=policy, fault_plan=plan,
             seed=seed,
-            gather=gather,
-        )
-        rows.append(
-            ShardCaseResult(
-                label=label,
-                layout=layout,
-                result=scheduler.run(qps, num_queries=queries),
-            )
-        )
+        ))
 
+    blind_plan, aware_plan = (
+        hottest_shard_plan(layout, seed, horizon, fault_kwargs)
+        for layout in (blind, aware)
+    )
+    full = GatherPolicy(
+        replicate=ReplicatedReadPolicy(replicas=replicas),
+        hedge=hedge,
+        partial=partial,
+    )
+    cases = {
+        # A colocated single node has no shard servers to fault.
+        "single-node": variant(single, FaultPlan.none()),
+        "blind": variant(blind, blind_plan),
+        "blind+hedge": variant(blind, blind_plan, GatherPolicy(hedge=hedge)),
+        "locality": variant(aware, aware_plan),
+        "locality+policies": variant(aware, aware_plan, full),
+    }
+    rows = [
+        ShardCaseResult(
+            label=label,
+            layout=case.gather.layout,
+            result=case.scheduler(ResiliencePolicy()).run(
+                qps, num_queries=queries
+            ),
+        )
+        for label, case in cases.items()
+    ]
     return ShardMatrix(
-        model=model_name,
-        platform=platform,
-        scenario=scenario,
-        seed=seed,
-        queries=queries,
-        qps=qps,
-        batch_size=batch_size,
-        shards=blind.num_shards,
-        sharding=blind.sharding,
+        setup=cases["locality"], shards=blind.num_shards, sharding=blind.sharding,
         rows=rows,
     )
 
@@ -379,8 +340,9 @@ def matrix_records(matrix: ShardMatrix):
     """
     from repro.ledger import fingerprint_for, record_schedule
 
+    setup = matrix.setup
     base = fingerprint_for(
-        matrix.model, matrix.platform, matrix.batch_size, seed=matrix.seed
+        setup.model, setup.platform, setup.batch_size, seed=setup.seed
     )
     records = []
     for row in matrix.rows:
@@ -389,10 +351,10 @@ def matrix_records(matrix: ShardMatrix):
         record = record_schedule(
             row.result,
             fp,
-            matrix.batch_size,
+            setup.batch_size,
             kind="shard",
         )
-        record.scalars["arrival_qps"] = matrix.qps
+        record.scalars["arrival_qps"] = setup.qps
         for key, value in row.layout.scalars().items():
             record.scalars[f"layout.{key}"] = value
         records.append(record)

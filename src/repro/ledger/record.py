@@ -430,15 +430,14 @@ def record_run(
 ) -> RunRecord:
     """One-call ledger entry point: profile, optionally serve, record.
 
-    With ``queries == 0`` this is :func:`record_profile`. With
-    ``queries > 0`` a :class:`~repro.runtime.QueryScheduler` simulation
+    With ``queries == 0`` this is :func:`record_profile`. Otherwise the
+    plain run of :func:`repro.monitor.scenario.plain_scheduler`
     (service-time model calibrated from targeted profiles, seeded
     Poisson arrivals — fully deterministic) adds latency percentiles
     and the batch-occupancy distribution on top of the profile stack.
     """
     from repro.models import build_model
-    from repro.monitor.scenario import service_model_for
-    from repro.runtime import BatchingPolicy, QueryScheduler
+    from repro.monitor.scenario import plain_scheduler
 
     if isinstance(model, str):
         model = build_model(model)
@@ -446,13 +445,10 @@ def record_run(
         model, platform, batch_size, seed,
         timestamp=timestamp, with_metrics=with_metrics,
     )
-    if queries <= 0:
+    if queries == 0:
         return base
-    service_model = service_model_for(model, platform, batch_size)
-    peak = batch_size / service_model.seconds(batch_size)
-    arrival_qps = qps if qps else 0.5 * peak
-    scheduler = QueryScheduler(
-        service_model, BatchingPolicy(max_batch=batch_size), seed=seed
+    scheduler, arrival_qps = plain_scheduler(
+        model, platform, batch_size, queries=queries, qps=qps, seed=seed
     )
     result = scheduler.run(arrival_qps, num_queries=queries)
     record = record_schedule(

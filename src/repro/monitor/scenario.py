@@ -3,10 +3,11 @@
 The scenario table is the single source of truth for what the serving
 subcommands inject, and :func:`build_scenario` is the one place a named
 scenario becomes a fleet, a fault plan and a policy set. The runners —
-:func:`monitor_setup` (``repro monitor`` / ``explain``) and
-:func:`run_policy_matrix` (``repro resilience``) — are thin layers over
-it, and the CLI only renders what they return, so CLI output and test
-pins cannot drift apart.
+:func:`monitor_setup` (``repro monitor`` / ``explain``),
+:func:`run_policy_matrix` (``repro resilience``) and ``repro shard``'s
+:func:`~repro.distserve.run_shard_matrix` — are thin layers over it,
+and the CLI only renders what they return, so CLI output and test pins
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.resilience import (
     CircuitBreakerPolicy,
@@ -27,6 +28,7 @@ from repro.resilience import (
     RetryPolicy,
     SheddingPolicy,
 )
+from repro.runtime import BatchingPolicy
 from repro.telemetry.timeseries import TimeSeries
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "shard_scenario_names",
     "replica_scenario_names",
     "check_scenario_inputs",
+    "plain_scheduler",
     "ScenarioSetup",
     "build_scenario",
     "MonitoredScenario",
@@ -103,13 +106,38 @@ def scenario_kwargs(name: str, **overrides: Any) -> Dict[str, Any]:
 
 def service_model_for(model, platform: str, batch: int):
     """Calibrate a ServiceTimeModel from a handful of targeted profiles."""
-    from repro.runtime import InferenceSession, ServiceTimeModel
+    return _service_models([model], [platform], batch)[model.name, platform]
 
-    session = InferenceSession(model, platform)
+
+def _service_models(models, platforms, batch: int) -> Dict[tuple, Any]:
+    """``(model name, platform) -> ServiceTimeModel`` for every pair,
+    calibrated at batches 1, b/4, b and 2b by one table sweep (repeat
+    calls are memo hits in :mod:`repro.runtime.specmode`)."""
+    from repro.models import RecommendationModel
+    from repro.runtime import ServiceTimeModel
+    from repro.runtime.specmode import profile_spec_sweep
+
+    if not all(isinstance(m, RecommendationModel) for m in models):
+        raise TypeError(f"model must be a RecommendationModel, got {models}")
+    _check_count("batch_size", batch)
     calibration = sorted({1, max(2, batch // 4), batch, 2 * batch})
-    return ServiceTimeModel.from_profiles(
-        [session.profile(b) for b in calibration]
+    profiles = profile_spec_sweep(
+        {m.name: m for m in models}, platforms, calibration
     )
+    return {
+        (m.name, p): ServiceTimeModel.from_profiles(
+            [profiles[m.name, p, b] for b in calibration]
+        )
+        for m in models
+        for p in platforms
+    }
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def check_scenario_inputs(
@@ -121,11 +149,8 @@ def check_scenario_inputs(
     ``window_s`` and ``deadline_s`` are ``None`` (the default) or
     positive finite numbers.
     """
-    for name, value in (("batch_size", batch_size), ("queries", queries)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_count("batch_size", batch_size)
+    _check_count("queries", queries)
     for name, value in (
         ("qps", qps), ("window_s", window_s), ("deadline_s", deadline_s)
     ):
@@ -139,6 +164,23 @@ def check_scenario_inputs(
             )
 
 
+def plain_scheduler(
+    model, platform: str, batch_size: int, *, queries: int,
+    qps: Optional[float] = None, seed: int = 2020,
+) -> Tuple[Any, float]:
+    """``(scheduler, qps)`` for the plain run of ``repro record`` /
+    ``trace`` / ``metrics``: a seeded :class:`QueryScheduler` over the
+    calibrated ``model``, at ``qps`` or half the full-batch peak. The
+    caller runs ``scheduler.run(qps, num_queries=queries)``."""
+    from repro.runtime import QueryScheduler
+
+    check_scenario_inputs(batch_size=batch_size, queries=queries, qps=qps)
+    stm = service_model_for(model, platform, batch_size)
+    if qps is None:
+        qps = 0.5 * (batch_size / stm.seconds(batch_size))
+    return QueryScheduler(stm, BatchingPolicy(batch_size), seed=seed), qps
+
+
 @dataclass
 class ScenarioSetup:
     """One named scenario, assembled: everything a run needs but sinks.
@@ -147,7 +189,8 @@ class ScenarioSetup:
     scenarios — on the shard servers behind ``gather``, with the replica
     fleet healthy. ``policy`` holds the five policy parts; hedge and
     breaker are ``None`` without a fallback, degrade without a degraded
-    model variant.
+    model variant. A study's variants are ``dataclasses.replace``
+    copies of one setup, each run through :meth:`scheduler`.
     """
 
     model: str
@@ -155,6 +198,7 @@ class ScenarioSetup:
     scenario: str
     seed: int
     batch_size: int
+    batch_timeout_s: float
     queries: int
     qps: float
     deadline_s: float
@@ -183,11 +227,9 @@ class ScenarioSetup:
     ) -> ResilientScheduler:
         """A fresh engine over this setup; ``faults=False`` is the
         healthy baseline (the primary alone, nothing injected)."""
-        from repro.runtime import BatchingPolicy
-
         return ResilientScheduler(
             self.replicas if faults else self.replicas[:1],
-            BatchingPolicy(max_batch=self.batch_size),
+            BatchingPolicy(self.batch_size, self.batch_timeout_s),
             resilience=policy,
             fault_plan=self.plan if faults and self.gather is None else None,
             seed=self.seed,
@@ -214,10 +256,11 @@ def build_scenario(
     """Assemble one named scenario.
 
     Calibrates the primary, the ``fallback`` platform (``None`` or
-    ``"none"``: no fallback) and, for DLRM, the degraded variant.
-    Defaults: ``qps`` is ``load`` × the primary's peak rate, the
-    deadline 10× the full-batch service time (at least 20 ms), and the
-    telemetry window a 24th of the horizon.
+    ``"none"``: no fallback) and, for DLRM, the degraded variant, in one
+    table sweep. Defaults: ``qps`` is ``load`` × the primary's peak
+    rate, the deadline 10× the full-batch service time (at least 20 ms),
+    the telemetry window a 24th of the horizon, and the batch timeout
+    :class:`BatchingPolicy`'s.
     """
     from repro.core import SlaBudget
     from repro.models import build_model
@@ -233,18 +276,17 @@ def build_scenario(
         fallback = None
 
     model = build_model(model_name)
-    primary_stm = service_model_for(model, platform, batch_size)
-    standby = [] if fallback is None else [
-        Replica(fallback, service_model_for(model, fallback, batch_size))
-    ]
-    degraded_stm = None
-    if isinstance(model, DLRM):
-        degraded_stm = service_model_for(
-            degraded_variant(model), platform, batch_size
-        )
-    replicas = [Replica(platform, primary_stm, degraded_stm)] + standby
+    # The primary, then (DLRM only) its degraded variant.
+    variants = [model] + (
+        [degraded_variant(model)] if isinstance(model, DLRM) else []
+    )
+    standby = [] if fallback is None else [fallback]
+    stms = _service_models(variants, [platform] + standby, batch_size)
+    replicas = [
+        Replica(platform, *(stms[v.name, platform] for v in variants))
+    ] + [Replica(name, stms[model.name, name]) for name in standby]
 
-    service_s = primary_stm.seconds(batch_size)
+    service_s = replicas[0].service_model.seconds(batch_size)
     if qps is None:
         qps = load * (batch_size / service_s)
     if deadline_s is None:
@@ -291,12 +333,13 @@ def build_scenario(
         shed=SheddingPolicy(deadline_s=deadline_s),
         degrade=(
             DegradationPolicy(queue_budget_s=budget.queue_budget_s)
-            if degraded_stm is not None else None
+            if len(variants) > 1 else None
         ),
     )
     return ScenarioSetup(
         model=model_name, platform=platform, scenario=scenario, seed=seed,
-        batch_size=batch_size, queries=queries, qps=qps,
+        batch_size=batch_size, batch_timeout_s=BatchingPolicy.batch_timeout_s,
+        queries=queries, qps=qps,
         deadline_s=deadline_s, window_s=window_s, horizon_s=horizon,
         plan=plan, fallback=fallback, replicas=replicas, policy=policy,
         gather=gather,

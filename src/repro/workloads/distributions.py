@@ -9,6 +9,8 @@ with a uniform distribution available as the no-locality baseline.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,8 +103,13 @@ class ZipfIndices(IndexDistribution):
     alpha: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("Zipf alpha must be positive")
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise TypeError(f"Zipf alpha must be a number, got {alpha!r}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(
+                f"Zipf alpha must be positive and finite, got {alpha!r}"
+            )
 
     def sample(self, rng, rows, shape):
         # Inverse-CDF sampling over a truncated Zipf. Computing the full

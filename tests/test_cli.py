@@ -477,6 +477,15 @@ class TestScenarioInputErrors:
             (["shard", "--queries", "0"], "queries"),
             (["shard", "--qps", "0"], "qps"),
             (["trace", "--resilience", "--qps", "-1"], "qps"),
+            (["record", "--qps", "0"], "qps"),
+            (["record", "--qps", "-5"], "qps"),
+            (["record", "--batch-size", "0"], "batch_size"),
+            (["record", "--queries", "-1"], "queries"),
+            (["trace", "--qps", "0"], "qps"),
+            (["trace", "--queries", "-5"], "queries"),
+            (["metrics", "--qps", "nan"], "qps"),
+            (["metrics", "--queries", "-5"], "queries"),
+            (["shard", "--alpha", "nan"], "alpha"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )

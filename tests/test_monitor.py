@@ -281,6 +281,64 @@ class TestScenarioPipeline:
             bare.latencies_s, slowdown_run.result.latencies_s
         )
 
+    @pytest.mark.parametrize(
+        "model,platform,fallback",
+        [("rm1", "t4", None), ("rm1", "t4", "broadwell"),
+         ("rm2", "broadwell", None)],
+    )
+    def test_calibration_equals_per_batch_profiles(
+        self, model, platform, fallback
+    ):
+        """The one-sweep calibration gives every replica the knots of
+        ``ServiceTimeModel.from_profiles`` over per-batch session
+        profiles, bit for bit."""
+        from repro.models import build_model
+        from repro.models.variants import degraded_variant
+        from repro.runtime import InferenceSession, ServiceTimeModel
+
+        def reference(variant, where):
+            session = InferenceSession(variant, where)
+            return ServiceTimeModel.from_profiles(
+                [session.profile(b) for b in (1, 16, 64, 128)]
+            )
+
+        def knots(stm):
+            return (stm.model, stm.platform, stm._batches, stm._times,
+                    stm._comm_times)
+
+        built = build_model(model)
+        setup = build_scenario(
+            model, platform, "slowdown", queries=200, fallback=fallback
+        )
+        primary, *standby = setup.replicas
+        assert knots(primary.service_model) == knots(
+            reference(built, platform)
+        )
+        assert knots(primary.degraded_model) == knots(
+            reference(degraded_variant(built), platform)
+        )
+        assert [knots(r.service_model) for r in standby] == [
+            knots(reference(built, r.name)) for r in standby
+        ]
+
+    def test_second_build_is_a_calibration_memo_hit(self, monkeypatch):
+        import repro.gpusim.vectorized as gpu_cells
+        import repro.uarch.vectorized as cpu_cells
+
+        build_scenario("rm2", "t4", "slowdown", fallback="broadwell")
+        calls = []
+        for module, name in ((cpu_cells, "profile_cells_cpu"),
+                             (gpu_cells, "profile_cells_gpu")):
+
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        again = build_scenario("rm2", "t4", "slowdown", fallback="broadwell")
+        assert calls == []
+        assert [r.name for r in again.replicas] == ["t4", "broadwell"]
+
     def test_policy_parts_follow_the_fleet(self):
         # rm1 is a DLRM (degraded variant) and has no fallback here.
         setup = build_scenario("rm1", "t4", "crash", queries=200)

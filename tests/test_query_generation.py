@@ -1,5 +1,7 @@
 """Tests for synthetic workload generation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,16 @@ class TestDistributions:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             ZipfIndices(alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ZipfIndices(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", ["1.1", None, True])
+    def test_non_number_alpha_is_rejected(self, alpha):
+        with pytest.raises(TypeError, match="alpha"):
+            ZipfIndices(alpha=alpha)
 
     def test_expected_locality_ordering(self):
         assert UniformIndices().expected_locality(10**6) == 0.0

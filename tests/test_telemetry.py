@@ -318,7 +318,7 @@ class TestGlobalState:
 
         def ids():
             with telemetry.capture() as (tracer, _):
-                with tracer.span("outer"):
+                with tracer.span("outer"), tracer.span("inner"):
                     run_monitored_scenario(
                         "rm1", "t4", "slowdown", queries=200
                     )
