@@ -326,8 +326,8 @@ def run_shard_matrix(
         for label, case in cases.items()
     ]
     return ShardMatrix(
-        setup=cases["locality"], shards=blind.num_shards, sharding=blind.sharding,
-        rows=rows,
+        setup=cases["locality"], shards=blind.num_shards,
+        sharding=blind.sharding, rows=rows,
     )
 
 
