@@ -4,6 +4,7 @@ Each example is executed in-process (imported as a module and driven
 through its ``main``) so the suite catches API drift immediately.
 """
 
+import hashlib
 import pathlib
 import runpy
 import sys
@@ -68,6 +69,29 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "Capacity planning" in out
         assert "verdict" in out
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["rm3", "20"],
+                "3b4cc7680316870086ee58638bbf22ca"
+                "5f8e481ba03eca7c6c9a70f6580f7f3d",
+            ),
+            (
+                ["rm1", "2"],
+                "0631d913225ea37bf444937b66211196"
+                "d8a64498f210efeda26a4ac5bea25d26",
+            ),
+        ],
+        ids=["rm3 20", "rm1 2"],
+    )
+    def test_capacity_planning_stdout_pin(self, capsys, argv, digest):
+        """The capacity search's answers and the ``run`` after it, which
+        reads the scheduler's RNG where the search left it."""
+        _run("capacity_planning.py", argv)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     def test_resilient_serving(self, capsys):
         _run("resilient_serving.py", ["800", "7"])
