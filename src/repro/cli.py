@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--scheduler", action="store_true",
         help="trace the serving simulation (per-batch scheduler spans) "
-        "instead of the characterization",
+        "instead of the characterization; needs --queries of at least 1",
     )
     mode.add_argument(
         "--resilience", action="store_true",
@@ -685,7 +685,7 @@ def _cmd_trace_scheduler(args) -> str:
     setup = _or_exit(
         build_scenario, args.model, args.platform, "slowdown",
         batch_size=args.batch_size,
-        queries=args.queries if args.queries != 0 else 512,
+        queries=args.queries,
         qps=args.qps, seed=args.seed, load=0.5,
         scenario_overrides={"straggler_probability": 0.05},
     )

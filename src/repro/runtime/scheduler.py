@@ -234,6 +234,23 @@ def validate_run(
         )
 
 
+def _check_sla(sla_seconds: float, percentile: float) -> None:
+    """Reject a bad tail-latency target, naming the argument."""
+    for name, value in (
+        ("sla_seconds", sla_seconds), ("percentile", percentile)
+    ):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(sla_seconds) and sla_seconds > 0):
+        raise ValueError(
+            f"sla_seconds must be positive and finite, got {sla_seconds!r}"
+        )
+    if not 0 <= percentile <= 100:
+        raise ValueError(
+            f"percentile must be in [0, 100], got {percentile!r}"
+        )
+
+
 def poisson_arrivals(
     rng: np.random.Generator, arrival_qps: float, num_queries: int
 ) -> np.ndarray:
@@ -484,16 +501,55 @@ class QueryScheduler:
         num_queries: int = 2000,
         qps_grid: Optional[Sequence[float]] = None,
     ) -> float:
-        """Largest tested arrival rate whose tail latency meets the SLA."""
+        """Largest tested arrival rate whose tail latency meets the SLA.
+
+        The answer, and the generator state every later :meth:`run`
+        starts from, are those of a forward scan that runs each load of
+        ``qps_grid`` in turn. The search reaches them with fewer runs: it
+        records the generator state before each load's arrival draw,
+        then simulates the loads from the highest down, each on its own
+        draw, and stops at the first that meets the SLA. Only the
+        simulated loads reach the telemetry registry's ``scheduler.*``
+        counters. The answer is 0.0 when no load meets the SLA.
+        """
+        _check_sla(sla_seconds, percentile)
         if qps_grid is None:
             # Geometric grid anchored at the server's best-case capacity.
             peak = self.policy.max_batch / self.service_model.seconds(
                 self.policy.max_batch
             )
             qps_grid = [peak * f for f in (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)]
-        best = 0.0
+        qps_grid = list(qps_grid)
+        if not qps_grid:
+            raise ValueError("qps_grid: need at least one arrival rate")
         for qps in qps_grid:
-            result = self.run(qps, num_queries)
-            if result.meets_sla(sla_seconds, percentile):
-                best = max(best, qps)
+            validate_run(self.policy, qps, num_queries)
+
+        # Record. poisson_arrivals draws exponential(1 / qps, n), which
+        # is 1 / qps * standard_exponential(n) from the same stream, so
+        # one standard draw moves past a load's arrivals.
+        bit_generator = self._rng.bit_generator
+        scratch = np.empty(num_queries)
+        states = []
+        for _ in qps_grid:
+            states.append(bit_generator.state)
+            self._rng.standard_exponential(out=scratch)
+        end_state = bit_generator.state
+        del scratch  # freed before the runs allocate theirs
+
+        # Search, highest load first; the stable sort keeps duplicate
+        # loads in grid order, as the forward scan's max() does.
+        best = 0.0
+        for k in sorted(
+            range(len(qps_grid)), key=qps_grid.__getitem__, reverse=True
+        ):
+            bit_generator.state = states[k]
+            if self.run(qps_grid[k], num_queries).meets_sla(
+                sla_seconds, percentile
+            ):
+                best = qps_grid[k]
+                break
+
+        # Restore: the state the forward scan leaves.
+        bit_generator.state = end_state
         return best

@@ -477,6 +477,8 @@ class TestScenarioInputErrors:
             (["shard", "--queries", "0"], "queries"),
             (["shard", "--qps", "0"], "qps"),
             (["trace", "--resilience", "--qps", "-1"], "qps"),
+            (["trace", "--scheduler", "--queries", "0"], "queries"),
+            (["trace", "--resilience", "--queries", "0"], "queries"),
             (["record", "--qps", "0"], "qps"),
             (["record", "--qps", "-5"], "qps"),
             (["record", "--batch-size", "0"], "batch_size"),

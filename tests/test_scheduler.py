@@ -224,3 +224,175 @@ class TestScheduler:
         gpu_cap = gpu.max_load_under_sla(sla, num_queries=600)
         cpu_cap = cpu.max_load_under_sla(sla, num_queries=600)
         assert gpu_cap > 2 * cpu_cap
+
+
+# -- capacity search -----------------------------------------------------------
+
+_LOAD_FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
+
+
+@pytest.fixture(scope="module")
+def rm1_t4():
+    from repro.monitor.scenario import service_model_for
+
+    return service_model_for(build_model("rm1"), "t4", 64)
+
+
+def _forward_scan(scheduler, sla_seconds, percentile, num_queries, qps_grid):
+    """The reference search: every load in grid order, keep the largest
+    that meets the SLA. Also returns each load's verdict."""
+    if qps_grid is None:
+        max_batch = scheduler.policy.max_batch
+        peak = max_batch / scheduler.service_model.seconds(max_batch)
+        qps_grid = [peak * f for f in _LOAD_FRACTIONS]
+    best = 0.0
+    verdicts = []
+    for qps in qps_grid:
+        result = scheduler.run(qps, num_queries)
+        verdicts.append(result.meets_sla(sla_seconds, percentile))
+        if verdicts[-1]:
+            best = max(best, qps)
+    return best, verdicts
+
+
+def _grid(kind, peak):
+    grid = [peak * f for f in _LOAD_FRACTIONS]
+    return {
+        "ascending": grid,
+        "descending": grid[::-1],
+        "shuffled": [grid[k] for k in (3, 0, 6, 2, 5, 1, 4)],
+        "duplicated": [grid[k] for k in (5, 2, 6, 5, 0, 6, 4)],
+        "none": None,
+    }[kind]
+
+
+def _count_runs(monkeypatch):
+    calls = []
+    run = QueryScheduler.run
+
+    def counted(self, arrival_qps, num_queries=2000):
+        calls.append(arrival_qps)
+        return run(self, arrival_qps, num_queries)
+
+    monkeypatch.setattr(QueryScheduler, "run", counted)
+    return calls
+
+
+class TestCapacitySearch:
+    """``max_load_under_sla`` against the forward scan it replaced: the
+    same answer, the same generator state, the same next run."""
+
+    QUERIES = 10_000
+
+    # At 10k queries and a 2 ms batch timeout, no load's p99 meets
+    # 0.5 ms, the upper loads meet 1.5 and 2 ms, and every load meets
+    # 10 ms. (At 3k queries the last, timed-out batch alone is over 1%
+    # of the queries, so no load meets 2 ms.)
+    @pytest.mark.parametrize("sla_ms,passing", [
+        (0.5, "none"), (1.5, "some"), (2.0, "some"), (10.0, "all"),
+    ])
+    @pytest.mark.parametrize(
+        "kind", ["ascending", "descending", "shuffled", "duplicated", "none"]
+    )
+    def test_matches_forward_scan(self, rm1_t4, kind, sla_ms, passing):
+        policy = BatchingPolicy(max_batch=64)
+        grid = _grid(kind, 64 / rm1_t4.seconds(64))
+        sla = sla_ms / 1e3
+        for seed in range(10):
+            reference = QueryScheduler(rm1_t4, policy, seed=seed)
+            expected, verdicts = _forward_scan(
+                reference, sla, 99.0, self.QUERIES, grid
+            )
+            assert {
+                "none": not any(verdicts),
+                "some": any(verdicts) and not all(verdicts),
+                "all": all(verdicts),
+            }[passing]
+            search = QueryScheduler(rm1_t4, policy, seed=seed)
+            answer = search.max_load_under_sla(
+                sla, 99.0, num_queries=self.QUERIES, qps_grid=grid
+            )
+            assert answer == expected
+            assert (
+                search._rng.bit_generator.state
+                == reference._rng.bit_generator.state
+            )
+            assert (
+                search.run(3000.0, 500).latencies_s.tobytes()
+                == reference.run(3000.0, 500).latencies_s.tobytes()
+            )
+
+    def test_serve_sla_configuration_runs_once(self, rm1_t4, monkeypatch):
+        """The highest load meets 2 ms, so the search stops there."""
+        calls = _count_runs(monkeypatch)
+        scheduler = QueryScheduler(rm1_t4, BatchingPolicy(max_batch=64))
+        answer = scheduler.max_load_under_sla(0.002, 99.0, num_queries=50_000)
+        peak = 64 / rm1_t4.seconds(64)
+        assert answer == peak * 0.95
+        assert calls == [answer]
+
+    def test_no_passing_load_runs_every_load(self, rm1_t4, monkeypatch):
+        calls = _count_runs(monkeypatch)
+        grid = _grid("shuffled", 64 / rm1_t4.seconds(64))
+        scheduler = QueryScheduler(rm1_t4, BatchingPolicy(max_batch=64))
+        answer = scheduler.max_load_under_sla(
+            0.0005, num_queries=3000, qps_grid=grid
+        )
+        assert answer == 0.0
+        assert calls == sorted(grid, reverse=True)
+
+
+class TestCapacitySearchInputs:
+    """Bad inputs raise at entry, naming the argument, before any draw."""
+
+    @pytest.mark.parametrize("kwargs,error,name", [
+        (dict(sla_seconds=float("nan")), ValueError, "sla_seconds"),
+        (dict(sla_seconds=-1.0), ValueError, "sla_seconds"),
+        (dict(sla_seconds=0.0), ValueError, "sla_seconds"),
+        (dict(sla_seconds=float("inf")), ValueError, "sla_seconds"),
+        (dict(sla_seconds="0.002"), TypeError, "sla_seconds"),
+        (dict(sla_seconds=True), TypeError, "sla_seconds"),
+        (dict(percentile=150), ValueError, "percentile"),
+        (dict(percentile=-1), ValueError, "percentile"),
+        (dict(percentile=float("nan")), ValueError, "percentile"),
+        (dict(percentile="99"), TypeError, "percentile"),
+        (dict(qps_grid=[]), ValueError, "qps_grid"),
+        (dict(qps_grid=[1000.0, 2000.0, -5.0]), ValueError, "arrival_qps"),
+        (dict(qps_grid=[1000.0, float("nan")]), ValueError, "arrival_qps"),
+        (dict(qps_grid=[1000.0, "2000"]), TypeError, "arrival_qps"),
+        (dict(num_queries=0), ValueError, "num_queries"),
+    ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
+    def test_rejects_at_entry(self, rm1_t4, monkeypatch, kwargs, error, name):
+        calls = _count_runs(monkeypatch)
+        scheduler = QueryScheduler(rm1_t4, BatchingPolicy(max_batch=64))
+        before = scheduler._rng.bit_generator.state
+        args = dict(sla_seconds=0.002, num_queries=500)
+        args.update(kwargs)
+        with pytest.raises(error, match=name):
+            scheduler.max_load_under_sla(**args)
+        assert calls == []
+        assert scheduler._rng.bit_generator.state == before
+
+
+class TestArrivalReplay:
+    """The capacity search moves past a load's arrivals with a standard
+    exponential draw; numpy must keep ``exponential(scale, n)`` equal to
+    ``scale * standard_exponential(n)`` from the same stream."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2020])
+    @pytest.mark.parametrize("scale", [1.0, 1 / 3000.0, 1 / 99423.5, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 255, 4097])
+    def test_exponential_is_scaled_standard_exponential(self, seed, scale, n):
+        drawn = np.random.default_rng(seed)
+        standard = np.random.default_rng(seed)
+        into = np.random.default_rng(seed)
+        expected = drawn.exponential(scale, n)
+        assert (scale * standard.standard_exponential(n)).tobytes() == (
+            expected.tobytes()
+        )
+        out = np.empty(n)
+        into.standard_exponential(out=out)
+        assert (scale * out).tobytes() == expected.tobytes()
+        state = drawn.bit_generator.state
+        assert standard.bit_generator.state == state
+        assert into.bit_generator.state == state
