@@ -510,7 +510,8 @@ class QueryScheduler:
         then simulates the loads from the highest down, each on its own
         draw, and stops at the first that meets the SLA. Only the
         simulated loads reach the telemetry registry's ``scheduler.*``
-        counters. The answer is 0.0 when no load meets the SLA.
+        counters. The answer is 0.0 when no load meets the SLA. Bad
+        inputs raise before any draw, naming the argument.
         """
         _check_sla(sla_seconds, percentile)
         if qps_grid is None:
