@@ -102,17 +102,16 @@ def window_error_fractions(
     """
     if rule.max is None:
         raise ValueError(f"rule {rule.name!r} has no `max`; nothing to burn")
-    live = isinstance(source, TimeSeries)
-    summary = source.summary() if live else source
     fractions: Dict[int, float] = {}
-    for index in summary.window_indices():
-        if live:
+    if isinstance(source, TimeSeries):
+        for index in source.window_indices():
             hist = source.window_histogram(track, index)
             fractions[index] = (
                 hist.fraction_above(rule.max) if hist is not None else 0.0
             )
-            continue
-        cell = summary.histogram_summary(track, index)
+        return fractions
+    for index in source.window_indices():
+        cell = source.histogram_summary(track, index)
         if cell is None:
             fractions[index] = 0.0
         elif cell.get("p50", 0.0) > rule.max:

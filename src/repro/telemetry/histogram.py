@@ -8,9 +8,11 @@ p50/p95/p99 without keeping per-query latency lists alive.
 Two quantile regimes:
 
 * while the observation count is at or below ``exact_cap`` the raw
-  values are retained and :meth:`quantile` is *exact* (matches
-  ``numpy.percentile`` with linear interpolation);
-* past the cap the raw values are dropped and quantiles are
+  values are the only state, one float64 each in an ``array('d')``,
+  and :meth:`quantile` is *exact* (matches ``numpy.percentile`` with
+  linear interpolation); bucket counts are derived from the values
+  when a state is written or the cap is passed;
+* past the cap only the bucket counts are kept and quantiles are
   interpolated within log buckets, with relative error bounded by the
   bucket ``growth`` factor (5 % by default).
 
@@ -25,7 +27,9 @@ records can be merged into one fleet-wide distribution.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -87,12 +91,31 @@ class StreamingHistogram:
         growth: float = 1.05,
         exact_cap: int = 4096,
     ) -> None:
-        if min_value <= 0 or max_value <= min_value:
-            raise ValueError("need 0 < min_value < max_value")
-        if growth <= 1.0:
-            raise ValueError("bucket growth factor must be > 1")
-        if exact_cap < 0:
-            raise ValueError("exact_cap must be non-negative")
+        for name, value in (
+            ("min_value", min_value), ("max_value", max_value), ("growth", growth)
+        ):
+            _check_real(name, value)
+        if not (math.isfinite(min_value) and min_value > 0):
+            raise ValueError(f"min_value must be finite and > 0, got {min_value!r}")
+        if not (math.isfinite(max_value) and max_value > min_value):
+            raise ValueError(
+                f"max_value must be finite and > min_value, got {max_value!r}"
+            )
+        if not math.isfinite(max_value / min_value):
+            raise ValueError(
+                f"max_value / min_value must be finite, got {max_value!r} / "
+                f"{min_value!r}"
+            )
+        if not (math.isfinite(growth) and growth > 1.0):
+            raise ValueError(f"growth must be finite and > 1, got {growth!r}")
+        if (
+            isinstance(exact_cap, bool)
+            or not isinstance(exact_cap, numbers.Integral)
+            or exact_cap < 0
+        ):
+            raise ValueError(
+                f"exact_cap must be a non-negative integer, got {exact_cap!r}"
+            )
         self.min_value = min_value
         self.max_value = max_value
         self.growth = growth
@@ -101,13 +124,20 @@ class StreamingHistogram:
         self._num_buckets = (
             int(math.ceil(math.log(max_value / min_value) / self._log_growth)) + 2
         )  # +2 for underflow/overflow edge buckets
-        self._counts = [0] * self._num_buckets
+        self._lock = threading.Lock()
+        self._clear()
+
+    def _clear(self) -> None:
+        # Exactly one of the two is set: the raw values while exact,
+        # the bucket counts after.
+        self._exact: Optional[array] = array("d") if self.exact_cap > 0 else None
+        self._counts: Optional[List[int]] = (
+            None if self._exact is not None else [0] * self._num_buckets
+        )
         self._count = 0
         self._total = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._exact: Optional[List[float]] = [] if exact_cap > 0 else None
-        self._lock = threading.Lock()
 
     # -- recording ----------------------------------------------------------
 
@@ -132,17 +162,18 @@ class StreamingHistogram:
         if value < 0 or math.isnan(value):
             raise ValueError(f"histogram observations must be >= 0, got {value}")
         with self._lock:
-            self._counts[self._bucket_index(value)] += 1
             self._count += 1
             self._total += value
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if self._exact is not None:
+            if self._exact is None:
+                self._counts[self._bucket_index(value)] += 1
+            else:
                 self._exact.append(value)
                 if len(self._exact) > self.exact_cap:
-                    self._exact = None  # fall back to bucket interpolation
+                    self._drop_exact()
 
     def observe_many(self, values: Sequence[float]) -> None:
         """Record a batch of observations in one vectorized pass.
@@ -160,20 +191,12 @@ class StreamingHistogram:
             return
         if np.isnan(arr).any() or (arr < 0).any():
             raise ValueError("histogram observations must be >= 0 and not NaN")
-        bucket_counts = np.bincount(
-            self._bucket_indices(arr), minlength=self._num_buckets
-        )
         with self._lock:
-            for i in np.nonzero(bucket_counts)[0]:
-                self._counts[i] += int(bucket_counts[i])
             self._count += arr.size
             self._total += float(arr.sum())
             self._min = min(self._min, float(arr.min()))
             self._max = max(self._max, float(arr.max()))
-            if self._exact is not None:
-                self._exact.extend(arr.tolist())
-                if len(self._exact) > self.exact_cap:
-                    self._exact = None  # fall back to bucket interpolation
+            self._record(arr)
 
     def observe_each(self, values: Sequence[float]) -> None:
         """Record observations exactly as one :meth:`observe` per value,
@@ -188,8 +211,6 @@ class StreamingHistogram:
             return
         if np.isnan(arr).any() or (arr < 0).any():
             raise ValueError("histogram observations must be >= 0 and not NaN")
-        bucket_counts = np.bincount(self._bucket_indices(arr))
-        buckets = np.flatnonzero(bucket_counts)
         lo, hi = float(arr.min()), float(arr.max())
         # Of equal values observe keeps the first; only 0.0 and -0.0
         # are equal yet print differently.
@@ -198,9 +219,6 @@ class StreamingHistogram:
         if hi == 0.0:
             hi = max(arr.tolist())
         with self._lock:
-            counts = self._counts
-            for i, c in zip(buckets.tolist(), bucket_counts[buckets].tolist()):
-                counts[i] += c
             self._count += arr.size
             self._total = float(
                 np.cumsum(np.concatenate(([self._total], arr)))[-1]
@@ -209,10 +227,33 @@ class StreamingHistogram:
                 self._min = lo
             if hi > self._max:
                 self._max = hi
-            if self._exact is not None:
-                self._exact.extend(arr.tolist())
-                if len(self._exact) > self.exact_cap:
-                    self._exact = None  # fall back to bucket interpolation
+            self._record(arr)
+
+    def _record(self, arr: np.ndarray) -> None:
+        """Add ``arr`` to the exact values or the bucket counts (lock held)."""
+        if self._exact is not None:
+            self._exact.frombytes(arr.tobytes())
+            if len(self._exact) > self.exact_cap:
+                self._drop_exact()
+            return
+        bucket_counts = np.bincount(self._bucket_indices(arr))
+        buckets = np.flatnonzero(bucket_counts)
+        counts = self._counts
+        for i, c in zip(buckets.tolist(), bucket_counts[buckets].tolist()):
+            counts[i] += c
+
+    def _exact_counts(self) -> List[int]:
+        """Bucket counts of the exact values, as :meth:`observe` would
+        have counted them one by one."""
+        return np.bincount(
+            self._bucket_indices(np.frombuffer(self._exact)),
+            minlength=self._num_buckets,
+        ).tolist()
+
+    def _drop_exact(self) -> None:
+        """Past the cap: keep the values' bucket counts, drop the values."""
+        self._counts = self._exact_counts()
+        self._exact = None
 
     def _bucket_indices(self, arr: np.ndarray) -> np.ndarray:
         """:meth:`_bucket_index` of every value in ``arr``."""
@@ -264,12 +305,23 @@ class StreamingHistogram:
         Exact while under ``exact_cap`` observations; bucket-interpolated
         (relative error <= ``growth`` - 1) afterwards.
         """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if self._count == 0:
-            raise ValueError("cannot take a quantile of an empty histogram")
-        if self._exact is not None:
-            return _exact_percentile(self._exact, p)
+        return self._quantiles((p,))[0]
+
+    def _quantiles(self, ps: Sequence[float]) -> List[float]:
+        """:meth:`quantile` of every ``p`` in ``ps``, sorting at most once."""
+        for p in ps:
+            _check_real("percentile p", p)
+            if not 0.0 <= p <= 100.0:
+                raise ValueError(f"percentile p must be in [0, 100], got {p!r}")
+        with self._lock:
+            if self._count == 0:
+                raise ValueError("cannot take a quantile of an empty histogram")
+            if self._exact is None:
+                return [self._bucket_quantile(p) for p in ps]
+            ordered = np.sort(np.frombuffer(self._exact), kind="stable")
+        return [_exact_percentile(ordered, p) for p in ps]
+
+    def _bucket_quantile(self, p: float) -> float:
         rank = (p / 100.0) * (self._count - 1)
         target = rank + 1.0  # 1-based cumulative position, fractional
         cumulative = 0
@@ -293,11 +345,18 @@ class StreamingHistogram:
         within the bucket containing the threshold (error bounded by
         the bucket ``growth`` factor).
         """
+        threshold = float(threshold)
+        if math.isnan(threshold):
+            raise ValueError("fraction_above threshold must not be NaN")
+        with self._lock:
+            return self._fraction_above(threshold)
+
+    def _fraction_above(self, threshold: float) -> float:
         if self._count == 0:
             return 0.0
-        threshold = float(threshold)
         if self._exact is not None:
-            return sum(1 for v in self._exact if v > threshold) / self._count
+            above = np.count_nonzero(np.frombuffer(self._exact) > threshold)
+            return int(above) / self._count
         if threshold < self._min:
             return 1.0
         if threshold >= self._max:
@@ -316,17 +375,13 @@ class StreamingHistogram:
     def snapshot(
         self, quantiles: Sequence[float] = DEFAULT_QUANTILES
     ) -> HistogramSnapshot:
-        qs = (
-            {q: self.quantile(q) for q in quantiles}
-            if self._count
-            else {q: 0.0 for q in quantiles}
-        )
+        values = self._quantiles(quantiles) if self._count else [0.0] * len(quantiles)
         return HistogramSnapshot(
             count=self._count,
             total=self._total,
             min_value=self.min,
             max_value=self.max,
-            quantiles=qs,
+            quantiles=dict(zip(quantiles, values)),
         )
 
     # -- serialization ------------------------------------------------------
@@ -337,26 +392,26 @@ class StreamingHistogram:
     def to_state(self) -> Dict[str, object]:
         """Lossless, JSON-safe dump of the full histogram state.
 
-        Bucket counts are stored sparsely as ``[index, count]`` pairs;
-        raw values survive while the histogram is still in the exact
-        regime, so ``from_state(h.to_state())`` answers every
+        Bucket counts are stored sparsely as ``[index, count]`` pairs
+        (derived from the raw values while the histogram is exact); raw
+        values survive while the histogram is still in the exact regime,
+        so ``from_state(h.to_state())`` answers every
         :meth:`quantile` query identically to ``h``.
         """
         with self._lock:
+            counts = self._counts if self._exact is None else self._exact_counts()
             return {
                 "version": self.STATE_VERSION,
                 "min_value": self.min_value,
                 "max_value": self.max_value,
                 "growth": self.growth,
                 "exact_cap": self.exact_cap,
-                "counts": [
-                    [i, c] for i, c in enumerate(self._counts) if c
-                ],
+                "counts": [[i, c] for i, c in enumerate(counts) if c],
                 "count": self._count,
                 "total": self._total,
                 "min": self._min if self._count else None,
                 "max": self._max if self._count else None,
-                "exact": list(self._exact) if self._exact is not None else None,
+                "exact": self._exact.tolist() if self._exact is not None else None,
             }
 
     @classmethod
@@ -374,31 +429,35 @@ class StreamingHistogram:
             growth=float(state["growth"]),
             exact_cap=int(state["exact_cap"]),
         )
+        counts = [0] * hist._num_buckets
         for index, count in state["counts"]:
             if not 0 <= index < hist._num_buckets:
                 raise ValueError(
                     f"bucket index {index} out of range for "
                     f"{hist._num_buckets} buckets"
                 )
-            hist._counts[index] = int(count)
+            counts[index] = int(count)
         hist._count = int(state["count"])
         hist._total = float(state["total"])
         hist._min = math.inf if state["min"] is None else float(state["min"])
         hist._max = -math.inf if state["max"] is None else float(state["max"])
         exact = state["exact"]
-        hist._exact = None if exact is None else [float(v) for v in exact]
+        if exact is None:
+            hist._exact, hist._counts = None, counts
+            return hist
+        hist._exact, hist._counts = array("d", map(float, exact)), None
+        if hist._exact_counts() != counts:
+            raise ValueError(
+                "exact-regime histogram state: counts disagree with its "
+                "exact values"
+            )
         return hist
 
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
         with self._lock:
-            self._counts = [0] * self._num_buckets
-            self._count = 0
-            self._total = 0.0
-            self._min = math.inf
-            self._max = -math.inf
-            self._exact = [] if self.exact_cap > 0 else None
+            self._clear()
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
         """Accumulate another histogram with identical bucketing."""
@@ -413,8 +472,6 @@ class StreamingHistogram:
                 # Nothing to fold in — and crucially, merging an empty
                 # shard must not degrade this histogram's exact regime.
                 return self
-            for i, c in enumerate(other._counts):
-                self._counts[i] += c
             self._count += other._count
             self._total += other._total
             self._min = min(self._min, other._min)
@@ -422,19 +479,28 @@ class StreamingHistogram:
             if self._exact is not None and other._exact is not None:
                 self._exact.extend(other._exact)
                 if len(self._exact) > self.exact_cap:
-                    self._exact = None
-            else:
-                self._exact = None
+                    self._drop_exact()
+                return self
+            # Across regimes both sides' counts are materialized first.
+            mine = self._counts if self._exact is None else self._exact_counts()
+            theirs = other._counts if other._exact is None else other._exact_counts()
+            self._counts = [a + b for a, b in zip(mine, theirs)]
+            self._exact = None
         return self
 
 
-def _exact_percentile(values: List[float], p: float) -> float:
-    """``numpy.percentile(..., method="linear")`` without numpy."""
-    ordered = sorted(values)
+def _check_real(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def _exact_percentile(ordered: np.ndarray, p: float) -> float:
+    """``numpy.percentile(..., method="linear")`` of sorted values,
+    interpolated in Python floats."""
     if len(ordered) == 1:
-        return ordered[0]
+        return float(ordered[0])
     rank = (p / 100.0) * (len(ordered) - 1)
     lo = int(math.floor(rank))
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return float(ordered[lo]) * (1.0 - frac) + float(ordered[hi]) * frac

@@ -292,8 +292,9 @@ class _HistogramTrack:
         if hist is None or hist.count == 0:
             return None
         out = {"count": hist.count, "sum": hist.total}
+        snap = hist.snapshot(DEFAULT_WINDOW_QUANTILES)
         for q in DEFAULT_WINDOW_QUANTILES:
-            out[f"p{q:g}"] = hist.quantile(q)
+            out[f"p{q:g}"] = snap.quantiles[q]
         return out
 
     def state_rows(self) -> List[List[Any]]:
@@ -309,9 +310,10 @@ class _HistogramTrack:
             hist = self.windows[i]
             if hist.count == 0:
                 continue
+            snap = hist.snapshot(DEFAULT_WINDOW_QUANTILES)
             rows.append(
                 [i, [hist.count, hist.total]
-                 + [hist.quantile(q) for q in DEFAULT_WINDOW_QUANTILES]]
+                 + [snap.quantiles[q] for q in DEFAULT_WINDOW_QUANTILES]]
             )
         return rows
 
@@ -716,10 +718,11 @@ class TimeSeries:
     def summary(self) -> "TimeSeriesSummary":
         """Collapse to the plain-data per-window view (see module doc)."""
         rows: Dict[int, Dict[str, Any]] = {}
+        tracks = sorted(self._tracks.items())
         for index in self.window_indices():
             row: Dict[str, Any] = {}
-            for name in sorted(self._tracks):
-                value = self._tracks[name].summary_value(index)
+            for name, track in tracks:
+                value = track.summary_value(index)
                 if value is not None and value != 0.0 or (
                     isinstance(value, (int, float)) and value
                 ):

@@ -178,7 +178,7 @@ class TestObserveMany:
         batched.observe_many(values)
         assert batched.count == looped.count
         assert batched.total == pytest.approx(looped.total)
-        assert batched._counts == looped._counts
+        assert batched.to_state()["counts"] == looped.to_state()["counts"]
         for q in (50, 95, 99):
             assert batched.quantile(q) == pytest.approx(looped.quantile(q))
 

@@ -233,6 +233,25 @@ class TestBurnRate:
     def test_empty_source_no_alerts(self):
         assert evaluate_burn_rates(TimeSeries(window_s=1.0), [self._rule()]) == []
 
+    @pytest.mark.parametrize("rules", [1, 2, 5])
+    def test_live_series_builds_one_summary(self, monkeypatch, rules):
+        """Per-rule error fractions read the live windows, so one pass
+        summarizes the series once whatever the number of rules."""
+        calls = []
+        summary = TimeSeries.summary
+
+        def counted(ts):
+            calls.append(ts)
+            return summary(ts)
+
+        monkeypatch.setattr(TimeSeries, "summary", counted)
+        ts = self._burning_series()
+        alerts = evaluate_burn_rates(
+            ts, [self._rule(name=f"p99 #{k}") for k in range(rules)]
+        )
+        assert len(alerts) == 2 * rules
+        assert len(calls) == 1
+
 
 class TestScenarioPipeline:
     """``build_scenario`` is the one place a named scenario becomes a

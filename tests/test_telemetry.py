@@ -1,6 +1,7 @@
 """Tests for the telemetry building blocks (repro.telemetry)."""
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -392,6 +393,74 @@ class TestObserveForms:
         with pytest.raises(ValueError, match=">= 0"):
             hist.observe_each([0.1, float("nan")])
         assert hist.count == 0
+
+
+def _exact_state_with_wrong_counts():
+    h = StreamingHistogram()
+    h.observe_many([0.001, 0.002])
+    state = h.to_state()
+    state["counts"] = [[1, 2]]
+    return state
+
+
+def _capped_at_one(values):
+    """Exact for one value, in the bucket regime past it."""
+    h = StreamingHistogram(exact_cap=1)
+    h.observe_many(values)
+    return h
+
+
+class TestHistogramInputErrors:
+    """Bad arguments are refused at entry, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"min_value": float("nan")}, "min_value"),
+            ({"min_value": 0.0}, "min_value"),
+            ({"max_value": float("inf")}, "max_value"),
+            ({"max_value": 1e-10}, "max_value"),
+            ({"min_value": 1e-320}, "max_value / min_value"),
+            ({"growth": float("nan")}, "growth"),
+            ({"growth": 1.0}, "growth"),
+            ({"exact_cap": 2.5}, "exact_cap"),
+            ({"exact_cap": True}, "exact_cap"),
+            ({"exact_cap": -1}, "exact_cap"),
+        ],
+    )
+    def test_constructor_rejects(self, kwargs, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            StreamingHistogram(**kwargs)
+
+    def test_constructor_rejects_non_number(self):
+        with pytest.raises(TypeError, match="growth"):
+            StreamingHistogram(growth="1.05")
+
+    @pytest.mark.parametrize(
+        "hist",
+        [_capped_at_one([0.001]), _capped_at_one([0.001, 0.002])],
+        ids=["exact", "bucketed"],
+    )
+    def test_fraction_above_rejects_nan(self, hist):
+        with pytest.raises(ValueError, match="threshold"):
+            hist.fraction_above(float("nan"))
+
+    @pytest.mark.parametrize("p", ["50", None, True])
+    def test_quantile_rejects_non_number(self, p):
+        h = StreamingHistogram()
+        h.observe(0.001)
+        with pytest.raises(TypeError, match="percentile p"):
+            h.quantile(p)
+
+    def test_quantile_rejects_out_of_range(self):
+        h = StreamingHistogram()
+        h.observe(0.001)
+        with pytest.raises(ValueError, match="percentile p"):
+            h.quantile(100.5)
+
+    def test_from_state_rejects_counts_that_disagree_with_exact_values(self):
+        with pytest.raises(ValueError, match="counts disagree"):
+            StreamingHistogram.from_state(_exact_state_with_wrong_counts())
 
 
 class TestHistogramState:

@@ -9,7 +9,9 @@ including the histograms' exact-regime state (an empty window is a
 strict no-op, never an exactness downgrade).
 """
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +409,40 @@ class TestSerialization:
         a = json.dumps(_filled_series().compact_state(), sort_keys=True)
         b = json.dumps(_filled_series().compact_state(), sort_keys=True)
         assert a == b
+
+
+class TestHistogramTrackMemory:
+    """An exact-regime window keeps its values and nothing else."""
+
+    @staticmethod
+    def _bytes_per_observation(observations, windows):
+        rng = np.random.default_rng(3)
+        times = np.sort(rng.uniform(0.0, windows * 0.1, size=observations))
+        latencies = rng.lognormal(-7.0, 0.5, size=observations)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ts = TimeSeries(window_s=0.1)
+            ts.observe_each("latency_s", times, latencies)
+            assert len(ts.window_indices()) == windows
+            assert all(
+                ts.window_histogram("latency_s", i).is_exact
+                for i in ts.window_indices()
+            )
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del ts
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return freed / observations
+
+    def test_exact_windows_hold_about_one_float64_per_value(self):
+        per_value = self._bytes_per_observation(10_000, 24)
+        # 8 B per value plus the arrays' growth slack and the per-window
+        # histogram objects.
+        assert per_value <= 12.0, per_value
 
 
 class TestMerge:
