@@ -95,18 +95,12 @@ class StreamingHistogram:
             ("min_value", min_value), ("max_value", max_value), ("growth", growth)
         ):
             _check_real(name, value)
-        if not (math.isfinite(min_value) and min_value > 0):
-            raise ValueError(f"min_value must be finite and > 0, got {min_value!r}")
-        if not (math.isfinite(max_value) and max_value > min_value):
+        if not (0 < min_value < max_value and math.isfinite(max_value / min_value)):
             raise ValueError(
-                f"max_value must be finite and > min_value, got {max_value!r}"
+                "need 0 < min_value < max_value with a finite max_value / "
+                f"min_value, got min_value={min_value!r}, max_value={max_value!r}"
             )
-        if not math.isfinite(max_value / min_value):
-            raise ValueError(
-                f"max_value / min_value must be finite, got {max_value!r} / "
-                f"{min_value!r}"
-            )
-        if not (math.isfinite(growth) and growth > 1.0):
+        if not 1.0 < growth < math.inf:
             raise ValueError(f"growth must be finite and > 1, got {growth!r}")
         if (
             isinstance(exact_cap, bool)
@@ -349,28 +343,27 @@ class StreamingHistogram:
         if math.isnan(threshold):
             raise ValueError("fraction_above threshold must not be NaN")
         with self._lock:
-            return self._fraction_above(threshold)
-
-    def _fraction_above(self, threshold: float) -> float:
-        if self._count == 0:
-            return 0.0
-        if self._exact is not None:
-            above = np.count_nonzero(np.frombuffer(self._exact) > threshold)
-            return int(above) / self._count
-        if threshold < self._min:
-            return 1.0
-        if threshold >= self._max:
-            return 0.0
-        cut = self._bucket_index(threshold)
-        above = sum(self._counts[cut + 1:])
-        in_bucket = self._counts[cut]
-        if in_bucket:
-            lo, hi = self._bucket_bounds(cut)
-            lo = max(lo, self._min)
-            hi = min(hi, self._max) if hi > lo else hi
-            if hi > lo:
-                above += in_bucket * max(0.0, min(1.0, (hi - threshold) / (hi - lo)))
-        return min(above / self._count, 1.0)
+            if self._count == 0:
+                return 0.0
+            if self._exact is not None:
+                above = np.count_nonzero(np.frombuffer(self._exact) > threshold)
+                return int(above) / self._count
+            if threshold < self._min:
+                return 1.0
+            if threshold >= self._max:
+                return 0.0
+            cut = self._bucket_index(threshold)
+            above = sum(self._counts[cut + 1:])
+            in_bucket = self._counts[cut]
+            if in_bucket:
+                lo, hi = self._bucket_bounds(cut)
+                lo = max(lo, self._min)
+                hi = min(hi, self._max) if hi > lo else hi
+                if hi > lo:
+                    above += in_bucket * max(
+                        0.0, min(1.0, (hi - threshold) / (hi - lo))
+                    )
+            return min(above / self._count, 1.0)
 
     def snapshot(
         self, quantiles: Sequence[float] = DEFAULT_QUANTILES

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import threading
 
 import numpy as np
@@ -461,6 +462,44 @@ class TestHistogramInputErrors:
     def test_from_state_rejects_counts_that_disagree_with_exact_values(self):
         with pytest.raises(ValueError, match="counts disagree"):
             StreamingHistogram.from_state(_exact_state_with_wrong_counts())
+
+
+class TestHistogramThreads:
+    def test_reads_during_observations(self):
+        """Reads take the lock, so no writer grows the value array
+        while a read holds a view of it (that raises ``BufferError``)."""
+        hist = StreamingHistogram(exact_cap=10**6)
+        hist.observe(0.001)
+        errors = []
+
+        def write():
+            try:
+                for _ in range(300):
+                    hist.observe_each(np.full(64, 0.002))
+            except Exception as exc:
+                errors.append(exc)
+
+        def read():
+            try:
+                for _ in range(300):
+                    hist.snapshot()
+                    hist.fraction_above(0.0015)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f) for f in (write, read) * 3]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert hist.count == 1 + 3 * 300 * 64 and hist.is_exact
 
 
 class TestHistogramState:
