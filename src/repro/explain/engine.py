@@ -22,24 +22,27 @@ vs. shard fan-out vs. straggler wait vs. retry backoff. Three views:
   intervals overlapping injected fault windows — the strict check the
   CI explain smoke step enforces.
 
-The engine is columnar: the constructor puts the capture's columns
-(every completed query) in qid order — a latency vector and n x 7
-component and fault-overlap matrices — plus a per-shard side table.
-Every view is then a mask, a ``searchsorted`` or a left-to-right
-reduction over those columns, so sums accumulate in the same float
-order as a per-record ``+=`` loop.
+The engine is columnar and reads the capture's columns in place: the
+constructor keeps the qid-order permutation of the capture's rows, the
+latencies in that order, the fault overlap of the queries that have any
+(a k x 7 matrix) and a per-shard side table. Every view is then a mask,
+a ``searchsorted`` or a left-to-right reduction over those columns, so
+sums accumulate in the same float order as a per-record ``+=`` loop.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import (
+    Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.telemetry.querytrace import (
+    _BLOCK_ROWS,
     COMPONENTS,
     QueryTraceCapture,
     QueryTraceRecord,
@@ -54,12 +57,16 @@ _NCOMP = len(COMPONENTS)
 _COMPONENT_INDEX = {k: i for i, k in enumerate(COMPONENTS)}
 
 
-def _check_bounded(value: Any, name: str, high: float) -> None:
-    """Reject anything but a finite real number in ``[0, high]``."""
+def _check_real(value: Any, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(
             f"{name} must be a real number, got {type(value).__name__}"
         )
+
+
+def _check_bounded(value: Any, name: str, high: float) -> None:
+    """Reject anything but a finite real number in ``[0, high]``."""
+    _check_real(value, name)
     if not (math.isfinite(value) and 0.0 <= value <= high):
         raise ValueError(
             f"{name} must be a finite number in [0, {high:g}], "
@@ -71,6 +78,26 @@ def _check_percentile(percentile: Any) -> None:
     _check_bounded(percentile, "percentile", 100.0)
 
 
+def _check_windows(windows: Sequence[Any]) -> None:
+    """Reject a fault window that is not ``(start_s, end_s, kind)`` with
+    finite ``start_s <= end_s``."""
+    for window in windows:
+        try:
+            start, end, _ = window
+        except (TypeError, ValueError):
+            raise ValueError(
+                "fault_windows entries must be (start_s, end_s, kind), "
+                f"got {window!r}"
+            ) from None
+        _check_real(start, "fault_windows start_s")
+        _check_real(end, "fault_windows end_s")
+        if not (math.isfinite(start) and math.isfinite(end) and start <= end):
+            raise ValueError(
+                "fault_windows entries need finite start_s <= end_s, "
+                f"got {window!r}"
+            )
+
+
 def _seq_sum(values: np.ndarray) -> np.ndarray:
     """Column sums of ``values`` accumulated left to right from 0.0 —
     the float order of a per-record ``+=`` loop (``np.sum`` would sum
@@ -79,6 +106,37 @@ def _seq_sum(values: np.ndarray) -> np.ndarray:
     if not len(values):
         return np.zeros(values.shape[1:])
     return np.cumsum(values, axis=0, out=values)[-1] + 0.0
+
+
+class _QidOrderRecords(Sequence):
+    """A capture's completed queries in qid order, as
+    :class:`QueryTraceRecord` views built when read."""
+
+    __slots__ = ("_capture", "_rows")
+
+    def __init__(self, capture: QueryTraceCapture, rows: np.ndarray) -> None:
+        self._capture = capture
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[QueryTraceRecord, List[QueryTraceRecord]]:
+        if isinstance(index, slice):
+            return [
+                QueryTraceRecord(self._capture, row)
+                for row in self._rows[index].tolist()
+            ]
+        return QueryTraceRecord(
+            self._capture, int(self._rows[operator.index(index)])
+        )
+
+    def __iter__(self) -> Iterator[QueryTraceRecord]:
+        for lo in range(0, len(self._rows), _BLOCK_ROWS):
+            for row in self._rows[lo:lo + _BLOCK_ROWS].tolist():
+                yield QueryTraceRecord(self._capture, row)
 
 
 class Explanation:
@@ -93,23 +151,31 @@ class Explanation:
         meta: Optional[Dict[str, Any]] = None,
         fault_slack_s: float = 0.0,
     ) -> None:
+        fault_windows = tuple(fault_windows)
+        _check_windows(fault_windows)
+        _check_bounded(fault_slack_s, "fault_slack_s", math.inf)
         self.capture = capture
         self.result = result
-        self.fault_windows = tuple(fault_windows)
+        self.fault_windows = fault_windows
         self.meta = dict(meta or {})
         self.fault_slack_s = float(fault_slack_s)
         self._sorted_lat = np.sort(
             np.asarray(result.latencies_s, dtype=float)
         )
+        if capture.completed > len(self._sorted_lat):
+            raise ValueError(
+                f"capture holds {capture.completed} completed queries but "
+                f"result.latencies_s only {len(self._sorted_lat)}"
+            )
 
+        # The columns are read here and in each view, never kept: a live
+        # view of the capture's storage would pin its arrays.
         cols = capture.columns()
         # Capture rows in qid order, and each row's place in that order.
         rows = np.argsort(cols["qid"], kind="stable")
         position = np.argsort(rows)
         self._rows = rows
         self._lat = cols["latency"][rows]
-        self._comp = cols["components"][rows]
-        self._attempts = cols["attempts"][rows]
         # Queries by latency (ties in qid order), and each latency's
         # first slot in the full sorted population.
         self._lat_order = np.argsort(self._lat, kind="stable")
@@ -120,37 +186,49 @@ class Explanation:
         self._build_shard_table(cols, position)
 
     def _build_overlap(self, cols, position: np.ndarray) -> None:
-        """Per-(query, component) fault-window overlap seconds.
+        """Per-(query, component) fault-window overlap seconds, for the
+        queries that have any.
 
         Each interval's overlap is the sum over the slack-widened
         windows, clamped to the interval width so overlapping windows
-        never double count, and ``np.add.at`` folds the intervals into
-        their query's row in interval order.
+        never double count; intervals are worked a block at a time.
+        Only nonzero overlaps are kept: the rest are ``+0.0`` (the
+        minimum of non-negative values), which adds nothing to any sum.
+        ``np.add.at`` folds the kept intervals, in interval order, into
+        ``self._ov``, one row per query in ``self._ov_rows`` (sorted
+        qid-order positions).
         """
-        self._ov = np.zeros((len(position), _NCOMP))
-        end = cols["end"]
-        if self.fault_windows and end.size:
+        end, cover = cols["end"], cols["cover"]
+        slack = self.fault_slack_s
+        kept = [(np.empty(0, np.intp), np.empty(0, np.int8), np.empty(0))]
+        for lo in range(0, end.size if self.fault_windows else 0, _BLOCK_ROWS):
+            hi = end[lo:lo + _BLOCK_ROWS]
+            at = np.arange(lo, lo + hi.size)
+            row = np.searchsorted(cover, at, side="right")
             # An interval starts where the previous one ended; a query's
             # first interval starts at its arrival.
-            counts = np.diff(cols["cover"], prepend=0)
-            first = cols["cover"] - counts
-            lo = np.empty_like(end)
-            lo[1:] = end[:-1]
-            lo[first[counts > 0]] = cols["arrival"][counts > 0]
-            slack = self.fault_slack_s
-            total = np.zeros(end.size)
+            first = at == np.where(row > 0, cover[row - 1], 0)
+            start = np.where(first, cols["arrival"][row], end[at - 1])
+            total = np.zeros(hi.size)
             for ws, we, _ in self.fault_windows:
                 total += np.maximum(
                     0.0,
-                    np.minimum(end, we + slack) - np.maximum(lo, ws - slack),
+                    np.minimum(hi, we + slack) - np.maximum(start, ws - slack),
                 )
-            np.add.at(
-                self._ov,
-                (np.repeat(position, counts), cols["label"].astype(np.intp)),
-                np.minimum(total, end - lo),
-            )
+            ov = np.minimum(total, hi - start)
+            hit = ov != 0.0
+            kept.append((position[row[hit]], cols["label"][at[hit]], ov[hit]))
+        pos, label, ov = (np.concatenate(parts) for parts in zip(*kept))
+        self._ov_rows = np.unique(pos)
+        self._ov = np.zeros((len(self._ov_rows), _NCOMP))
+        np.add.at(
+            self._ov,
+            (np.searchsorted(self._ov_rows, pos), label.astype(np.intp)),
+            ov,
+        )
         # Per-query total over components, summed left to right.
-        self._ov_total = np.cumsum(self._ov, axis=1)[:, -1] + 0.0
+        self._ov_total = np.zeros(len(position))
+        self._ov_total[self._ov_rows] = np.cumsum(self._ov, axis=1)[:, -1]
 
     def _build_shard_table(self, cols, position: np.ndarray) -> None:
         """Per-shard seconds as (query position, key, seconds) entries,
@@ -173,13 +251,11 @@ class Explanation:
 
     # -- record selection ---------------------------------------------------
 
-    @cached_property
-    def records(self) -> List[QueryTraceRecord]:
-        """Every completed query, in qid order."""
-        return [
-            QueryTraceRecord(self.capture, row)
-            for row in self._rows.tolist()
-        ]
+    @property
+    def records(self) -> Sequence[QueryTraceRecord]:
+        """Every completed query, in qid order: a read-only sequence of
+        views, each built when read."""
+        return _QidOrderRecords(self.capture, self._rows)
 
     def cutoff(self, percentile: float) -> float:
         _check_percentile(percentile)
@@ -191,8 +267,10 @@ class Explanation:
         return self._lat >= self.cutoff(percentile)
 
     def tail_records(self, percentile: float) -> List[QueryTraceRecord]:
-        tail = np.flatnonzero(self._tail_mask(percentile))
-        return [self.records[i] for i in tail.tolist()]
+        return [
+            QueryTraceRecord(self.capture, row)
+            for row in self._rows[self._tail_mask(percentile)].tolist()
+        ]
 
     # -- attribution profiles ----------------------------------------------
 
@@ -202,8 +280,9 @@ class Explanation:
         cut = self.cutoff(percentile)
         mask = self._lat >= cut
         n = int(np.count_nonzero(mask))
-        sums = _seq_sum(self._comp[mask]).tolist()
-        overlaps = _seq_sum(self._ov[mask]).tolist()
+        comps = self.capture.columns()["components"]
+        sums = _seq_sum(comps[self._rows[mask]]).tolist()
+        overlaps = _seq_sum(self._ov[mask[self._ov_rows]]).tolist()
         shard_sums = self._shard_sums(mask)
         total = sum(sums)
         components = {}
@@ -280,9 +359,11 @@ class Explanation:
     # -- what-if bounds -----------------------------------------------------
 
     def _knob_values(self, component: str) -> np.ndarray:
-        """Seconds each query loses when ``component`` is zeroed."""
+        """Seconds each query loses when ``component`` is zeroed, in qid
+        order."""
         if component != "fault_windows":
-            return self._comp[:, _COMPONENT_INDEX[component]]
+            comps = self.capture.columns()["components"]
+            return comps[self._rows, _COMPONENT_INDEX[component]]
         return np.minimum(self._ov_total, self._lat)
 
     def what_if(
@@ -402,15 +483,17 @@ class Explanation:
             raise TypeError(f"n must be an int, got {type(n).__name__}")
         # Stable on the negated latency: ties stay in qid order.
         slowest = np.argsort(-self._lat, kind="stable")[:max(int(n), 0)]
+        rows = self._rows[slowest].tolist()
+        attempts = self.capture.columns()["attempts"][rows].tolist()
         out = []
-        for i in slowest.tolist():
-            rec = QueryTraceRecord(self.capture, int(self._rows[i]))
+        for row, tries in zip(rows, attempts):
+            rec = QueryTraceRecord(self.capture, row)
             out.append({
                 "qid": rec.qid,
                 "latency_s": rec.latency,
                 "arrival_s": rec.arrival,
                 "completion_s": rec.completion,
-                "attempts": int(self._attempts[i]),
+                "attempts": tries,
                 "dominant": rec.dominant_component(),
                 "components": rec.components,
             })

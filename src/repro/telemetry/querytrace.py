@@ -300,6 +300,11 @@ _STEP_CODES = np.array(
 #: chunk-long list of floats to the replay's memory peak.
 _FSUM_BLOCK = 64
 
+#: Rows a whole-column reduction works at a time (``component_totals``,
+#: the explanation's fault overlap), so none adds a column-long
+#: temporary to the memory peak.
+_BLOCK_ROWS = 1024
+
 #: The two steps that carry a shard annotation: straggler and gather.
 _SHARD_STEPS = slice(4, 6)
 
@@ -631,9 +636,14 @@ class QueryTraceCapture:
     @property
     def component_totals(self) -> Dict[str, float]:
         """Each component summed over every completed query, left to
-        right in settle order (the float order of a running ``+=``)."""
-        comps = np.vstack((np.zeros(_NCOMP), self.columns()["components"]))
-        return dict(zip(COMPONENTS, np.cumsum(comps, axis=0)[-1].tolist()))
+        right in settle order (the float order of a running ``+=``): a
+        ``cumsum`` per block of rows, continued from the running row."""
+        comps = self.columns()["components"]
+        running = np.zeros((1, _NCOMP))
+        for lo in range(0, len(comps), _BLOCK_ROWS):
+            block = np.vstack((running, comps[lo:lo + _BLOCK_ROWS]))
+            running = np.cumsum(block, axis=0, out=block)[-1:]
+        return dict(zip(COMPONENTS, running[0].tolist()))
 
     @property
     def shard_totals(self) -> Dict[str, Dict[str, float]]:

@@ -16,6 +16,7 @@ import gc
 import json
 import math
 import tracemalloc
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,6 +215,35 @@ class TestKeepAll:
         assert exp.top_queries(3) == top
         assert (view.qid, view.latency, view.components, view.attempts) == state
         assert len(qt.records) == qt.completed == first.result.completed
+
+    def test_explanation_memory_per_query_bounded(self):
+        """What an ``Explanation`` keeps, and its peak over the views the
+        CLI renders, per completed query of a 10k-query 5x throttle run:
+        the capture's columns are read in place, fault overlap is kept
+        only for queries that have any, and record views are built on
+        demand."""
+        qt = QueryTraceCapture()
+        ms = _monitored(
+            "slowdown", capture=qt, queries=10_000,
+            scenario_overrides=THROTTLE,
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            exp = Explanation(
+                qt, ms.result, fault_windows=ms.fault_windows(),
+                fault_slack_s=ms.window_s,
+            )
+            exp.to_dict()
+            exp.what_if_table(99.0)
+            exp.attribution_section()
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exp.fault_attribution(99.0)["ok"]
+        retained, peak = held / qt.completed, peak / qt.completed
+        assert retained <= 80 and peak <= 170, (retained, peak)
 
     def test_keeps_every_query_above_ten_thousand(self):
         qt = QueryTraceCapture()
@@ -555,6 +585,29 @@ class TestExplanationEngine:
          "majority"),
         (lambda e: e.top_queries(2.5), TypeError, "n must be an int"),
         (lambda e: e.top_queries(False), TypeError, "n must be an int"),
+        (lambda e: Explanation(e.capture, e.result, fault_slack_s=math.nan),
+         ValueError, "fault_slack_s"),
+        (lambda e: Explanation(e.capture, e.result, fault_slack_s=math.inf),
+         ValueError, "fault_slack_s"),
+        (lambda e: Explanation(e.capture, e.result, fault_slack_s=-1.0),
+         ValueError, "fault_slack_s"),
+        (lambda e: Explanation(e.capture, e.result, fault_slack_s="0.1"),
+         TypeError, "fault_slack_s"),
+        (lambda e: Explanation(
+            e.capture, e.result, fault_windows=[(math.nan, 0.1, "x")]),
+         ValueError, "fault_windows"),
+        (lambda e: Explanation(
+            e.capture, e.result, fault_windows=[(0.2, 0.1, "x")]),
+         ValueError, "fault_windows"),
+        (lambda e: Explanation(e.capture, e.result, fault_windows=[(0.2,)]),
+         ValueError, "fault_windows"),
+        (lambda e: Explanation(
+            e.capture, e.result, fault_windows=[("0.1", 0.2, "x")]),
+         TypeError, "fault_windows"),
+        (lambda e: Explanation(
+            e.capture,
+            SimpleNamespace(latencies_s=e.result.latencies_s[:-1]),
+        ), ValueError, "capture holds"),
     ])
     def test_bad_arguments_rejected(self, throttle, call, error, match):
         exp, _ = throttle
@@ -705,6 +758,23 @@ class _ScalarReference:
             "improvement_s": observed - bound,
         }
 
+    def top_queries(self, n):
+        slowest = sorted(self.records, key=lambda r: -r.latency)[:n]
+        return [
+            {
+                "qid": rec.qid,
+                "latency_s": rec.latency,
+                "arrival_s": rec.arrival,
+                "completion_s": rec.completion,
+                "attempts": len(rec.attempts),
+                "dominant": max(
+                    COMPONENTS, key=lambda k: rec.components[k]
+                ),
+                "components": rec.components,
+            }
+            for rec in slowest
+        ]
+
     def fault_attribution(self, percentile, majority=0.5):
         prof = self.profile(percentile)
         comps = prof["components"]
@@ -779,6 +849,10 @@ def _assert_matches_reference(exp):
         assert [r.qid for r in exp.tail_records(p)] == [
             r.qid for r in ref.records if r.latency >= ref.cutoff(p)
         ]
+    assert [(r.qid, r.latency) for r in exp.records] == [
+        (r.qid, r.latency) for r in ref.records
+    ]
+    _assert_same(exp.top_queries(50), ref.top_queries(50), "top_queries(50)")
 
 
 @pytest.fixture(scope="module")
@@ -786,6 +860,15 @@ def quiet_run():
     """A fault-free scenario: no fault windows at all."""
     return explain_scenario(
         "rm1", "t4", "stragglers", queries=600, seed=SEED,
+    )
+
+
+@pytest.fixture(scope="module", params=["crash", "mixed"])
+def unordered_run(request):
+    """Runs whose retried queries settle after later arrivals, so the
+    capture's rows are out of qid order."""
+    return explain_scenario(
+        "rm1", "t4", request.param, queries=4000, seed=SEED,
     )
 
 
@@ -800,6 +883,13 @@ class TestColumnarOracle:
         assert exp.profile(99.0)["components"]["gather_network"]["top_shard"]
         _assert_matches_reference(exp)
 
+    def test_settled_out_of_qid_order(self, unordered_run):
+        exp = unordered_run[0]
+        qid = exp.capture.columns()["qid"]
+        assert np.any(np.diff(qid) < 0)
+        assert any(r["attempts"] > 1 for r in exp.top_queries(50))
+        _assert_matches_reference(exp)
+
     def test_no_fault_windows(self, quiet_run):
         exp = quiet_run[0]
         assert exp.fault_windows == ()
@@ -811,7 +901,7 @@ class TestColumnarOracle:
             QueryTraceCapture(), SimpleNamespace(latencies_s=latencies),
             fault_windows=[(0.0, 1.0, "t4.slowdown")],
         )
-        assert exp.records == [] and exp.top_queries(5) == []
+        assert list(exp.records) == [] and exp.top_queries(5) == []
         _assert_matches_reference(exp)
 
     def test_tied_latencies_fill_distinct_slots(self):
@@ -861,6 +951,49 @@ class TestColumnarOracle:
         ]
         assert order_stats == pytest.approx(expected.tolist(), rel=1e-12)
         _assert_matches_reference(exp)
+
+
+class TestViews:
+    """Record views in qid order, and column sums worked in blocks."""
+
+    def test_records_sequence_in_qid_order(self, unordered_run):
+        exp = unordered_run[0]
+        records, qids = exp.records, sorted(exp.capture.records)
+        assert isinstance(records, Sequence)
+        assert len(records) == len(qids) == exp.capture.completed
+        assert [r.qid for r in records] == qids
+        assert [records[i].qid for i in (0, 7, -1, -len(qids))] == [
+            qids[i] for i in (0, 7, -1, -len(qids))
+        ]
+        for part in (slice(3, 40, 7), slice(-5, None), slice(None, None, -1)):
+            assert [r.qid for r in records[part]] == qids[part]
+        view = records[-1]
+        assert view.latency == exp.capture.records[qids[-1]].latency
+        with pytest.raises(IndexError):
+            records[len(qids)]
+        with pytest.raises(TypeError):
+            records[1.0]
+
+    @pytest.mark.parametrize("rows", [
+        0, 1, querytrace._BLOCK_ROWS - 1, querytrace._BLOCK_ROWS,
+        querytrace._BLOCK_ROWS + 1, 10_000,
+    ])
+    def test_component_totals_match_one_cumsum(self, rows):
+        """Summed in blocks with a carried running row, the totals equal
+        one ``cumsum`` over every row, bit for bit."""
+        rng = np.random.default_rng(SEED)
+        comps = rng.random((rows, len(COMPONENTS))) * 10.0 ** rng.integers(
+            -9, 1, (rows, len(COMPONENTS))
+        )
+        capture = QueryTraceCapture()
+        capture._cols["components"].frombytes(comps.tobytes())
+        whole = np.cumsum(np.vstack((np.zeros(len(COMPONENTS)), comps)), 0)
+        want = dict(zip(COMPONENTS, whole[-1].tolist()))
+        assert repr(capture.component_totals) == repr(want)
+        if rows == 10_000:
+            # The order matters: the exactly rounded sums differ.
+            exact = [math.fsum(column) for column in comps.T.tolist()]
+            assert exact != whole[-1].tolist()
 
 
 class TestFlowEvents:
