@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.graph import Graph, GraphBuilder, GraphError, TensorSpec, execute, execute_traced
 from repro.ops import FC, Concat, Relu
 
@@ -104,6 +105,21 @@ class TestExecution:
         assert trace.node_order == ["fc1", "relu1", "fc2"]
         assert trace.output_of("relu1").shape == (4, 16)
         np.testing.assert_array_equal(outputs[out], trace.output_of("fc2"))
+
+    def test_peak_live_bytes_gauge(self):
+        # Hand-computed on small_graph (float32, batch 4): x is 128 B,
+        # fc1 and relu1 256 B each, fc2 32 B. relu1 runs while fc1 is
+        # still live (fc1 is freed after its last consumer), so the
+        # peak is fc1 + relu1 = 512 B; x is already freed by then.
+        g, _ = small_graph()
+        with telemetry.capture() as (_, registry):
+            execute(g, {"x": np.zeros((4, 8), dtype=np.float32)})
+        observed = [
+            m["value"]
+            for m in registry.snapshot()
+            if m["name"] == "executor.peak_live_bytes"
+        ]
+        assert observed == [512]
 
     def test_multi_output_graph(self):
         b = GraphBuilder("multi")

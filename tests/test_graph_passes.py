@@ -1,5 +1,8 @@
 """Tests for the graph-optimization passes and fused operators."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,48 @@ class TestElementwiseChainFusion:
         for name in MODEL_ORDER:
             graph = build_all_models()[name].build_graph(8)
             assert "FusedElementwise" not in optimize(graph).kinds()
+
+
+#: sha256 of each optimized zoo graph's (node name, kind, inputs, output
+#: shape, output dtype) list, as JSON.
+OPTIMIZED_GRAPH_PINS = {
+    ("ncf", 1): "a326a2c88801bb53fe6d2cb56f728f344b02cb1df72211110cc05e6ec31fe38d",
+    ("ncf", 64): "b1c8a409b1da20d53c1622dc59ca91a93bb8ecde143be9a5c944619324fd9860",
+    ("ncf", 16384): "59cf4a024719d04f55053d00102f4579e0622ba5927775f8ade284a489bc6528",
+    ("rm1", 1): "412efd3c11c9baf6e3b7c9d6873cbffb25df6a2dcf97f8418af340b4b25a48fc",
+    ("rm1", 64): "9ffb6edc8016b1429980b5b8e18d77b6020abb1f51e04ca269cb59a37a89ed97",
+    ("rm1", 16384): "bf820412be505cbd168d39880e9436b9e832f6f315f6cb3a6bb72c4399504866",
+    ("rm2", 1): "d4fa6ed08002baac35d8a619f69dd719b0018fee1bdc050ef2f17e6ec9532898",
+    ("rm2", 64): "bde22a824cdc9e5a66ffd5bc1c7b0d894ca469dab81205906f4435f4932bac7d",
+    ("rm2", 16384): "be5aa3d59f759e51d983b6f55b9d574b02b6c6dd45eb5ebacd13391aa554abca",
+    ("rm3", 1): "867c38aca4c30a58b70c70a7beb87e5f9c1cdb2ec6ff2d3b27cbd8fc812d9559",
+    ("rm3", 64): "899334a2de2f3dd9bb6bb428c9b010a06c5ad0ce601878197886b319c2594206",
+    ("rm3", 16384): "ee4f694ee7a35b8e95400ff72dbeacb52ba32bf8a9bace0d334742b6533c057f",
+    ("wnd", 1): "18d437d414b948fb09ae29abe633107763a58c051a368c5135eb6180b5bab3e5",
+    ("wnd", 64): "9604e3c2608e18c51857f9f854b8736779e5dd082387c53801f4baa31526b6a1",
+    ("wnd", 16384): "de037accb3aa244c269038b2cb44974acdad0b2c4014057761a97a7a5b46755d",
+    ("mtwnd", 1): "580dce401f5bcb0b4e3deb79c72fe6a6c71b61e447c74f973ae9651be98ba481",
+    ("mtwnd", 64): "7d7bb6e1202026e8df55badaf7cfca83208174d9530a8048bedf760fa98cf101",
+    ("mtwnd", 16384): "8fc19b935da61fec3110962a042430228f05adf53dd88d4afc2b387becd1b021",
+    ("din", 1): "419eaf4dd3a876571cf09bf254a87056641dae7665c7d88304581f1929d2e1af",
+    ("din", 64): "6ce543e4d89d7b06c5cf6e01c45ffc5a1df16d86e7ed7efe0871f5259d5f0664",
+    ("din", 16384): "0ded2f8936cac2ba89e9e5df584a05c639d0777a1cea45c4ec481a400ae2fbfa",
+    ("dien", 1): "1db5cb3763bf4d3c7ea73b6d68b9bd05da09b7fc7e9e39a0ca81ec0627ecf1e7",
+    ("dien", 64): "f3ada8ea0f1685f67fa3f61a3f3cd51d9bb9d71942df45e54aa6d4072dc09d13",
+    ("dien", 16384): "43721f3e56026ce7374cf98095dec46bc4d456f0b2680b6cd32ad09fde6a05ba",
+}
+
+
+@pytest.mark.parametrize("name,batch", sorted(OPTIMIZED_GRAPH_PINS))
+def test_optimized_graph_pins(name, batch):
+    graph = optimize(build_all_models()[name].build_graph(batch))
+    rows = [
+        [n.name, n.kind, list(n.inputs), list(n.output_spec.shape),
+         n.output_spec.dtype]
+        for n in graph.nodes
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == OPTIMIZED_GRAPH_PINS[name, batch]
 
 
 class TestSemanticsPreserved:
