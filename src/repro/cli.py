@@ -558,7 +558,7 @@ def _cmd_platforms(args) -> str:
 
 
 def _cmd_characterize(args) -> str:
-    report = characterize(args.model, args.platform, args.batch)
+    report = _or_exit(characterize, args.model, args.platform, args.batch)
     lines = report.summary_lines()
     lines.append("operator breakdown:")
     for op, share in report.operator_breakdown.top(6):
@@ -569,7 +569,7 @@ def _cmd_characterize(args) -> str:
 def _cmd_sweep(args) -> str:
     names = args.models if args.models else MODEL_ORDER
     models = {n: build_model(n) for n in names}
-    sweep = SpeedupStudy(models=models, batch_sizes=args.batches).run()
+    sweep = _or_exit(SpeedupStudy, models=models, batch_sizes=args.batches).run()
     rows = []
     for model in names:
         for batch in args.batches:
@@ -590,7 +590,7 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_optimal(args) -> str:
-    sweep = SpeedupStudy(batch_sizes=args.batches).run()
+    sweep = _or_exit(SpeedupStudy, batch_sizes=args.batches).run()
     cells = {}
     for cell in SpeedupStudy.optimal_platform_grid(sweep):
         cells[(cell.model, cell.batch_size)] = f"{cell.platform} {cell.speedup:.1f}x"
@@ -598,7 +598,7 @@ def _cmd_optimal(args) -> str:
 
 
 def _cmd_topdown(args) -> str:
-    suite = collect_suite(batch_size=args.batch)
+    suite = _or_exit(collect_suite, batch_size=args.batch)
     rows = []
     for cpu, reports in suite.items():
         for model in MODEL_ORDER:
@@ -621,8 +621,8 @@ def _cmd_topdown(args) -> str:
 
 
 def _cmd_breakdown(args) -> str:
-    session = InferenceSession(build_model(args.model), args.platform)
-    breakdown = breakdown_for(session.profile(args.batch))
+    session = _or_exit(InferenceSession, build_model(args.model), args.platform)
+    breakdown = breakdown_for(_or_exit(session.profile, args.batch))
     rows = [[op, f"{share * 100:.1f}%"] for op, share in breakdown.top(10)]
     return render_table(
         ["operator", "share"],
@@ -1006,6 +1006,10 @@ def _cmd_explain(args) -> Tuple[str, int]:
     from repro.explain import render_text as render_explain_text
     from repro.telemetry.querytrace import COMPONENTS
 
+    if args.top_queries < 0:
+        raise SystemExit(
+            f"error: --top-queries must be >= 0, got {args.top_queries}"
+        )
     what_if_knobs = COMPONENTS + ("fault_windows", "all")
     if args.what_if is not None and args.what_if not in what_if_knobs:
         raise SystemExit(
@@ -1386,6 +1390,8 @@ def _cmd_verify(args) -> Tuple[str, int]:
     from repro.analysis import verify_graph
     from repro.graph import optimize
 
+    if any(b < 1 for b in args.batches):
+        raise SystemExit(f"error: --batches must be >= 1, got {min(args.batches)}")
     names = args.models if args.models else MODEL_ORDER
     rows = []
     records = []

@@ -481,8 +481,10 @@ class Explanation:
         """The ``n`` slowest queries with their decomposition."""
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise TypeError(f"n must be an int, got {type(n).__name__}")
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         # Stable on the negated latency: ties stay in qid order.
-        slowest = np.argsort(-self._lat, kind="stable")[:max(int(n), 0)]
+        slowest = np.argsort(-self._lat, kind="stable")[:int(n)]
         rows = self._rows[slowest].tolist()
         attempts = self.capture.columns()["attempts"][rows].tolist()
         out = []

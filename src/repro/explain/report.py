@@ -144,7 +144,7 @@ def render_text(exp: Explanation, what_if: bool = True,
                 ["knob", "p99 ms", "bound ms", "win ms", "win"],
                 _what_if_rows(rows),
             ))
-    if top_queries > 0:
+    if top_queries:
         queries = exp.top_queries(top_queries)
         if queries:
             lines.append("")
@@ -200,7 +200,7 @@ def render_markdown(exp: Explanation, what_if: bool = True,
             for row in _what_if_rows(rows):
                 lines.append("| " + " | ".join(row) + " |")
             lines.append("")
-    if top_queries > 0:
+    if top_queries:
         queries = exp.top_queries(top_queries)
         if queries:
             lines += [
@@ -299,7 +299,7 @@ def render_html(exp: Explanation, what_if: bool = True,
                 "<th>bound ms</th><th>win ms</th><th>win</th></tr>"
                 f"</thead><tbody>{body}</tbody></table>"
             )
-    if top_queries > 0:
+    if top_queries:
         queries = exp.top_queries(top_queries)
         if queries:
             body = "".join(

@@ -460,8 +460,9 @@ class TestScenarioOutputPins:
 
 
 class TestScenarioInputErrors:
-    """Bad scenario sizes exit with ``error: ...`` naming the argument,
-    before any calibration, instead of a traceback deep in the engine."""
+    """Bad sizes exit with ``error: ...`` naming the argument instead of
+    a traceback deep in the engine or the cost model; scenario sizes are
+    checked before any calibration."""
 
     @pytest.mark.parametrize(
         "argv,name",
@@ -488,6 +489,14 @@ class TestScenarioInputErrors:
             (["metrics", "--qps", "nan"], "qps"),
             (["metrics", "--queries", "-5"], "queries"),
             (["shard", "--alpha", "nan"], "alpha"),
+            (["explain", "--top-queries", "-3"], "--top-queries"),
+            (["characterize", "rm1", "--batch", "0"], "batch_size"),
+            (["topdown", "--batch", "-4"], "batch_size"),
+            (["breakdown", "rm1", "--batch", "0"], "batch_size"),
+            (["sweep", "--batches", "0"], "batch_sizes"),
+            (["optimal", "--batches", "0", "-3"], "batch_sizes"),
+            (["verify", "--batches", "0", "--models", "rm1"], "--batches"),
+            (["verify", "--batches", "-3", "--models", "rm1"], "--batches"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )

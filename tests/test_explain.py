@@ -585,6 +585,7 @@ class TestExplanationEngine:
          "majority"),
         (lambda e: e.top_queries(2.5), TypeError, "n must be an int"),
         (lambda e: e.top_queries(False), TypeError, "n must be an int"),
+        (lambda e: e.top_queries(-3), ValueError, "n must be >= 0"),
         (lambda e: Explanation(e.capture, e.result, fault_slack_s=math.nan),
          ValueError, "fault_slack_s"),
         (lambda e: Explanation(e.capture, e.result, fault_slack_s=math.inf),
