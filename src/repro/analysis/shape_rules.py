@@ -229,14 +229,6 @@ def _fused_fc_rule(op, inputs: Sequence[SymSpec], binding: int) -> SymSpec:
     return _fc_rule(op.fc, inputs, binding)
 
 
-@shape_rule("FusedElementwise")
-def _fused_elementwise_rule(op, inputs: Sequence[SymSpec], binding: int) -> SymSpec:
-    spec = apply_rule(op.head, op.head.kind, inputs, binding)
-    for tail in op.tails:
-        spec = apply_rule(tail, tail.kind, [spec], binding)
-    return spec
-
-
 @shape_rule("Relu", "Sigmoid", "Tanh")
 def _activation_rule(op, inputs: Sequence[SymSpec], binding: int) -> SymSpec:
     kind = getattr(op, "kind", "activation")

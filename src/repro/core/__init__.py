@@ -18,8 +18,6 @@ from repro.core.classification import (
 )
 from repro.core.energy import EnergyEstimate, efficiency_grid, energy_per_inference
 from repro.core.export import (
-    records_to_json,
-    suite_to_records,
     sweep_to_csv,
     sweep_to_records,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "efficiency_grid",
     "sweep_to_records",
     "sweep_to_csv",
-    "suite_to_records",
-    "records_to_json",
     "SpeedupStudy",
     "SweepResult",
     "OptimalCell",

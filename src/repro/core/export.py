@@ -1,4 +1,4 @@
-"""Export study results to plot-ready CSV/JSON artifacts.
+"""Export study results to plot-ready records and CSV.
 
 The bench harness renders text tables; this module produces the same
 data in machine-readable form, so downstream plotting (matplotlib,
@@ -8,19 +8,15 @@ re-running the sweeps.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.core.operator_breakdown import breakdown_for
 from repro.core.report import to_csv
 from repro.core.speedup import SweepResult
-from repro.core.topdown_analysis import MicroarchReport
 
 __all__ = [
     "sweep_to_csv",
     "sweep_to_records",
-    "suite_to_records",
-    "records_to_json",
 ]
 
 
@@ -57,42 +53,3 @@ def sweep_to_csv(sweep: SweepResult) -> str:
     rows = [[r[h] for h in headers] for r in records]
     return to_csv(headers, rows)
 
-
-def suite_to_records(
-    suite: Mapping[str, Mapping[str, MicroarchReport]],
-) -> List[Dict[str, object]]:
-    """One record per (cpu, model) with every Section VI metric."""
-    records = []
-    for cpu, reports in suite.items():
-        for model, report in reports.items():
-            td = report.topdown
-            ratio = report.core_to_memory_ratio
-            records.append(
-                {
-                    "cpu": cpu,
-                    "model": model,
-                    "batch_size": report.batch_size,
-                    "retiring": td.retiring,
-                    "bad_speculation": td.bad_speculation,
-                    "frontend_bound": td.frontend_bound,
-                    "backend_bound": td.backend_bound,
-                    "frontend_latency": td.frontend_latency,
-                    "frontend_bandwidth": td.frontend_bandwidth,
-                    "core_bound": td.core_bound,
-                    "memory_bound": td.memory_bound,
-                    "core_to_memory_ratio": None if ratio == float("inf") else ratio,
-                    "avx_fraction": report.avx_fraction,
-                    "instructions": report.retired_instructions,
-                    "i_mpki": report.i_mpki,
-                    "branch_mpki": report.branch_mpki,
-                    "dsb_limited_fraction": report.dsb_limited_fraction,
-                    "mite_limited_fraction": report.mite_limited_fraction,
-                    "dram_congested_fraction": report.dram_congested_fraction,
-                    "fu_3plus_fraction": report.fu_usage["3+"],
-                }
-            )
-    return records
-
-
-def records_to_json(records: List[Dict[str, object]], indent: int = 2) -> str:
-    return json.dumps(records, indent=indent, sort_keys=True)

@@ -36,7 +36,6 @@ COMPUTE_EFFICIENCY: Dict[str, float] = {
     "FC": 0.06,
     "FusedFC": 0.06,
     "GroupedSparseLengthsSum": 0.02,
-    "FusedElementwise": 0.05,
     "BatchMatMul": 0.055,
     "DotInteraction": 0.05,
     "AttentionScores": 0.05,

@@ -3,15 +3,11 @@
 from repro.graph.builder import GraphBuilder
 from repro.graph.passes import (
     DEFAULT_PASSES,
-    BufferPlan,
-    fuse_elementwise_chains,
     fuse_fc_activations,
     group_sls_into_concat,
     optimize,
-    plan_buffers,
-    working_set_stream,
 )
-from repro.graph.executor import ExecutionTrace, execute, execute_traced
+from repro.graph.executor import execute
 from repro.graph.graph import Graph, GraphError, Node
 from repro.graph.tensor import TensorSpec
 
@@ -22,14 +18,8 @@ __all__ = [
     "Node",
     "GraphBuilder",
     "execute",
-    "execute_traced",
-    "ExecutionTrace",
     "optimize",
     "fuse_fc_activations",
     "group_sls_into_concat",
-    "fuse_elementwise_chains",
     "DEFAULT_PASSES",
-    "BufferPlan",
-    "plan_buffers",
-    "working_set_stream",
 ]

@@ -9,14 +9,14 @@ performance models never call into it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
 from repro import telemetry
 from repro.graph.graph import Graph, GraphError
 
-__all__ = ["execute", "ExecutionTrace", "execute_traced"]
+__all__ = ["execute"]
 
 
 def _consumer_counts(graph: Graph) -> Dict[str, int]:
@@ -94,44 +94,11 @@ def execute(graph: Graph, feeds: Mapping[str, np.ndarray]) -> Dict[str, np.ndarr
             len(graph.nodes)
         )
         registry.gauge("executor.bytes_freed", graph=graph.name).set(bytes_freed)
-        # Matches BufferPlan.peak_live_bytes (pinned in tests): the
-        # activation working set reference-counted freeing sustains.
+        # The activation working set reference-counted freeing
+        # sustains (hand-computed on a small graph in tests).
         registry.gauge(
             "executor.peak_live_bytes", graph=graph.name
         ).set(peak_live_bytes)
 
     return {out: values[out] for out in graph.output_names}
 
-
-class ExecutionTrace:
-    """Per-node record of a traced execution (used by tests/examples)."""
-
-    def __init__(self) -> None:
-        self.node_outputs: Dict[str, np.ndarray] = {}
-        self.node_order: List[str] = []
-
-    def output_of(self, name: str) -> np.ndarray:
-        return self.node_outputs[name]
-
-
-def execute_traced(
-    graph: Graph, feeds: Mapping[str, np.ndarray]
-) -> "tuple[Dict[str, np.ndarray], ExecutionTrace]":
-    """Like :func:`execute` but retains every intermediate activation."""
-    graph.validate()
-    values: Dict[str, np.ndarray] = {}
-    for name, spec in graph.input_specs.items():
-        array = np.asarray(feeds[name])
-        if tuple(array.shape) != spec.shape:
-            raise GraphError(
-                f"feed {name!r} has shape {tuple(array.shape)}, "
-                f"expected {spec.shape}"
-            )
-        values[name] = array
-    trace = ExecutionTrace()
-    for node in graph.nodes:
-        out = node.op.compute([values[s] for s in node.inputs])
-        values[node.name] = out
-        trace.node_outputs[node.name] = out
-        trace.node_order.append(node.name)
-    return {o: values[o] for o in graph.output_names}, trace

@@ -1,4 +1,4 @@
-"""Graph-optimization passes and buffer planning.
+"""Graph-optimization passes.
 
 Rewrites that production inference stacks apply before deployment,
 targeting exactly the overheads the paper measures: per-operator
@@ -7,14 +7,7 @@ dispatch/launch cost and small-kernel memory round trips.
 * :func:`fuse_fc_activations` — vertical FC+activation fusion.
 * :func:`group_sls_into_concat` — horizontal fusion of N per-table
   ``SparseLengthsSum`` ops whose outputs meet in one ``Concat``.
-* :func:`fuse_elementwise_chains` — fold runs of unary activations
-  into their streaming elementwise producer.
 * :func:`optimize` — the full pipeline.
-* :func:`plan_buffers` — liveness analysis + greedy buffer-slot reuse
-  over a graph's intermediates; :attr:`BufferPlan.peak_live_bytes` is
-  the activation working set the memory hierarchy actually holds, and
-  :func:`working_set_stream` exposes it as a
-  :class:`~repro.ops.workload.MemoryStream` for the memory models.
 
 Passes are *semantics-preserving*: the rewritten graph computes
 identical outputs (tests pin equality to float tolerance).
@@ -22,30 +15,19 @@ identical outputs (tests pin equality to float tolerance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.graph.executor import _consumer_counts
 from repro.graph.graph import Graph, Node
-from repro.ops.fused import FusedElementwise, FusedFC, GroupedSparseLengthsSum
-from repro.ops.workload import MemoryStream, SEQUENTIAL
+from repro.ops.fused import FusedFC, GroupedSparseLengthsSum
 
 __all__ = [
     "fuse_fc_activations",
     "group_sls_into_concat",
-    "fuse_elementwise_chains",
     "optimize",
     "DEFAULT_PASSES",
-    "BufferPlan",
-    "plan_buffers",
-    "working_set_stream",
 ]
 
 _ACTIVATION_KINDS = ("Relu", "Sigmoid", "Tanh")
-
-#: Kinds that can head a fused elementwise chain (streaming, one output
-#: element per input element position — safe to extend with epilogues).
-_EW_HEAD_KINDS = ("Add", "Mul", "Sum", "Relu", "Sigmoid", "Tanh")
 
 
 def _consumers(graph: Graph) -> Dict[str, List[str]]:
@@ -172,60 +154,9 @@ def group_sls_into_concat(graph: Graph) -> Graph:
     return graph
 
 
-def fuse_elementwise_chains(graph: Graph) -> Graph:
-    """Fold every maximal ``elementwise -> activation...`` chain into a
-    single :class:`FusedElementwise` node.
-
-    Runs after :func:`fuse_fc_activations`, so activations directly fed
-    by an FC are already folded vertically; this pass picks up the
-    remaining streaming chains (``Add -> Relu``, ``Mul -> Sigmoid``,
-    ...). The head must have exactly one consumer per fused link and
-    must not itself be a graph output; the final activation may be.
-    """
-    consumers = _consumers(graph)
-    replace: Dict[str, Tuple[object, Tuple[str, ...]]] = {}
-    drop: Set[str] = set()
-    rename: Dict[str, str] = {}
-    claimed: Set[str] = set()
-    for node in graph.nodes:
-        if node.kind not in _EW_HEAD_KINDS or node.name in claimed:
-            continue
-        chain: List[Node] = []
-        cursor = node
-        while True:
-            if cursor.name in graph.output_names:
-                break
-            users = consumers.get(cursor.name, [])
-            if len(users) != 1:
-                break
-            nxt = graph.node(users[0])
-            if nxt.kind not in _ACTIVATION_KINDS or nxt.name in claimed:
-                break
-            chain.append(nxt)
-            cursor = nxt
-        if not chain:
-            continue
-        replace[node.name] = (
-            FusedElementwise(node.op, [t.op for t in chain]),
-            node.inputs,
-        )
-        claimed.add(node.name)
-        for tail in chain:
-            drop.add(tail.name)
-            claimed.add(tail.name)
-        rename[chain[-1].name] = node.name
-    if not replace:
-        return graph
-    return _rebuild(graph, replace, drop, rename)
-
-
-#: The default pass pipeline: horizontal SLS grouping, vertical FC
-#: fusion, then elementwise-chain fusion over what remains.
-DEFAULT_PASSES = (
-    group_sls_into_concat,
-    fuse_fc_activations,
-    fuse_elementwise_chains,
-)
+#: The default pass pipeline: horizontal SLS grouping, then vertical
+#: FC fusion.
+DEFAULT_PASSES = (group_sls_into_concat, fuse_fc_activations)
 
 
 def optimize(graph: Graph, passes=None, verify: bool = True) -> Graph:
@@ -249,122 +180,3 @@ def optimize(graph: Graph, passes=None, verify: bool = True) -> Graph:
         assert_equivalent(graph, optimized)
     return optimized
 
-
-# -- buffer planning --------------------------------------------------------
-
-@dataclass(frozen=True)
-class BufferPlan:
-    """Liveness analysis + greedy slot reuse over a graph's tensors.
-
-    Mirrors the executor's reference-counted freeing exactly, so
-    :attr:`peak_live_bytes` equals the maximum bytes the executor holds
-    at any point (inputs + live intermediates + pinned outputs; pinned
-    in tests against the executor's own accounting).
-
-    * ``naive_bytes`` — what a free-less allocator would hold: every
-      input plus every node output simultaneously.
-    * ``arena_bytes`` — total capacity of the reused slots (node
-      outputs only; graph inputs are caller-owned).
-    * ``assignments`` — node name -> slot index; nodes sharing a slot
-      never overlap in lifetime.
-    * ``timeline`` — live bytes right after each node executes (one
-      entry per node, in topological order).
-    """
-
-    graph_name: str
-    peak_live_bytes: int
-    naive_bytes: int
-    arena_bytes: int
-    slot_count: int
-    assignments: Dict[str, int]
-    timeline: Tuple[int, ...]
-
-    @property
-    def reuse_fraction(self) -> float:
-        """Fraction of naive allocation the plan avoids holding."""
-        if self.naive_bytes == 0:
-            return 0.0
-        return 1.0 - self.peak_live_bytes / self.naive_bytes
-
-
-def plan_buffers(graph: Graph) -> BufferPlan:
-    """Compute tensor lifetimes and assign node outputs to reusable slots.
-
-    Walks nodes in topological order with the same consumer refcounts
-    the executor uses: a tensor dies after its last consumer runs
-    (graph outputs never die). Slot assignment is greedy best-fit —
-    reuse the smallest free slot that holds the tensor, grow the
-    largest free slot when none fits, open a new slot only when none
-    is free.
-    """
-    graph.validate()
-    remaining = _consumer_counts(graph)
-    live: Dict[str, int] = {
-        name: spec.nbytes for name, spec in graph.input_specs.items()
-    }
-    live_bytes = sum(live.values())
-    peak = live_bytes
-    naive = live_bytes
-
-    slots: List[int] = []  # slot index -> capacity in bytes
-    free: List[int] = []  # indices of currently-unoccupied slots
-    slot_of: Dict[str, int] = {}
-    assignments: Dict[str, int] = {}
-    timeline: List[int] = []
-
-    for node in graph.nodes:
-        nbytes = node.output_spec.nbytes
-        naive += nbytes
-        fitting = [s for s in free if slots[s] >= nbytes]
-        if fitting:
-            slot = min(fitting, key=lambda s: slots[s])
-            free.remove(slot)
-        elif free:
-            slot = max(free, key=lambda s: slots[s])
-            free.remove(slot)
-            slots[slot] = nbytes
-        else:
-            slot = len(slots)
-            slots.append(nbytes)
-        slot_of[node.name] = slot
-        assignments[node.name] = slot
-
-        live[node.name] = nbytes
-        live_bytes += nbytes
-        peak = max(peak, live_bytes)
-        for src in node.inputs:
-            remaining[src] -= 1
-            if remaining[src] == 0 and src not in graph.output_names:
-                live_bytes -= live.pop(src)
-                if src in slot_of:
-                    free.append(slot_of.pop(src))
-        timeline.append(live_bytes)
-
-    return BufferPlan(
-        graph_name=graph.name,
-        peak_live_bytes=peak,
-        naive_bytes=naive,
-        arena_bytes=sum(slots),
-        slot_count=len(slots),
-        assignments=assignments,
-        timeline=tuple(timeline),
-    )
-
-
-def working_set_stream(graph: Graph) -> MemoryStream:
-    """The planned peak working set as a memory-model stream.
-
-    One sequential stream whose footprint is the peak live activation
-    set: what the cache hierarchy must retain for intermediate tensors
-    while the graph executes. Cost models can append it to a workload
-    to account for activation residency instead of assuming the naive
-    sum of all intermediates.
-    """
-    plan = plan_buffers(graph)
-    footprint = plan.peak_live_bytes
-    return MemoryStream(
-        footprint_bytes=footprint,
-        accesses=max(1, footprint // 64),
-        granule_bytes=64,
-        pattern=SEQUENTIAL,
-    )

@@ -5,7 +5,6 @@ from repro.models.config import EmbeddingGroupConfig, MlpConfig, ModelInfo
 from repro.models.dien import DIEN
 from repro.models.din import DIN
 from repro.models.dlrm import DLRM, DLRMConfig, make_rm1, make_rm2, make_rm3
-from repro.models.mf import MatrixFactorization
 from repro.models.ncf import NCF
 from repro.models.wnd import MultiTaskWideAndDeep, WideAndDeep
 from repro.models.variants import (
@@ -29,7 +28,6 @@ __all__ = [
     "MlpConfig",
     "ModelInfo",
     "NCF",
-    "MatrixFactorization",
     "DLRM",
     "DLRMConfig",
     "make_rm1",

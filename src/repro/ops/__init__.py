@@ -6,7 +6,7 @@ from repro.ops.base import Operator, OpError
 from repro.ops.elementwise import Add, Mul, Sum
 from repro.ops.embedding import EmbeddingTable, Gather, SparseLengthsSum
 from repro.ops.fc import FC
-from repro.ops.fused import FusedElementwise, FusedFC, GroupedSparseLengthsSum
+from repro.ops.fused import FusedFC, GroupedSparseLengthsSum
 from repro.ops.lazy import (
     LazyParam,
     eager_params,
@@ -27,7 +27,6 @@ __all__ = [
     "merge_workloads",
     "FC",
     "FusedFC",
-    "FusedElementwise",
     "GroupedSparseLengthsSum",
     "EmbeddingTable",
     "SparseLengthsSum",

@@ -9,11 +9,7 @@ CPUs and a kernel launch on GPUs. The classic remedies are
 * **horizontal fusion** — execute all of a model's same-shaped
   embedding lookups in one kernel, emitting the concatenated pooled
   output directly (:class:`GroupedSparseLengthsSum` — what production
-  DLRM kernels actually do), and
-* **elementwise-chain fusion** — run a streaming elementwise op and
-  the unary activations that follow it in one pass over the data
-  (:class:`FusedElementwise`), eliminating the intermediate tensors'
-  memory round trips entirely.
+  DLRM kernels actually do).
 
 Functional semantics exactly match the unfused subgraphs; tests pin
 output equality.
@@ -31,12 +27,9 @@ from repro.ops.embedding import EmbeddingTable, SparseLengthsSum
 from repro.ops.fc import FC
 from repro.ops.workload import OpWorkload, merge_workloads
 
-__all__ = ["FusedFC", "GroupedSparseLengthsSum", "FusedElementwise"]
+__all__ = ["FusedFC", "GroupedSparseLengthsSum"]
 
 _ACTIVATION_KINDS = ("Relu", "Sigmoid", "Tanh")
-
-#: Streaming elementwise kinds an activation chain can be fused onto.
-_EW_HEAD_KINDS = ("Add", "Mul", "Sum", "Relu", "Sigmoid", "Tanh")
 
 
 class FusedFC(Operator):
@@ -82,75 +75,6 @@ class FusedFC(Operator):
             unique_code_blocks=fc_work.unique_code_blocks,
             branches=fc_work.branches,
             branch_entropy=fc_work.branch_entropy,
-            kernel_launches=1,
-        )
-
-
-class FusedElementwise(Operator):
-    """An elementwise head with a chain of activations applied in-register.
-
-    ``Add -> Relu`` or ``Mul -> Sigmoid -> Tanh`` become one streaming
-    kernel: the head's inputs are read once, the tail activations run on
-    values still in registers, and only the final result is stored. The
-    intermediate tensors never touch memory, so the fused workload keeps
-    only the head's memory streams.
-    """
-
-    kind = "FusedElementwise"
-    arity = None  # inherits the head's input signature
-
-    def __init__(self, head: Operator, tails: Sequence[Operator]) -> None:
-        if head.kind not in _EW_HEAD_KINDS:
-            raise OpError(f"cannot head an elementwise chain with {head.kind}")
-        if not tails:
-            raise OpError("elementwise chain needs at least one tail")
-        for tail in tails:
-            if tail.kind not in _ACTIVATION_KINDS:
-                raise OpError(f"cannot fuse {tail.kind} into an elementwise chain")
-        self.head = head
-        self.tails = list(tails)
-
-    def parameters(self):
-        return self.head.parameters()
-
-    def parameter_specs(self):
-        return self.head.parameter_specs()
-
-    def infer_shape(self, input_specs: Sequence[TensorSpec]) -> TensorSpec:
-        spec = self.head.infer_shape(input_specs)
-        for tail in self.tails:
-            spec = tail.infer_shape([spec])
-        return spec
-
-    def compute(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        out = self.head.compute(inputs)
-        for tail in self.tails:
-            out = tail.compute([out])
-        return out
-
-    def workload(self, input_specs: Sequence[TensorSpec]) -> OpWorkload:
-        head_work = self.head.workload(input_specs)
-        spec = self.head.infer_shape(input_specs)
-        parts = [head_work]
-        for tail in self.tails:
-            parts.append(tail.workload([spec]))
-            spec = tail.infer_shape([spec])
-        merged = merge_workloads(self.kind, parts)
-        # The arithmetic of every stage survives; the tails' loads,
-        # stores, launches, and dispatches do not — activations happen
-        # in registers inside the head's streaming loop. Each fused
-        # tail only adds a short epilogue to the head's code region.
-        return OpWorkload(
-            op_kind=self.kind,
-            flops=merged.flops,
-            vector_fraction=merged.vector_fraction,
-            uses_fma=head_work.uses_fma,
-            scalar_ops=merged.scalar_ops,
-            streams=head_work.streams,
-            code_bytes=head_work.code_bytes + 128 * len(self.tails),
-            unique_code_blocks=head_work.unique_code_blocks,
-            branches=head_work.branches,
-            branch_entropy=head_work.branch_entropy,
             kernel_launches=1,
         )
 

@@ -22,16 +22,12 @@ from repro.runtime.session import (
     data_comm_span,
     profile_spans,
 )
-from repro.runtime.timeline import Timeline, TimelineSpan, timeline_from_profile
 
 __all__ = [
     "InferenceSession",
     "InferenceProfile",
     "profile_spans",
     "data_comm_span",
-    "Timeline",
-    "TimelineSpan",
-    "timeline_from_profile",
     "ServiceTimeModel",
     "BatchingPolicy",
     "BatchFormation",

@@ -13,8 +13,7 @@ Semantics:
 * **Histogram** — :class:`~repro.telemetry.histogram.StreamingHistogram`.
 
 ``snapshot()`` freezes everything into plain dicts; ``reset()`` zeroes
-values but keeps registrations; ``merge()`` folds another registry in
-(for aggregating per-worker registries).
+values but keeps registrations.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ class Counter:
 
     def reset(self) -> None:
         self._value = 0.0
-
-    def merge(self, other: "Counter") -> None:
-        self._value += other._value
 
 
 class Gauge:
@@ -121,15 +117,6 @@ class Gauge:
     def reset(self) -> None:
         with self._lock:
             self._clear()
-
-    def merge(self, other: "Gauge") -> None:
-        with self._lock:
-            if other._count:
-                self._value = other._value  # last writer wins
-                self._min = min(self._min, other._min)
-                self._max = max(self._max, other._max)
-                self._sum += other._sum
-                self._count += other._count
 
 
 class MetricsRegistry:
@@ -271,21 +258,3 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
             self._histogram_labels.clear()
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry's values into this one."""
-        for key, c in other._counters.items():
-            self.counter(key[0], **dict(key[1])).merge(c)
-        for key, g in other._gauges.items():
-            self.gauge(key[0], **dict(key[1])).merge(g)
-        for key, h in other._histograms.items():
-            mine = self.histogram(
-                key[0],
-                min_value=h.min_value,
-                max_value=h.max_value,
-                growth=h.growth,
-                exact_cap=h.exact_cap,
-                **dict(key[1]),
-            )
-            mine.merge(h)
-        return self

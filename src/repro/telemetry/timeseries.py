@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,10 +190,6 @@ class _CounterTrack:
     def state_rows(self) -> List[List[Any]]:
         return [[i, self.windows[i]] for i in sorted(self.windows)]
 
-    def load_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        for index, value in rows:
-            self.windows[int(index)] = float(value)
-
 
 class _GaugeTrack:
     kind = "gauge"
@@ -249,13 +245,6 @@ class _GaugeTrack:
     def state_rows(self) -> List[List[Any]]:
         return [[i, list(self.windows[i])] for i in sorted(self.windows)]
 
-    def load_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        for index, cell in rows:
-            self.windows[int(index)] = [
-                int(cell[0]), float(cell[1]), float(cell[2]),
-                float(cell[3]), float(cell[4]),
-            ]
-
 
 class _HistogramTrack:
     kind = "histogram"
@@ -300,10 +289,6 @@ class _HistogramTrack:
     def state_rows(self) -> List[List[Any]]:
         return [[i, self.windows[i].to_state()] for i in sorted(self.windows)]
 
-    def load_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        for index, state in rows:
-            self.windows[int(index)] = StreamingHistogram.from_state(state)
-
     def compact_rows(self) -> List[List[Any]]:
         rows = []
         for i in sorted(self.windows):
@@ -346,12 +331,6 @@ class _StateTrack:
             [i, {k: self.windows[i][k] for k in sorted(self.windows[i])}]
             for i in sorted(self.windows)
         ]
-
-    def load_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        for index, cell in rows:
-            self.windows[int(index)] = {
-                str(k): int(v) for k, v in dict(cell).items()
-            }
 
 
 _TRACK_TYPES = {
@@ -772,32 +751,6 @@ class TimeSeries:
                 for name, track in sorted(self._tracks.items())
             },
         }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "TimeSeries":
-        version = state.get("version")
-        if version != STATE_VERSION:
-            raise ValueError(
-                f"unsupported time-series state version {version!r}; this "
-                f"build reads version {STATE_VERSION}"
-            )
-        ts = cls(
-            window_s=float(state["window_s"]),
-            max_windows=int(state.get("max_windows", 4096)),
-            origin_s=float(state.get("origin_s", 0.0)),
-        )
-        ts.evicted_windows = int(state.get("evicted_windows", 0))
-        indices: List[int] = []
-        for name, payload in state.get("tracks", {}).items():
-            kind = payload["type"]
-            if kind not in _TRACK_TYPES:
-                raise ValueError(f"unknown track type {kind!r} for {name!r}")
-            track = ts._track(name, kind)
-            track.load_rows(payload.get("windows", []))
-            indices.extend(track.windows)
-        if indices:
-            ts._admit_all(np.asarray(indices))
-        return ts
 
     def compact_state(self) -> Dict[str, Any]:
         """Byte-stable compact dump for run-ledger records.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.graph import Graph, GraphBuilder, GraphError, TensorSpec, execute, execute_traced
+from repro.graph import Graph, GraphBuilder, GraphError, TensorSpec, execute
 from repro.ops import FC, Concat, Relu
 
 
@@ -97,14 +97,6 @@ class TestExecution:
         expected = np.maximum(x @ fc1.weight.T + fc1.bias, 0) @ fc2.weight.T + fc2.bias
         result = execute(g, {"x": x})[out]
         np.testing.assert_allclose(result, expected, rtol=1e-5)
-
-    def test_traced_execution_keeps_intermediates(self):
-        g, out = small_graph()
-        x = np.zeros((4, 8), dtype=np.float32)
-        outputs, trace = execute_traced(g, {"x": x})
-        assert trace.node_order == ["fc1", "relu1", "fc2"]
-        assert trace.output_of("relu1").shape == (4, 16)
-        np.testing.assert_array_equal(outputs[out], trace.output_of("fc2"))
 
     def test_peak_live_bytes_gauge(self):
         # Hand-computed on small_graph (float32, batch 4): x is 128 B,

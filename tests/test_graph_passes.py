@@ -9,7 +9,6 @@ import pytest
 from repro.graph import (
     GraphBuilder,
     execute,
-    fuse_elementwise_chains,
     fuse_fc_activations,
     group_sls_into_concat,
     optimize,
@@ -19,17 +18,14 @@ from repro.gpusim import GpuModel
 from repro.models import MODEL_ORDER, build_all_models
 from repro.ops import (
     FC,
-    Add,
     Concat,
     EmbeddingTable,
-    FusedElementwise,
     FusedFC,
     GroupedSparseLengthsSum,
     OpError,
     Relu,
     Sigmoid,
     SparseLengthsSum,
-    Tanh,
 )
 from repro.graph.tensor import TensorSpec
 from repro.uarch import CpuModel
@@ -154,106 +150,6 @@ class TestPassMechanics:
         b.output(cat)
         graph = b.build()
         assert "GroupedSparseLengthsSum" not in group_sls_into_concat(graph).kinds()
-
-
-class TestElementwiseChainFusion:
-    """The elementwise-chain pass never fires on the zoo (every zoo
-    activation is FC-fed, so FC fusion claims it first) — synthetic
-    graphs exercise it."""
-
-    @staticmethod
-    def _add_chain(n_tails=1):
-        b = GraphBuilder("ew")
-        a = b.input("a", (4, 8))
-        c = b.input("c", (4, 8))
-        h = b.apply(Add(), [a, c], name="add")
-        for i, act in enumerate([Relu(), Sigmoid(), Tanh()][:n_tails]):
-            h = b.apply(act, h, name=f"act{i}")
-        b.output(h)
-        return b.build()
-
-    def test_fused_op_matches_unfused(self):
-        fused = FusedElementwise(Add(), [Sigmoid(), Tanh()])
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 5)).astype(np.float32)
-        c = rng.standard_normal((3, 5)).astype(np.float32)
-        expected = Tanh().compute([Sigmoid().compute([Add().compute([a, c])])])
-        np.testing.assert_allclose(fused.compute([a, c]), expected, rtol=1e-6)
-
-    def test_fused_op_single_kernel_keeps_head_streams(self):
-        head = Add()
-        fused = FusedElementwise(head, [Relu(), Tanh()])
-        specs = [TensorSpec((16, 64)), TensorSpec((16, 64))]
-        w = fused.workload(specs)
-        hw = head.workload(specs)
-        assert w.kernel_launches == 1
-        assert w.streams == hw.streams  # tails stay in registers
-        assert w.code_bytes == hw.code_bytes + 128 * 2
-        # The tails' arithmetic is still accounted for.
-        assert w.flops > hw.flops
-
-    def test_fused_op_rejects_bad_shapes(self):
-        with pytest.raises(OpError):
-            FusedElementwise(FC(8, 4, "f"), [Relu()])
-        with pytest.raises(OpError):
-            FusedElementwise(Add(), [])
-        with pytest.raises(OpError):
-            FusedElementwise(Add(), [Concat(axis=1)])
-
-    def test_pass_fuses_add_relu(self):
-        graph = self._add_chain(1)
-        fused = fuse_elementwise_chains(graph)
-        assert len(fused) == len(graph) - 1
-        assert "FusedElementwise" in fused.kinds()
-        assert "Relu" not in fused.kinds()
-
-    def test_pass_collapses_whole_chain(self):
-        graph = self._add_chain(3)
-        fused = fuse_elementwise_chains(graph)
-        assert len(fused) == 1
-        # The fused node takes the head's name (same convention as
-        # FusedFC), and the output marker follows it.
-        assert fused.output_names == ["add"]
-
-    def test_pass_skips_multi_consumer_head(self):
-        b = GraphBuilder("shared")
-        a = b.input("a", (4, 8))
-        c = b.input("c", (4, 8))
-        h = b.apply(Add(), [a, c], name="add")
-        r = b.apply(Relu(), h, name="relu")
-        cat = b.apply(Concat(axis=1), [h, r], name="cat")
-        b.output(cat)
-        graph = b.build()
-        assert "FusedElementwise" not in fuse_elementwise_chains(graph).kinds()
-
-    def test_pass_skips_output_head(self):
-        b = GraphBuilder("out")
-        a = b.input("a", (4, 8))
-        c = b.input("c", (4, 8))
-        h = b.apply(Add(), [a, c], name="add")
-        r = b.apply(Relu(), h, name="relu")
-        b.output(h, r)
-        graph = b.build()
-        assert "FusedElementwise" not in fuse_elementwise_chains(graph).kinds()
-
-    def test_pass_survives_verifier_and_execution(self):
-        graph = self._add_chain(2)
-        optimized = optimize(graph, passes=[fuse_elementwise_chains])
-        rng = np.random.default_rng(4)
-        feeds = {
-            "a": rng.standard_normal((4, 8)).astype(np.float32),
-            "c": rng.standard_normal((4, 8)).astype(np.float32),
-        }
-        (base,) = execute(graph, feeds).values()
-        (opt,) = execute(optimized, feeds).values()
-        np.testing.assert_allclose(base, opt, rtol=1e-6)
-
-    def test_pass_is_noop_on_zoo(self):
-        # Documented behaviour: after FC fusion claims the activations,
-        # nothing in the zoo is left for the elementwise pass.
-        for name in MODEL_ORDER:
-            graph = build_all_models()[name].build_graph(8)
-            assert "FusedElementwise" not in optimize(graph).kinds()
 
 
 #: sha256 of each optimized zoo graph's (node name, kind, inputs, output

@@ -1,18 +1,14 @@
-"""Tests for batch-scaling analysis and the classical-MF baseline."""
+"""Tests for batch-scaling analysis."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
     SpeedupStudy,
-    characterize,
     crossover_batch,
     crossover_table,
     fit_scaling,
 )
-from repro.graph import execute
-from repro.models import MatrixFactorization, build_model
-from repro.workloads import QueryGenerator
+from repro.models import build_model
 
 
 @pytest.fixture(scope="module")
@@ -66,33 +62,3 @@ class TestCrossover:
     def test_crossover_table_covers_models(self, sweep):
         table = crossover_table(sweep)
         assert set(table) == {"rm2", "rm3", "din"}
-
-
-class TestMatrixFactorization:
-    def test_executes_and_scores(self):
-        model = MatrixFactorization()
-        feeds = QueryGenerator(model).generate(8)
-        (out,) = execute(model.build_graph(8), feeds).values()
-        assert out.shape == (8,)
-        assert np.all((out >= 0) & (out <= 1))
-
-    def test_dot_product_semantics(self):
-        model = MatrixFactorization(num_users=100, num_items=100, latent_dim=8)
-        idx = np.array([[3]], dtype=np.int64)
-        feeds = {"user_ids": idx, "item_ids": idx}
-        (out,) = execute(model.build_graph(1), feeds).values()
-        u = model._user_table.data[3]
-        v = model._item_table.data[3]
-        expected = 1.0 / (1.0 + np.exp(-(u @ v)))
-        np.testing.assert_allclose(out, [expected], rtol=1e-5)
-
-    def test_orders_of_magnitude_lighter_than_deep_models(self):
-        mf = characterize(MatrixFactorization(), "broadwell", 64)
-        rm3 = characterize("rm3", "broadwell", 64)
-        assert mf.total_seconds < rm3.total_seconds / 20
-
-    def test_no_fc_pressure(self):
-        report = characterize(MatrixFactorization(), "broadwell", 64)
-        assert report.microarch is not None
-        assert report.microarch.avx_fraction < 0.5
-        assert "FC" not in report.operator_breakdown.shares

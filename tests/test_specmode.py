@@ -1,5 +1,5 @@
-"""Spec-mode profiling: bit-identity to the numeric path, cache
-behaviour, and the buffer-reuse planner.
+"""Spec-mode profiling: bit-identity to the numeric path and cache
+behaviour.
 
 The tentpole guarantee is exact: for every zoo model, batch size, and
 platform — raw and optimized graphs alike — spec mode's per-op seconds,
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import SpeedupStudy
-from repro.graph import optimize, plan_buffers, execute
+from repro.graph import optimize
 from repro.gpusim import GpuModel
 from repro.hw import PLATFORM_ORDER, platform_by_name
 from repro.models import MODEL_ORDER, build_model
@@ -20,8 +20,6 @@ from repro.ops import materialization_count, reset_materialization_count
 from repro.runtime import InferenceSession, clear_graph_cache
 from repro.runtime import specmode
 from repro.uarch import CpuModel
-from repro.workloads import QueryGenerator
-from repro import telemetry
 
 BATCHES = [1, 64, 16384]
 
@@ -193,56 +191,3 @@ class TestSpecCaches:
         stats = specmode.spec_cache_stats()
         assert stats["size"] == 0
         assert stats["sweep_entries"] == 0
-
-
-class TestBufferPlan:
-    @pytest.mark.parametrize("name", MODEL_ORDER)
-    def test_peak_matches_executor(self, name):
-        model = build_model(name)
-        graph = model.build_graph(8)
-        plan = plan_buffers(graph)
-        feeds = QueryGenerator(model, seed=3).generate(8)
-        with telemetry.capture() as (_, registry):
-            execute(graph, feeds)
-        observed = [
-            m["value"]
-            for m in registry.snapshot()
-            if m["name"] == "executor.peak_live_bytes"
-        ]
-        assert observed, "executor did not record peak_live_bytes"
-        assert int(observed[0]) == plan.peak_live_bytes
-
-    @pytest.mark.parametrize("name", MODEL_ORDER)
-    def test_reuse_never_exceeds_naive(self, name):
-        graph = build_model(name).build_graph(16)
-        plan = plan_buffers(graph)
-        assert 0 < plan.peak_live_bytes <= plan.naive_bytes
-        assert plan.slot_count <= len(graph)
-        assert 0.0 <= plan.reuse_fraction < 1.0
-        assert len(plan.timeline) == len(graph)
-        assert len(plan.assignments) == len(graph)
-
-    def test_slots_are_reused_across_lifetimes(self):
-        # A deep FC chain keeps at most two intermediates alive, so the
-        # planner must ping-pong between a bounded set of slots instead
-        # of opening one per node.
-        from repro.graph import GraphBuilder
-        from repro.ops import FC
-
-        b = GraphBuilder("deep")
-        x = b.input("x", (4, 32))
-        h = x
-        for i in range(10):
-            h = b.apply(FC(32, 32, f"fc{i}"), h)
-        b.output(h)
-        plan = plan_buffers(b.build())
-        assert plan.slot_count <= 2
-        assert plan.arena_bytes <= 2 * 4 * 32 * 4
-
-    def test_working_set_stream_footprint(self):
-        from repro.graph import working_set_stream
-
-        graph = build_model("rm1").build_graph(8)
-        stream = working_set_stream(graph)
-        assert stream.footprint_bytes == plan_buffers(graph).peak_live_bytes
-        assert not stream.is_write

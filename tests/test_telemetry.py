@@ -140,17 +140,6 @@ class TestMetricsRegistry:
         assert snap["a"]["value"] == 0.0
         assert snap["h"]["count"] == 0
 
-    def test_merge_registries(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n", k="1").inc(1)
-        b.counter("n", k="1").inc(2)
-        b.counter("n", k="2").inc(5)
-        b.histogram("lat").observe(0.25)
-        a.merge(b)
-        assert a.counter("n", k="1").value == 3.0
-        assert a.counter("n", k="2").value == 5.0
-        assert a.histogram("lat").count == 1
-
     def test_find_does_not_create(self):
         reg = MetricsRegistry()
         assert reg.find("nope") is None

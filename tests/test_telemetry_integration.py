@@ -17,7 +17,6 @@ from repro.runtime import (
     ScheduleResult,
     ServiceTimeModel,
     profile_spans,
-    timeline_from_profile,
 )
 from repro.telemetry import MODELED_TID
 
@@ -60,15 +59,6 @@ class TestProfileSpans:
         assert spans[0].start_s == pytest.approx(profile.data_comm_seconds)
         for prev, cur in zip(spans, spans[1:]):
             assert cur.start_s == pytest.approx(prev.end_s)
-
-    def test_timeline_is_view_over_spans(self):
-        session = InferenceSession(build_model("rm1"), "broadwell")
-        profile = session.profile(16)
-        timeline = timeline_from_profile(profile)
-        for view in timeline.spans:
-            assert view.name == view.span.name
-            assert view.op_kind == view.span.category
-            assert view.duration_seconds == view.span.duration_s
 
     def test_gpu_profile_spans_recorded(self):
         session = InferenceSession(build_model("wnd"), "t4")
@@ -212,18 +202,3 @@ class TestDisabledIsNoop:
             instrumented = session.profile(16)
         assert instrumented.op_time_by_kind == baseline.op_time_by_kind
         assert instrumented.total_seconds == baseline.total_seconds
-
-
-class TestTimelineRenderRegression:
-    def test_subpixel_span_at_tail_still_draws(self):
-        """A tiny span ending exactly at the timeline tail must render
-        a >= 1 character bar inside the track (regression: bar could
-        clamp to 0 or negative at offset == width)."""
-        session = InferenceSession(build_model("rm1"), "broadwell")
-        timeline = timeline_from_profile(session.profile(16))
-        width = 10  # coarse grid forces sub-pixel spans at the tail
-        lines = timeline.render(width=width).splitlines()[1:]
-        for line in lines:
-            bar_field = line.split("|")[1]
-            assert len(bar_field) == width
-            assert "#" in bar_field
