@@ -116,7 +116,7 @@ def record(out: str, kind: str, arg: str) -> None:
                 sys.path.insert(0, str(Path(sys.argv[0]).resolve().parent))
                 runpy.run_path(sys.argv[0], run_name="__main__")
     except SystemExit as exc:
-        code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+        code = exc.code
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
@@ -161,9 +161,10 @@ def main() -> int:
                 print(run.stdout[-2000:])
             if os.path.exists(out):
                 with open(out) as fh:
-                    reached.update(tuple(line.rstrip("\n").split("\t")) for line in fh)
+                    for line in fh:
+                        path, first = line.split("\t")
+                        reached.add((path, int(first)))
                 os.remove(out)
-    reached = {(path, int(line)) for path, line in reached}
     total = counted = 0
     per_module, dead_spans = defaultdict(int), []
     for path, first, last, name in functions():

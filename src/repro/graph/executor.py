@@ -94,8 +94,8 @@ def execute(graph: Graph, feeds: Mapping[str, np.ndarray]) -> Dict[str, np.ndarr
             len(graph.nodes)
         )
         registry.gauge("executor.bytes_freed", graph=graph.name).set(bytes_freed)
-        # The activation working set reference-counted freeing
-        # sustains (hand-computed on a small graph in tests).
+        # Peak bytes of the inputs plus the live intermediates under
+        # reference-counted freeing (tests check a hand-computed peak).
         registry.gauge(
             "executor.peak_live_bytes", graph=graph.name
         ).set(peak_live_bytes)
