@@ -8,12 +8,9 @@ Two engines share one diagnostics vocabulary:
   and output reachability before a graph is cached or simulated;
 * the **codebase linter** (:func:`lint_paths`) enforces the repo's
   determinism/concurrency invariants (rules ``REP001``–``REP007``) over
-  Python sources via AST analysis;
-* the **twin-drift analyzer** (:func:`analyze_twins`) AST-pairs each
-  scalar cost-model function with its vectorized counterpart and flags
-  one-sided arithmetic edits (rules ``GV201``–``GV203``) at lint time.
+  Python sources via AST analysis.
 
-All surface through ``repro lint`` / ``repro verify`` on the CLI and
+Both surface through ``repro lint`` / ``repro verify`` on the CLI and
 are documented in ``docs/static_analysis.md``.
 
 The *dynamic* counterpart — the contract registry and differential
@@ -31,13 +28,6 @@ from repro.analysis.diagnostics import (
     DiagnosticReport,
 )
 from repro.analysis.linter import LINT_RULES, LintRule, lint_paths, lint_source
-from repro.analysis.twins import (
-    TWIN_PAIRS,
-    TWIN_RULES,
-    TwinFunction,
-    TwinPair,
-    analyze_twins,
-)
 from repro.analysis.shape_rules import (
     BATCH,
     SHAPE_RULES,
@@ -81,10 +71,4 @@ __all__ = [
     "LINT_RULES",
     "lint_source",
     "lint_paths",
-    # twin-drift analyzer
-    "TwinFunction",
-    "TwinPair",
-    "TWIN_PAIRS",
-    "TWIN_RULES",
-    "analyze_twins",
 ]

@@ -3,8 +3,8 @@
 The stack pins several pairs of independent implementations to the same
 answer: scalar vs vectorized cost evaluators behind spec-mode, raw vs
 optimized graph numerics, the plain vs gather-augmented scheduler path,
-framework lowerings vs their cost totals, live :class:`TimeSeries` vs
-shard-merged state, run-ledger records vs their re-recorded twins.
+framework lowerings vs their cost totals, run-ledger records vs their
+re-recorded twins.
 Each invariant here is a named, self-describing oracle: a hypothesis
 strategy producing a random *JSON-serializable* example dict, and a
 ``check`` that raises :class:`ContractViolation` when the invariant
@@ -21,9 +21,8 @@ package ``__init__`` deliberately does not import it eagerly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -613,70 +612,6 @@ def _check_colocation(example: Mapping[str, Any]) -> None:
     )
 
 
-# -- 8. TimeSeries shard-merge losslessness --------------------------------
-
-
-def _timeseries_examples() -> st.SearchStrategy:
-    # Track names are disjoint per op: a TimeSeries track has one kind
-    # for its whole life (counter vs histogram).
-    names = {"count": ("arrivals", "errors"), "observe": ("latency_ms",)}
-    event = st.sampled_from(("count", "observe")).flatmap(
-        lambda op: st.fixed_dictionaries({
-            "op": st.just(op),
-            "track": st.sampled_from(names[op]),
-            "t": st.floats(
-                0.0, 100.0, allow_nan=False, allow_infinity=False
-            ),
-            # Integer-valued amounts keep float accumulation exact, so
-            # the single-series and shard-merged paths must agree
-            # bitwise.
-            "value": st.integers(1, 1000),
-        })
-    )
-    return st.fixed_dictionaries({
-        "window_s": st.sampled_from((0.5, 1.0, 10.0)),
-        "num_shards": st.integers(2, 4),
-        "events": st.lists(event, min_size=1, max_size=40),
-    })
-
-
-def _check_timeseries(example: Mapping[str, Any]) -> None:
-    from repro.telemetry.timeseries import TimeSeries
-
-    def apply(ts, event):
-        if event["op"] == "count":
-            ts.count(event["track"], event["t"], float(event["value"]))
-        else:
-            ts.observe(event["track"], event["t"], float(event["value"]))
-
-    single = TimeSeries(example["window_s"])
-    shards = [
-        TimeSeries(example["window_s"])
-        for _ in range(example["num_shards"])
-    ]
-    # Counters are additive cells — exact under any split. Histograms
-    # are lossless under *window-split* sharding (each window's events
-    # wholly on one shard, as per-replica sharding produces), so route
-    # observations by window ownership.
-    for i, event in enumerate(example["events"]):
-        apply(single, event)
-        if event["op"] == "count":
-            shard = shards[i % len(shards)]
-        else:
-            shard = shards[single.window_index(event["t"]) % len(shards)]
-        apply(shard, event)
-    merged = TimeSeries(example["window_s"])
-    for shard in shards:
-        merged.merge(shard)
-    single_state = json.dumps(single.to_state(), sort_keys=True)
-    merged_state = json.dumps(merged.to_state(), sort_keys=True)
-    _require(
-        single_state == merged_state,
-        "shard-merged TimeSeries state differs from the single-series "
-        "state on integer-valued inputs",
-    )
-
-
 # -- registry --------------------------------------------------------------
 
 CONTRACTS: Tuple[Contract, ...] = (
@@ -729,12 +664,6 @@ CONTRACTS: Tuple[Contract, ...] = (
         "a colocated single-shard gather layout is bit-identical to the "
         "plain scheduler path",
         _colocation_examples, _check_colocation, cost=0.1,
-    ),
-    Contract(
-        "timeseries_merge_lossless",
-        "shard-merged TimeSeries state is byte-identical to the "
-        "single-series state on exactly-representable inputs",
-        _timeseries_examples, _check_timeseries, cost=0.01,
     ),
 )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -138,8 +139,10 @@ def examples_for_budget(
     [MIN_EXAMPLES, MAX_EXAMPLES]. Pure arithmetic — two machines with
     the same budget always run the same examples.
     """
-    if budget_s <= 0:
-        raise ValueError(f"budget must be positive seconds, got {budget_s}")
+    if not (math.isfinite(budget_s) and budget_s > 0):
+        raise ValueError(
+            f"budget_s must be finite positive seconds, got {budget_s}"
+        )
     if not contracts:
         return {}
     share = budget_s / len(contracts)

@@ -105,7 +105,7 @@ LINT_RULES: Dict[str, LintRule] = {
         LintRule(
             "REP007", "unknown-noqa",
             "noqa comment names a rule id this toolchain does not define",
-            "fix the rule id (REPnnn / GVnnn) or drop the dead suppression",
+            "fix the rule id (REPnnn) or drop the dead suppression",
         ),
     )
 }
@@ -404,8 +404,12 @@ def lint_source(
     filename: str = "<string>",
     select: Optional[Iterable[str]] = None,
 ) -> List[Diagnostic]:
-    """Lint one source text; returns (possibly empty) diagnostics."""
-    selected = {r.upper() for r in select} if select is not None else None
+    """Lint one source text; returns (possibly empty) diagnostics.
+
+    Raises ``ValueError`` if ``select`` names an unknown rule id or no
+    rule at all: a selection that checks nothing must not pass.
+    """
+    selected = _selected_rules(select)
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
@@ -425,10 +429,19 @@ def lint_source(
     ]
 
 
-def _known_rule_ids() -> Set[str]:
-    from repro.analysis.twins import TWIN_RULES
-
-    return set(LINT_RULES) | set(TWIN_RULES)
+def _selected_rules(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
+    if select is None:
+        return None
+    selected = {r.upper() for r in select}
+    if not selected:
+        raise ValueError("select names no rule")
+    unknown = sorted(selected - set(LINT_RULES))
+    if unknown:
+        raise ValueError(
+            f"select names unknown rule id(s) {unknown}; "
+            f"known: {sorted(LINT_RULES)}"
+        )
+    return selected
 
 
 def _comment_tokens(source: str) -> List[Tuple[int, str]]:
@@ -450,7 +463,6 @@ def _unknown_noqa(
     """WARNING for each noqa comment naming an undefined rule id."""
     if select is not None and "REP007" not in select:
         return []
-    known = _known_rule_ids()
     rule = LINT_RULES["REP007"]
     out: List[Diagnostic] = []
     for lineno, text in _comment_tokens(source):
@@ -459,7 +471,7 @@ def _unknown_noqa(
             continue
         for raw in match.group("rules").split(","):
             rule_id = raw.strip().upper()
-            if rule_id not in known:
+            if rule_id not in LINT_RULES:
                 out.append(Diagnostic(
                     "REP007", WARNING,
                     f"noqa names unknown rule {rule_id!r} [{rule.name}]",
@@ -484,9 +496,12 @@ def lint_paths(
     paths: Iterable[object],
     select: Optional[Iterable[str]] = None,
 ) -> DiagnosticReport:
-    """Lint every ``.py`` file under the given files/directories."""
+    """Lint every ``.py`` file under the given files/directories.
+
+    ``select`` is checked as in :func:`lint_source`, even with no file.
+    """
     report = DiagnosticReport()
-    selected = list(select) if select is not None else None
+    selected = _selected_rules(select)
     for path in _python_files(paths):
         try:
             source = path.read_text(encoding="utf-8")

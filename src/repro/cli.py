@@ -48,7 +48,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NoReturn, Optional, Tuple
 
 from repro import telemetry
 from repro.core import (
@@ -417,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--select", default=None,
         help="comma-separated rule ids to enable (default: all)",
-    )
-    p.add_argument(
-        "--no-twins", action="store_true",
-        help="skip the GV2xx scalar-vs-vectorized twin-drift pass",
     )
 
     p = sub.add_parser(
@@ -1333,29 +1329,36 @@ def _cmd_check(args) -> Tuple[str, int]:
     return text, report.exit_code()
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2, the usage-error code of the gate commands, printing
+    ``error: <message>`` to stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _cmd_lint(args) -> Tuple[str, int]:
-    from repro.analysis import analyze_twins, lint_paths
+    from repro.analysis import lint_paths
+    from repro.analysis.linter import _python_files
 
     select = None
-    if args.select:
+    if args.select is not None:
         select = [r.strip() for r in args.select.split(",") if r.strip()]
     missing = [p for p in args.paths if not os.path.exists(p)]
     if missing:
-        raise SystemExit(f"error: no such path: {', '.join(missing)}")
-    report = lint_paths(args.paths, select=select)
-    if not args.no_twins:
-        selected = {r.upper() for r in select} if select else None
-        report.extend(
-            d for d in analyze_twins()
-            if selected is None or d.rule in selected
-        )
+        _usage_error(f"no such path: {', '.join(missing)}")
+    if not _python_files(args.paths):
+        _usage_error(f"no Python file under {', '.join(args.paths)}")
+    try:
+        report = lint_paths(args.paths, select=select)
+    except ValueError as exc:
+        _usage_error(f"--select: {exc}")
     text = report.to_json() if args.format == "json" else report.render_text()
     return text, report.exit_code(strict=args.strict)
 
 
 def _cmd_fuzz(args) -> Tuple[str, int]:
     from repro.analysis.contracts import CONTRACTS, contract_by_name
-    from repro.analysis.fuzz import run_fuzz
+    from repro.analysis.fuzz import examples_for_budget, run_fuzz
 
     if args.list:
         rows = [c.describe() for c in CONTRACTS]
@@ -1372,7 +1375,11 @@ def _cmd_fuzz(args) -> Tuple[str, int]:
         try:
             contracts = [contract_by_name(n) for n in args.contract]
         except KeyError as exc:
-            raise SystemExit(f"error: {exc.args[0]}")
+            _usage_error(f"--contract: {exc.args[0]}")
+    try:
+        examples_for_budget(args.budget, CONTRACTS)
+    except ValueError as exc:
+        _usage_error(f"--budget: {exc}")
     report = run_fuzz(
         budget_s=args.budget,
         seed=args.seed,

@@ -162,6 +162,8 @@ class Explanation:
         self._sorted_lat = np.sort(
             np.asarray(result.latencies_s, dtype=float)
         )
+        # percentile -> cutoff over ``_sorted_lat``, filled on first read.
+        self._cutoffs: Dict[float, float] = {}
         if capture.completed > len(self._sorted_lat):
             raise ValueError(
                 f"capture holds {capture.completed} completed queries but "
@@ -261,7 +263,11 @@ class Explanation:
         _check_percentile(percentile)
         if not len(self._sorted_lat):
             return 0.0
-        return float(np.percentile(self._sorted_lat, percentile))
+        value = self._cutoffs.get(percentile)
+        if value is None:
+            value = float(np.percentile(self._sorted_lat, percentile))
+            self._cutoffs[percentile] = value
+        return value
 
     def _tail_mask(self, percentile: float) -> np.ndarray:
         return self._lat >= self.cutoff(percentile)
@@ -408,7 +414,7 @@ class Explanation:
         fits = slot < len(base)
         adjusted = base.copy()
         adjusted[slot[fits]] = lat[fits] - values[order[fits]]
-        observed = float(np.percentile(base, percentile))
+        observed = self.cutoff(percentile)
         bound = float(np.percentile(adjusted, percentile))
         return {
             "component": component,

@@ -31,7 +31,6 @@ from repro.ledger.record import (
     RunRecord,
     SchemaVersionError,
     fingerprint_for,
-    merged_histogram,
     platform_key,
     record_profile,
     record_run,
@@ -62,7 +61,6 @@ __all__ = [
     "record_schedule",
     "record_run",
     "record_sweep",
-    "merged_histogram",
     "RunLedger",
     "load_records",
     "index_by_key",

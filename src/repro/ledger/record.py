@@ -13,7 +13,7 @@ schema-versioned, byte-stable JSON document:
 * the TopDown pipeline-slot stack — the microarchitecture level (Fig 8);
 * latency / batch-occupancy distributions as lossless
   :class:`~repro.telemetry.StreamingHistogram` states, so percentiles
-  are recomputable and shard records merge;
+  are recomputable;
 * optionally the full :class:`~repro.telemetry.MetricsRegistry`
   snapshot.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro import telemetry
 from repro.telemetry import StreamingHistogram
@@ -42,7 +42,6 @@ __all__ = [
     "record_schedule",
     "record_run",
     "record_sweep",
-    "merged_histogram",
 ]
 
 #: Bump when the record layout changes incompatibly; readers refuse
@@ -487,21 +486,3 @@ def record_sweep(
                     )
                 )
     return records
-
-
-def merged_histogram(
-    records: Sequence[RunRecord], name: str = LATENCY_HISTOGRAM
-) -> StreamingHistogram:
-    """Combine shard records' stored distributions into one histogram.
-
-    Percentiles of the merge equal percentiles of the concatenated
-    observation stream (exactly in the exact regime, within the bucket
-    growth bound beyond it) — the property test in
-    ``tests/test_ledger.py`` pins this.
-    """
-    if not records:
-        raise ValueError("cannot merge zero records")
-    merged = records[0].histogram(name)
-    for record in records[1:]:
-        merged.merge(record.histogram(name))
-    return merged

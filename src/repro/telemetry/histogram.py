@@ -20,8 +20,7 @@ Histograms serialize losslessly (:meth:`StreamingHistogram.to_state` /
 :meth:`StreamingHistogram.from_state`): the state carries the bucket
 configuration, sparse bucket counts, and — while still in the exact
 regime — the retained raw values, so a deserialized histogram answers
-every quantile query identically to the original, and per-shard run
-records can be merged into one fleet-wide distribution.
+every quantile query identically to the original.
 """
 
 from __future__ import annotations
@@ -451,35 +450,6 @@ class StreamingHistogram:
     def reset(self) -> None:
         with self._lock:
             self._clear()
-
-    def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """Accumulate another histogram with identical bucketing."""
-        if (
-            other.min_value != self.min_value
-            or other.max_value != self.max_value
-            or other.growth != self.growth
-        ):
-            raise ValueError("cannot merge histograms with different buckets")
-        with self._lock:
-            if other._count == 0:
-                # Nothing to fold in — and crucially, merging an empty
-                # shard must not degrade this histogram's exact regime.
-                return self
-            self._count += other._count
-            self._total += other._total
-            self._min = min(self._min, other._min)
-            self._max = max(self._max, other._max)
-            if self._exact is not None and other._exact is not None:
-                self._exact.extend(other._exact)
-                if len(self._exact) > self.exact_cap:
-                    self._drop_exact()
-                return self
-            # Across regimes both sides' counts are materialized first.
-            mine = self._counts if self._exact is None else self._exact_counts()
-            theirs = other._counts if other._exact is None else other._exact_counts()
-            self._counts = [a + b for a, b in zip(mine, theirs)]
-            self._exact = None
-        return self
 
 
 def _check_real(name: str, value: object) -> None:

@@ -43,10 +43,6 @@ compact_state` collapses each window histogram to
 :class:`~repro.ledger.RunRecord` embeds. :class:`TimeSeriesSummary`
 is the read-side view both forms (and the monitor / dashboard layers)
 share.
-
-Merging follows the PR 5 contract window by window: folding in an
-empty shard — or an empty *window* of a shard — is a no-op that
-preserves the target's exact quantile regime.
 """
 
 from __future__ import annotations
@@ -180,10 +176,6 @@ class _CounterTrack:
     def add(self, index: int, amount: float) -> None:
         self.windows[index] = self.windows.get(index, 0.0) + amount
 
-    def merge_window(self, index: int, value: float) -> None:
-        if value:
-            self.add(index, float(value))
-
     def summary_value(self, index: int) -> float:
         return self.windows.get(index, 0.0)
 
@@ -213,21 +205,6 @@ class _GaugeTrack:
             if value > cell[3]:
                 cell[3] = value
             cell[4] = value
-
-    def merge_window(self, index: int, cell: Sequence[float]) -> None:
-        count = int(cell[0])
-        if count == 0:
-            # Empty shard window: folding it in must change nothing.
-            return
-        mine = self.windows.get(index)
-        if mine is None:
-            self.windows[index] = [count, *map(float, cell[1:5])]
-        else:
-            mine[0] += count
-            mine[1] += float(cell[1])
-            mine[2] = min(mine[2], float(cell[2]))
-            mine[3] = max(mine[3], float(cell[3]))
-            mine[4] = float(cell[4])  # later shard wins the last-set value
 
     def summary_value(self, index: int) -> Optional[Dict[str, float]]:
         cell = self.windows.get(index)
@@ -263,18 +240,6 @@ class _HistogramTrack:
 
     def observe(self, index: int, value: float) -> None:
         self._hist(index).observe(value)
-
-    def merge_window(self, index: int, other: StreamingHistogram) -> None:
-        if other.count == 0:
-            # Preserve the exact regime of an existing window; never
-            # materialize a new empty one.
-            return
-        mine = self.windows.get(index)
-        if mine is None:
-            # Adopt a copy so the shard stays independently usable.
-            self.windows[index] = StreamingHistogram.from_state(other.to_state())
-        else:
-            mine.merge(other)
 
     def summary_value(self, index: int) -> Optional[Dict[str, float]]:
         hist = self.windows.get(index)
@@ -315,12 +280,6 @@ class _StateTrack:
     def mark(self, index: int, state: str, count: int = 1) -> None:
         cell = self.windows.setdefault(index, {})
         cell[state] = cell.get(state, 0) + count
-
-    def merge_window(self, index: int, cell: Mapping[str, int]) -> None:
-        if not cell:
-            return
-        for state, count in cell.items():
-            self.mark(index, state, int(count))
 
     def summary_value(self, index: int) -> Optional[Dict[str, int]]:
         cell = self.windows.get(index)
@@ -714,27 +673,6 @@ class TimeSeries:
             track_kinds={n: t.kind for n, t in self._tracks.items()},
             evicted_windows=self.evicted_windows,
         )
-
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Fold a shard in, window by window (empty windows are no-ops)."""
-        if other.window_s != self.window_s or other.origin_s != self.origin_s:
-            raise ValueError(
-                "cannot merge time series with different windowing: "
-                f"{self.window_s}s@{self.origin_s} vs "
-                f"{other.window_s}s@{other.origin_s}"
-            )
-        for name, track in sorted(other._tracks.items()):
-            kind = track.kind
-            kwargs = (
-                {"hist_kwargs": track.hist_kwargs} if kind == "histogram" else {}
-            )
-            mine = self._track(name, kind, **kwargs)
-            for index in sorted(track.windows):
-                if self._admit(index):
-                    mine.merge_window(index, track.windows[index])
-        return self
 
     # -- serialization -------------------------------------------------------
 

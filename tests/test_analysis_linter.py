@@ -283,10 +283,10 @@ class TestREP007UnknownNoqa:
         """)
         assert sorted(rules_of(found)) == ["REP003", "REP007"]
 
-    def test_known_rep_and_gv_ids_accepted(self):
+    def test_known_rep_ids_accepted(self):
         assert lint("""
             h = hash("a")  # repro: noqa(REP003)
-            y = 2  # repro: noqa(GV201)
+            y = 2  # repro: noqa(REP001, REP005)
         """) == []
 
     def test_mixed_known_and_unknown_ids(self):
@@ -386,6 +386,15 @@ class TestSelectAndSyntax:
         found = lint_source("def broken(:\n", "bad.py")
         assert rules_of(found) == ["REP000"]
 
+    @pytest.mark.parametrize("select", [["REP999"], ["GV201"], []])
+    def test_select_that_checks_nothing_rejected(self, select):
+        with pytest.raises(ValueError, match="select"):
+            lint_source("import random\nrandom.random()\n", select=select)
+
+    def test_lint_paths_rejects_unknown_select_without_files(self, tmp_path):
+        with pytest.raises(ValueError, match="select"):
+            lint_paths([tmp_path], select=["FOO"])
+
 
 class TestLintPaths:
     def test_src_and_tests_are_clean(self):
@@ -445,6 +454,20 @@ class TestCli:
     def test_lint_missing_path_errors(self):
         with pytest.raises(SystemExit):
             main(["lint", "definitely/not/a/path"])
+
+    @pytest.mark.parametrize("rules", ["FOO", "GV201", "REP001,REP999", ","])
+    def test_lint_unknown_select_is_usage_error(self, rules, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--strict", "--select", rules, "src"])
+        assert exc.value.code == 2
+        assert "error: --select" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["README.md", "docs"])
+    def test_lint_paths_without_python_is_usage_error(self, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--strict", path])
+        assert exc.value.code == 2
+        assert "error: no Python file" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--models", "ncf", "--batches", "4"]) == 0

@@ -3,9 +3,9 @@
 Covers registry completeness, seeded determinism (same seed -> same
 example sequence), corpus serialization/replay, the CLI surface, and
 the headline acceptance regression: a deliberate one-term perturbation
-of a vectorized evaluator is caught statically by the twin-drift
-analyzer AND dynamically by the spec-vs-numeric contract, with a
-shrunk repro file serialized to the corpus.
+of a vectorized evaluator fails the spec-mode bit-identity tests and
+is caught by the spec-vs-numeric contract, with a shrunk repro file
+serialized to the corpus.
 """
 
 import json
@@ -28,6 +28,7 @@ from repro.analysis.fuzz import (
 )
 
 VEC_CPU = Path("src/repro/uarch/vectorized.py")
+VEC_GPU = Path("src/repro/gpusim/vectorized.py")
 
 
 class TestRegistry:
@@ -54,7 +55,7 @@ class TestRegistry:
             "lowering_agreement", "optimizer_numerics",
             "spec_numeric_equivalence", "verifier_spec_inference",
             "ledger_byte_stability", "scheduler_conservation",
-            "single_shard_colocation", "timeseries_merge_lossless",
+            "single_shard_colocation",
         } <= names
 
 
@@ -76,11 +77,15 @@ class TestBudgeting:
         with pytest.raises(ValueError):
             examples_for_budget(0.0, CONTRACTS)
 
+    @pytest.mark.parametrize("budget", [-5.0, float("nan"), float("inf")])
+    def test_rejects_budget_not_finite_positive(self, budget):
+        with pytest.raises(ValueError, match="budget_s"):
+            examples_for_budget(budget, CONTRACTS)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
-        "name", ["lowering_agreement", "scheduler_conservation",
-                 "timeseries_merge_lossless"]
+        "name", ["lowering_agreement", "scheduler_conservation"]
     )
     def test_same_seed_same_example_stream(self, name):
         contract = contract_by_name(name)
@@ -100,7 +105,7 @@ class TestDeterminism:
 
     def test_report_digest_covers_all_contracts(self):
         cheap = [contract_by_name("lowering_agreement"),
-                 contract_by_name("timeseries_merge_lossless")]
+                 contract_by_name("scheduler_conservation")]
         report = run_fuzz(budget_s=1.0, seed=7, contracts=cheap,
                           corpus_dir=None)
         assert report.ok
@@ -163,31 +168,50 @@ class TestFailurePath:
         assert list(tmp_path.iterdir()) == []
 
 
+def _perturbed(path, old, new, name):
+    """Function ``name`` of the module at ``path``, with the one
+    occurrence of ``old`` in its source replaced by ``new``."""
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), str(path), "exec"), namespace)
+    return namespace[name]
+
+
 def _perturbed_profile_cells_cpu():
     """profile_cells_cpu with one memory-model term changed:
     the 0.35 hot-fraction of random traffic becomes 0.350001."""
-    source = VEC_CPU.read_text(encoding="utf-8")
-    assert "hot * 0.35)" in source
-    perturbed_src = source.replace("hot * 0.35)", "hot * 0.350001)")
-    namespace = {}
-    exec(compile(perturbed_src, str(VEC_CPU), "exec"), namespace)
-    return perturbed_src, namespace["profile_cells_cpu"]
+    return _perturbed(
+        VEC_CPU, "hot * 0.35)", "hot * 0.350001)", "profile_cells_cpu"
+    )
+
+
+def _perturbed_profile_cells_gpu():
+    """profile_cells_gpu with the occupancy curve's 0.6 exponent
+    changed to 0.600001."""
+    return _perturbed(
+        VEC_GPU, "f ** 0.6 ", "f ** 0.600001 ", "profile_cells_gpu"
+    )
 
 
 class TestPerturbationAcceptance:
-    """ISSUE 9 acceptance: one perturbed term is caught both statically
-    (twin-drift) and dynamically (spec-vs-numeric contract), with a
-    shrunk serialized repro file."""
+    """One perturbed term of a vectorized evaluator is caught by the
+    spec-mode bit-identity tests and by the spec-vs-numeric contract,
+    which also writes a shrunk repro file."""
 
-    def test_static_twin_drift_flags_the_term(self):
-        from repro.analysis import analyze_twins
+    @pytest.mark.parametrize("target, perturb", [
+        ("repro.uarch.vectorized.profile_cells_cpu",
+         _perturbed_profile_cells_cpu),
+        ("repro.gpusim.vectorized.profile_cells_gpu",
+         _perturbed_profile_cells_gpu),
+    ], ids=["cpu", "gpu"])
+    def test_bit_identity_catches_it(self, target, perturb, monkeypatch):
+        import tests.test_specmode as specmode_tests
 
-        perturbed_src, _ = _perturbed_profile_cells_cpu()
-        report = analyze_twins(
-            sources={"repro.uarch.vectorized": perturbed_src}
-        )
-        rules = sorted(d.rule for d in report)
-        assert rules == ["GV201", "GV202"], report.render_text()
+        monkeypatch.setattr(target, perturb())
+        bit_identity = specmode_tests.TestBitIdentity()
+        with pytest.raises(AssertionError):
+            bit_identity.test_raw_and_optimized_graphs_identical("rm2")
 
     def test_dynamic_contract_catches_it_with_repro_file(
         self, tmp_path, monkeypatch
@@ -195,7 +219,7 @@ class TestPerturbationAcceptance:
         import repro.uarch.vectorized as vec_module
         from repro.runtime.specmode import clear_spec_caches
 
-        perturbed_src, perturbed_fn = _perturbed_profile_cells_cpu()
+        perturbed_fn = _perturbed_profile_cells_cpu()
         contract = contract_by_name("spec_numeric_equivalence")
         clear_spec_caches()
         monkeypatch.setattr(vec_module, "profile_cells_cpu", perturbed_fn)
@@ -251,20 +275,31 @@ class TestCli:
         code = main([
             "fuzz", "--budget", "1", "--seed", "7", "--json",
             "--contract", "lowering_agreement",
-            "--contract", "timeseries_merge_lossless",
+            "--contract", "scheduler_conservation",
             "--corpus-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
         names = [c["contract"] for c in payload["contracts"]]
-        assert names == ["lowering_agreement", "timeseries_merge_lossless"]
+        assert names == ["lowering_agreement", "scheduler_conservation"]
 
     def test_fuzz_unknown_contract_is_usage_error(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["fuzz", "--contract", "nope"])
+        assert exc.value.code == 2
+        assert "error: --contract" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
+    def test_fuzz_bad_budget_is_usage_error(self, budget, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--budget", budget])
+        assert exc.value.code == 2
+        assert "error: --budget" in capsys.readouterr().err
 
     def test_fuzz_list(self, capsys):
         from repro.cli import main

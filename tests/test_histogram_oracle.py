@@ -4,7 +4,7 @@ The reference keeps every value in a Python list and every bucket
 count from the first observation, and sorts the list once per
 quantile: the storage the array histogram replaced. Every read must be
 bit-equal to it (compared by ``repr``, so the sign of a zero counts),
-and so must ``to_state()``, in both regimes, across merges and over
+and so must ``to_state()``, in both regimes and over
 duplicates, signed zeros, single values and values on bucket edges.
 """
 
@@ -123,23 +123,6 @@ class ListHistogram:
             "exact": list(self._exact) if self._exact is not None else None,
         }
 
-    def merge(self, other):
-        if other._count == 0:
-            return self
-        for i, c in enumerate(other._counts):
-            self._counts[i] += c
-        self._count += other._count
-        self._total += other._total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        if self._exact is not None and other._exact is not None:
-            self._exact.extend(other._exact)
-            if len(self._exact) > self.exact_cap:
-                self._exact = None
-        else:
-            self._exact = None
-        return self
-
 
 LAYOUTS = (
     {},
@@ -243,18 +226,3 @@ class TestAgainstListReference:
     def test_one_stream(self, pair, percentiles, thresholds):
         _, hist, ref, values = pair
         _assert_reads_equal(hist, ref, percentiles, values + thresholds + [-0.0])
-
-    @settings(max_examples=200)
-    @given(st.data(), PERCENTILES)
-    def test_merge(self, data, percentiles):
-        layout, hist, ref, values = data.draw(_pair())
-        cap = data.draw(st.sampled_from(CAPS))
-        more = data.draw(_values(layout))
-        other = StreamingHistogram(exact_cap=cap, **layout)
-        other_ref = ListHistogram(exact_cap=cap, **layout)
-        for v in more:
-            other.observe(v)
-            other_ref.observe(v)
-        hist.merge(other)
-        ref.merge(other_ref)
-        _assert_reads_equal(hist, ref, percentiles, values + more)

@@ -3,7 +3,7 @@
 Each digest is a sha256 over JSON (JSON prints every float with its
 shortest round-trip repr, so equal JSON means equal bits). The pins
 cover ``StreamingHistogram.to_state()`` and its reads in the exact
-regime, the bucket regime, both kinds of merge and a signed-zero tie;
+regime, the bucket regime and a signed-zero tie;
 the ledger record of a monitored run whose one window holds 18,989
 latencies (far past the exact cap); and the burn-rate alerts of the
 ``shard_slowdown`` monitor run on rm2/broadwell. A change to how a
@@ -65,21 +65,6 @@ def _bucketed():
     return hist
 
 
-def _exact_exact():
-    hist = _exact()
-    other = StreamingHistogram()
-    other.observe_many(_values(3, 120))
-    return hist.merge(other)
-
-
-def _exact_bucket():
-    return _exact().merge(_bucketed())
-
-
-def _bucket_exact():
-    return _bucketed().merge(_exact())
-
-
 def _signed_zero():
     hist = StreamingHistogram()
     for v in (0.0, -0.0, 0.0, 1e-3, -0.0, 2e-3):
@@ -95,18 +80,6 @@ HISTOGRAM_PINS = {
     "bucket": (
         _bucketed,
         "cd7c4db9fc3345931011facf3034a62a9d1537ba799a36774618d88e1632edda",
-    ),
-    "exact+exact": (
-        _exact_exact,
-        "57c4059459c92a229df1ed3f2ad45f5b8c460f72c474680a1101a3198c8571fa",
-    ),
-    "exact+bucket": (
-        _exact_bucket,
-        "9bdd252efd1e2d5d7f67d82eb49974a7a6af8d3d77e912be7f18344cf15b69d7",
-    ),
-    "bucket+exact": (
-        _bucket_exact,
-        "37a3a2d09355f293050633cb8b2f5464c40635beac85147154d8e6c51bc42cb8",
     ),
     "signed_zero": (
         _signed_zero,

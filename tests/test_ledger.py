@@ -20,7 +20,6 @@ from repro.ledger import (
     fingerprint_for,
     load_records,
     load_rules,
-    merged_histogram,
     parse_rules,
     platform_key,
     record_run,
@@ -279,36 +278,6 @@ class TestDiff:
         payload = json.loads(diff.to_json())
         assert payload["clean"] is False
         assert payload["entries"]
-
-
-class TestMergedHistogram:
-    def test_merge_equals_concatenated_stream(self):
-        rng = np.random.default_rng(2020)
-        shards = [rng.lognormal(-6, 0.6, size=n) for n in (40, 120, 11)]
-        records = []
-        for i, shard in enumerate(shards):
-            hist = StreamingHistogram()
-            hist.observe_many(shard)
-            records.append(
-                RunRecord(
-                    fingerprint=ConfigFingerprint(
-                        "rm1", "broadwell", 64, i, "x", "0"
-                    ),
-                    kind="serve",
-                    histograms={LATENCY_HISTOGRAM: hist.to_state()},
-                )
-            )
-        merged = merged_histogram(records)
-        combined = np.concatenate(shards)
-        assert merged.count == combined.size
-        for q in (5, 50, 95, 99):
-            assert merged.quantile(q) == pytest.approx(
-                float(np.percentile(combined, q)), rel=1e-12
-            )
-
-    def test_zero_records_rejected(self):
-        with pytest.raises(ValueError):
-            merged_histogram([])
 
 
 def _resilience_record():

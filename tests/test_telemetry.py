@@ -78,21 +78,6 @@ class TestStreamingHistogram:
         with pytest.raises(ValueError):
             StreamingHistogram().observe(-1.0)
 
-    def test_merge(self):
-        a, b = StreamingHistogram(), StreamingHistogram()
-        a.observe_many([0.001, 0.002])
-        b.observe_many([0.004, 0.008])
-        a.merge(b)
-        assert a.count == 4
-        assert a.max == 0.008
-        assert a.quantile(50) == pytest.approx(
-            np.percentile([0.001, 0.002, 0.004, 0.008], 50), rel=1e-12
-        )
-
-    def test_merge_mismatched_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingHistogram(growth=1.05).merge(StreamingHistogram(growth=1.2))
-
     def test_snapshot(self):
         h = StreamingHistogram()
         h.observe_many([0.001] * 10)
@@ -492,7 +477,7 @@ class TestHistogramThreads:
 
 
 class TestHistogramState:
-    """Lossless serialize / merge surface added for the run ledger."""
+    """Lossless serialize surface added for the run ledger."""
 
     def test_round_trip_exact_regime(self):
         h = StreamingHistogram()
@@ -549,48 +534,6 @@ class TestHistogramState:
         state["counts"] = [[10**9, 1]]
         with pytest.raises(ValueError):
             StreamingHistogram.from_state(state)
-
-    def test_merge_empty_preserves_exact_regime(self):
-        a = StreamingHistogram()
-        a.observe_many([0.001, 0.002, 0.003])
-        empty = StreamingHistogram(exact_cap=0)  # exact list is None
-        a.merge(empty)
-        # Merging an empty shard must not degrade a to the bucket regime.
-        assert a.quantile(50) == pytest.approx(0.002, rel=1e-12)
-        assert a.count == 3
-
-    def test_merge_matches_concatenated_stream(self):
-        """Percentiles of a merge == percentiles of the combined stream."""
-        rng = np.random.default_rng(2020)
-        shards = [rng.lognormal(-6, 0.7, size=n) for n in (50, 200, 7)]
-        merged = StreamingHistogram()
-        for shard in shards:
-            h = StreamingHistogram()
-            h.observe_many(shard)
-            merged.merge(StreamingHistogram.from_state(h.to_state()))
-        combined = np.concatenate(shards)
-        assert merged.count == combined.size
-        for q in (1, 10, 50, 90, 99):
-            assert merged.quantile(q) == pytest.approx(
-                float(np.percentile(combined, q)), rel=1e-12
-            )
-
-    def test_merge_matches_concatenated_stream_bucketed(self):
-        rng = np.random.default_rng(11)
-        shards = [rng.lognormal(-6, 0.7, size=n) for n in (300, 500)]
-        merged = StreamingHistogram(exact_cap=32)
-        for shard in shards:
-            h = StreamingHistogram(exact_cap=32)
-            h.observe_many(shard)
-            merged.merge(h)
-        combined = np.concatenate(shards)
-        one_pass = StreamingHistogram(exact_cap=32)
-        one_pass.observe_many(combined)
-        # Beyond the exact cap both sides land in identical buckets, so
-        # the merge is indistinguishable from one pass over the stream.
-        for q in (5, 50, 95, 99):
-            assert merged.quantile(q) == one_pass.quantile(q)
-
 
 class TestSnapshotOrdering:
     def test_snapshot_order_is_registration_independent(self):

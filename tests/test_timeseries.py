@@ -2,11 +2,7 @@
 
 Covers window bucketing (point, vectorized, and interval recording),
 the four track types, ring eviction, the lossless and compact
-serializations, Perfetto counter export, and — the merge contract the
-at-scale story depends on — property tests that merging randomly
-window-split shards reproduces the single-series result exactly,
-including the histograms' exact-regime state (an empty window is a
-strict no-op, never an exactness downgrade).
+serializations and Perfetto counter export.
 """
 
 import gc
@@ -432,99 +428,6 @@ class TestHistogramTrackMemory:
         # 8 B per value plus the arrays' growth slack and the per-window
         # histogram objects.
         assert per_value <= 12.0, per_value
-
-
-class TestMerge:
-    def test_mismatched_windowing_rejected(self):
-        with pytest.raises(ValueError, match="windowing"):
-            TimeSeries(window_s=1.0).merge(TimeSeries(window_s=0.5))
-        with pytest.raises(ValueError, match="windowing"):
-            TimeSeries(window_s=1.0).merge(
-                TimeSeries(window_s=1.0, origin_s=5.0)
-            )
-
-    def test_merge_empty_series_is_exact_noop(self):
-        # The empty-shard merge must not touch any state — in
-        # particular it must not tip exact-regime histograms into
-        # bucket interpolation.
-        ts = _filled_series()
-        before = ts.to_state()
-        ts.merge(TimeSeries(window_s=ts.window_s))
-        assert ts.to_state() == before
-        for i in ts.window_indices():
-            hist = ts.window_histogram("latency_s", i)
-            if hist is not None:
-                assert hist.is_exact
-
-    def test_merge_into_empty_adopts_full_state(self):
-        ts = _filled_series()
-        empty = TimeSeries(window_s=ts.window_s)
-        empty.merge(ts)
-        assert empty.to_state() == ts.to_state()
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_window_split_shards_merge_to_single_series(self, seed):
-        # Property: split a run's events by window across two shards
-        # (each window's events land wholly on one shard — the per-
-        # replica sharding the engine produces), merge, and the result
-        # is state-identical to recording everything into one series.
-        rng = np.random.default_rng(seed)
-        window_s = 0.4
-        times = rng.uniform(0.0, 8.0, size=400)
-        values = rng.exponential(0.005, size=400)
-        whole = TimeSeries(window_s=window_s)
-        shards = [TimeSeries(window_s=window_s) for _ in range(2)]
-        owner = {}
-        for t, v in zip(times, values):
-            index = whole.window_index(t)
-            shard = shards[owner.setdefault(index, int(rng.integers(0, 2)))]
-            for dest in (whole, shard):
-                dest.count("arrivals", t)
-                dest.observe("latency_s", t, v)
-                dest.sample("queue_depth", t, v * 1e3)
-                dest.mark_state("health", t, "healthy")
-        merged = shards[0].merge(shards[1])
-        assert merged.to_state() == whole.to_state()
-        # Exactness preserved: no shard window crossed the exact cap.
-        for i in whole.window_indices():
-            a = merged.window_histogram("latency_s", i)
-            b = whole.window_histogram("latency_s", i)
-            if b is not None:
-                assert a.is_exact == b.is_exact
-
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_value_split_counters_and_gauges_merge_exactly(self, seed):
-        # Counters and gauges are plain additive cells, so even a
-        # value-level split (both shards contribute to the same
-        # window) must merge to the single-series state.
-        rng = np.random.default_rng(seed)
-        times = rng.uniform(0.0, 5.0, size=300)
-        whole = TimeSeries(window_s=0.25)
-        shards = [TimeSeries(window_s=0.25) for _ in range(3)]
-        for k, t in enumerate(times):
-            shard = shards[int(rng.integers(0, 3))]
-            for dest in (whole, shard):
-                dest.count("n", t)
-                dest.count_interval("busy_s", t, t + 0.01)
-                dest.sample("depth", t, float(k % 17))
-                dest.mark_state("health", t, "a" if k % 3 else "b")
-        merged = shards[0].merge(shards[1]).merge(shards[2])
-        sm, sw = merged.summary(), whole.summary()
-        assert sm.window_indices() == sw.window_indices()
-        for i in sw.window_indices():
-            assert sm.counter("n", i) == sw.counter("n", i)
-            assert sm.counter("busy_s", i) == pytest.approx(
-                sw.counter("busy_s", i)
-            )
-            assert sm.states("health", i) == sw.states("health", i)
-            gm, gw = sm.gauge("depth", i), sw.gauge("depth", i)
-            if gw is None:
-                assert gm is None
-            else:
-                assert gm["count"] == gw["count"]
-                assert gm["mean"] == pytest.approx(gw["mean"])
-                assert gm["min"] == gw["min"]
-                assert gm["max"] == gw["max"]
 
 
 class TestCounterExport:
