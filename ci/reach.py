@@ -42,6 +42,8 @@ REPRO = [
     "verify --batches 1 64 512",
     "fuzz --budget 60 --seed 2020 --corpus-dir {tmp}/fuzz-corpus",
     "resilience --model rm1 --queries 300 --seed 7 --scenario mixed",
+    "resilience --model rm1 --queries 300 --seed 7 --scenario mixed"
+    " --trace {tmp}/res-matrix.trace.json --record-dir {tmp}/res-ledger",
     f"monitor {SLOWDOWN} --queries 1200 --rules ci/burnrate.toml"
     " --report {tmp}/monitor-dashboard.html --expect-fault-alert",
     "monitor --model rm2 --platform broadwell --scenario shard_slowdown --queries 600"
@@ -52,6 +54,7 @@ REPRO = [
     f"{MON} --queries 20000 --window-ms 1000 --record-dir {{tmp}}/mon-cap",
     "report {tmp}/mon-cap -o {tmp}/mon-cap.md",
     "trace --resilience --model rm1 --queries 200 -o {tmp}/res.trace.json",
+    "trace --scheduler --model rm1 --queries 200 -o {tmp}/sched.trace.json",
     "trace --model rm1 --queries 2000 -o {tmp}/plain.trace.json",
     "metrics --model rm1 --queries 2000",
     f"{EXPLAIN} --what-if all --report {{tmp}}/explain-report.html --expect-fault-attribution",

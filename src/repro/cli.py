@@ -60,6 +60,10 @@ from repro.core import (
     render_table,
 )
 from repro.distserve import matrix_records, run_shard_matrix
+from repro.distserve.scenario import (
+    SHARD_LAYOUT_DEFAULTS,
+    SHARD_MATRIX_DEFAULTS,
+)
 from repro.hw import PLATFORM_ORDER, PLATFORMS
 from repro.ledger import (
     DEFAULT_TOLERANCE,
@@ -82,7 +86,9 @@ from repro.monitor import (
     evaluate_burn_rates,
 )
 from repro.monitor.scenario import (
+    POLICY_MATRIX_DEFAULTS,
     SCENARIOS,
+    ScenarioRecipe,
     build_scenario,
     monitor_setup,
     plain_scheduler,
@@ -181,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy matrix under injected faults: p99 with each policy on/off",
     )
     _add_scenario_args(
-        p, model="rm2", queries=800, fallback="broadwell",
-        scenarios=("slowdown", replica_scenario_names()),
+        p, model="rm2", choices=replica_scenario_names(),
+        **POLICY_MATRIX_DEFAULTS,
     )
     p.add_argument(
         "--deadline-ms", type=float, default=None, dest="deadline_ms",
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="windowed serving timeline with regime/tail/burn-rate alerts",
     )
     _add_scenario_args(
-        p, fallback=None, scenarios=("slowdown", SCENARIOS),
+        p, fallback=None, scenario="slowdown", choices=SCENARIOS,
         fault_knobs=True,
     )
     p.add_argument(
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="critical-path latency attribution for one fault scenario",
     )
     _add_scenario_args(
-        p, fallback=None, scenarios=("slowdown", SCENARIOS),
+        p, fallback=None, scenario="slowdown", choices=SCENARIOS,
         fault_knobs=True,
     )
     p.add_argument(
@@ -262,28 +268,30 @@ def build_parser() -> argparse.ArgumentParser:
         "injected shard faults",
     )
     _add_scenario_args(
-        p, model="rm2", platform="broadwell", queries=1500,
+        p, model="rm2", platform="broadwell",
         load="80%% of the sharded peak — model compute plus the healthy "
         "blind gather",
-        scenarios=("shard_slowdown", shard_scenario_names()),
+        choices=shard_scenario_names(), **SHARD_MATRIX_DEFAULTS,
     )
+    layout = SHARD_LAYOUT_DEFAULTS
     p.add_argument(
-        "--shards", type=int, default=4,
+        "--shards", type=int, default=layout["shards"],
         help="simulated shard servers holding the embedding tables",
     )
     p.add_argument(
-        "--sharding", choices=["row", "table", "column"], default="row",
+        "--sharding", choices=["row", "table", "column"],
+        default=layout["sharding"],
     )
     p.add_argument(
-        "--alpha", type=float, default=1.1,
+        "--alpha", type=float, default=layout["alpha"],
         help="Zipf skew of the embedding index distribution",
     )
     p.add_argument(
-        "--hot-k", type=int, default=1024, dest="hot_k",
+        "--hot-k", type=int, default=layout["hot_k"], dest="hot_k",
         help="hot rows per table replicated by locality-aware placement",
     )
     p.add_argument(
-        "--replicas", type=int, default=2,
+        "--replicas", type=int, default=layout["replicas"],
         help="holders a replicated read races (fastest-of-R)",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -496,11 +504,13 @@ def _add_scenario_args(
     queries_help: Optional[str] = None,
     load: str = "40%% of the primary's peak capacity",
     fallback: Optional[str] = _NO_FALLBACK_FLAG,
-    scenarios: Optional[Tuple[str, Iterable[str]]] = None,
+    scenario: Optional[str] = None,
+    choices: Iterable[str] = (),
     fault_knobs: bool = False,
 ) -> None:
-    """The serving-scenario flags, shared by every subcommand that runs
-    one. ``scenarios`` is ``(default, choices)``; ``fault_knobs`` adds
+    """The serving-scenario flags (read by :func:`_recipe`), shared by
+    every subcommand that runs one. ``scenario`` is the ``--scenario``
+    default (``None``: no such flag); ``fault_knobs`` adds
     ``--slowdown-multiplier`` and ``--window-ms``."""
     p.add_argument("--model", default=model, help="model name (aliases ok)")
     p.add_argument("--platform", default=platform, help="primary platform")
@@ -510,16 +520,15 @@ def _add_scenario_args(
             help="standby platform for failover/hedging ('none' "
             "disables; default: %(default)s)",
         )
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
+    p.add_argument("--batch-size", type=int, default=ScenarioRecipe.batch_size)
     p.add_argument("--queries", type=int, default=queries, help=queries_help)
     p.add_argument(
         "--qps", type=float, default=None,
         help=f"arrival rate (default: {load})",
     )
-    p.add_argument("--seed", type=int, default=2020)
-    if scenarios is not None:
-        default, choices = scenarios
-        p.add_argument("--scenario", default=default, choices=sorted(choices))
+    p.add_argument("--seed", type=int, default=ScenarioRecipe.seed)
+    if scenario is not None:
+        p.add_argument("--scenario", default=scenario, choices=sorted(choices))
     if fault_knobs:
         p.add_argument(
             "--slowdown-multiplier", type=float, default=None,
@@ -531,6 +540,27 @@ def _add_scenario_args(
             help="telemetry window, and explain's fault-overlap slack "
             "(default: horizon / 24 windows)",
         )
+
+
+def _recipe(args, **fields) -> ScenarioRecipe:
+    """The serving-scenario flags as one checked recipe (a bad value
+    exits naming it), plus the ``fields`` a subcommand fixes itself.
+    Milliseconds become seconds; the multiplier and layout flags become
+    scenario overrides."""
+    flags = vars(args)
+    overrides = dict(fields.pop("scenario_overrides", {}))
+    if flags.get("slowdown_multiplier") is not None:
+        overrides["slowdown_multiplier"] = flags["slowdown_multiplier"]
+    overrides.update((k, flags[k]) for k in SHARD_LAYOUT_DEFAULTS if k in flags)
+    for name in ("window", "deadline"):
+        if flags.get(f"{name}_ms") is not None:
+            fields[f"{name}_s"] = flags[f"{name}_ms"] * 1e-3
+    fields.update((k, flags[k]) for k in ("scenario", "fallback") if k in flags)
+    return _or_exit(
+        ScenarioRecipe, args.model, args.platform,
+        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
+        seed=args.seed, scenario_overrides=overrides, **fields,
+    )
 
 
 def _cmd_models(args) -> str:
@@ -678,13 +708,10 @@ def _cmd_trace_scheduler(args) -> str:
     the exported trace shows fault windows and policy reactions.
     """
     mode = "resilience" if args.resilience else "scheduler"
-    setup = _or_exit(
-        build_scenario, args.model, args.platform, "slowdown",
-        batch_size=args.batch_size,
-        queries=args.queries,
-        qps=args.qps, seed=args.seed, load=0.5,
+    setup = _or_exit(build_scenario, _recipe(
+        args, scenario="slowdown", load=0.5,
         scenario_overrides={"straggler_probability": 0.05},
-    )
+    ))
     scheduler = setup.scheduler(
         setup.policy_with("retry", "shed") if args.resilience
         else setup.policy_with(),
@@ -696,9 +723,9 @@ def _cmd_trace_scheduler(args) -> str:
     name = setup.replicas[0].service_model.model
     out = args.output
     if out is None:
-        out = f"{name}_{args.platform}.{mode}.trace.json".replace(" ", "_")
+        out = f"{name}_{setup.platform}.{mode}.trace.json".replace(" ", "_")
     _write_trace(
-        out, tracer, registry, f"repro {mode}: {name} on {args.platform}"
+        out, tracer, registry, f"repro {mode}: {name} on {setup.platform}"
     )
     lines = _span_summary(out, tracer.sorted_spans())
     lines.append("")
@@ -771,14 +798,8 @@ def _cmd_metrics(args) -> str:
 
 
 def _cmd_resilience(args) -> str:
-    matrix = _or_exit(
-        run_policy_matrix, args.model, args.platform, args.scenario,
-        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
-        seed=args.seed, fallback=args.fallback,
-        deadline_s=(
-            None if args.deadline_ms is None else args.deadline_ms * 1e-3
-        ),
-    )
+    recipe = _recipe(args)
+    matrix = _or_exit(run_policy_matrix, recipe)
     setup = matrix.setup
     fleet = "+".join(r.name for r in setup.replicas)
     rows = []
@@ -792,9 +813,9 @@ def _cmd_resilience(args) -> str:
 
     all_policies = matrix.rows["faults + all"]
     lines = [
-        f"scenario '{args.scenario}' on {args.model}/{fleet}: "
-        f"{args.queries} queries at {setup.qps:.0f} QPS "
-        f"(deadline {setup.deadline_s * 1e3:.1f} ms, seed {args.seed})",
+        f"scenario '{setup.scenario}' on {setup.model}/{fleet}: "
+        f"{setup.queries} queries at {setup.qps:.0f} QPS "
+        f"(deadline {setup.deadline_s * 1e3:.1f} ms, seed {setup.seed})",
         render_table(
             ["policy", "ok", "shed", "drop", "p50 ms", "p99 ms",
              "retries", "hedges", "failover", "degraded"],
@@ -814,23 +835,19 @@ def _cmd_resilience(args) -> str:
             )
         _write_trace(
             args.trace, tracer, registry,
-            f"repro resilience: {args.model} on {fleet}",
+            f"repro resilience: {setup.model} on {fleet}",
         )
         lines.append(_trace_line(args.trace))
     if args.record_dir:
-        path = _record(args, all_policies, setup.qps, "resilience")
+        path = _record(
+            recipe, args.record_dir, all_policies, setup.qps, "resilience"
+        )
         lines.append(f"recorded all-policies run -> {path}")
     return "\n".join(lines)
 
 
 def _cmd_shard(args) -> Tuple[str, int]:
-    matrix = _or_exit(
-        run_shard_matrix, args.model, args.platform, args.scenario,
-        shards=args.shards, sharding=args.sharding,
-        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
-        seed=args.seed, alpha=args.alpha, hot_k=args.hot_k,
-        replicas=args.replicas,
-    )
+    matrix = _or_exit(run_shard_matrix, _recipe(args))
 
     rows = []
     for r in matrix.rows:
@@ -913,25 +930,13 @@ def _monitor_alerts(summary, source, rules):
     return alerts
 
 
-def _monitored_setup(args):
-    """The ``monitor`` / ``explain`` scenario, built (and calibrated)
-    before any trace capture starts, so a trace holds only the serving
-    run and two runs at one seed write the same file."""
-    overrides = None
-    if args.slowdown_multiplier is not None:
-        overrides = {"slowdown_multiplier": args.slowdown_multiplier}
-    return _or_exit(
-        build_scenario, args.model, args.platform, args.scenario,
-        batch_size=args.batch_size, queries=args.queries, qps=args.qps,
-        seed=args.seed, fallback=args.fallback,
-        window_s=None if args.window_ms is None else args.window_ms * 1e-3,
-        scenario_overrides=overrides,
-    )
-
-
 def _cmd_monitor(args) -> Tuple[str, int]:
     rules = _load_rules(args.rules)
-    setup = _monitored_setup(args)
+    recipe = _recipe(args)
+    # Built (and calibrated) before any trace capture starts, so a trace
+    # holds only the serving run and two runs at one seed write the
+    # same file; ``explain`` does the same.
+    setup = _or_exit(build_scenario, recipe)
     with _capturing(args.trace) as (tracer, registry):
         ms = monitor_setup(setup)
 
@@ -976,7 +981,8 @@ def _cmd_monitor(args) -> Tuple[str, int]:
         extra.append(_trace_line(args.trace))
     if args.record_dir:
         path = _record(
-            args, result, ms.qps, "monitor", timeseries=ms.timeseries
+            recipe, args.record_dir, result, ms.qps, "monitor",
+            timeseries=ms.timeseries,
         )
         extra.append(f"recorded monitored run -> {path}")
     if args.report:
@@ -1013,7 +1019,8 @@ def _cmd_explain(args) -> Tuple[str, int]:
             f"{', '.join(what_if_knobs)}"
         )
 
-    setup = _monitored_setup(args)
+    recipe = _recipe(args)
+    setup = _or_exit(build_scenario, recipe)
     with _capturing(args.trace) as (tracer, registry):
         exp, ms = explain_setup(setup)
 
@@ -1029,8 +1036,8 @@ def _cmd_explain(args) -> Tuple[str, int]:
         )
     if args.record_dir:
         path = _record(
-            args, ms.result, ms.qps, "explain", timeseries=ms.timeseries,
-            attribution=exp.attribution_section(),
+            recipe, args.record_dir, ms.result, ms.qps, "explain",
+            timeseries=ms.timeseries, attribution=exp.attribution_section(),
         )
         extra.append(f"recorded explained run -> {path}")
     if args.report:
@@ -1134,17 +1141,22 @@ def _injected(result) -> str:
     return counts or "none"
 
 
-def _record(args, result, qps: float, kind: str, **sections) -> str:
-    """Append one scenario run to ``args.record_dir``; returns the path."""
+def _record(
+    recipe: ScenarioRecipe, record_dir: str, result, qps: float, kind: str,
+    **sections,
+) -> str:
+    """Append one run of ``recipe`` to ``record_dir``; returns the path."""
     record = record_schedule(
         result,
-        fingerprint_for(args.model, args.platform, args.batch_size, args.seed),
-        max_batch=args.batch_size,
+        fingerprint_for(
+            recipe.model, recipe.platform, recipe.batch_size, recipe.seed
+        ),
+        max_batch=recipe.batch_size,
         kind=kind,
         **sections,
     )
     record.scalars["arrival_qps"] = qps
-    return RunLedger(args.record_dir).append(record)
+    return RunLedger(record_dir).append(record)
 
 
 def _load_rules(path: Optional[str]) -> list:

@@ -18,7 +18,7 @@ placement (blind layouts tie, so the first shard is "hottest").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.distserve.gather import (
     GatherHedgePolicy,
@@ -28,6 +28,7 @@ from repro.distserve.gather import (
     ShardGatherModel,
 )
 from repro.distserve.placement import (
+    LocalityAwarePlacement,
     RoundRobinPlacement,
     ShardLayout,
     build_layout,
@@ -41,15 +42,19 @@ from repro.resilience.faults import (
 )
 from repro.workloads.distributions import ZipfIndices
 
+if TYPE_CHECKING:
+    from repro.monitor.scenario import ScenarioRecipe
+
 __all__ = [
     "SHARD_FAULTS_KEY",
-    "SHARD_SETUP_KEYS",
+    "SHARD_LAYOUT_DEFAULTS",
     "split_shard_kwargs",
     "synthesize_shard_plan",
     "shard_layout",
     "hottest_shard_plan",
     "ShardCaseResult",
     "ShardMatrix",
+    "SHARD_MATRIX_DEFAULTS",
     "run_shard_matrix",
     "default_shard_scenarios",
 ]
@@ -59,8 +64,14 @@ __all__ = [
 #: the rest to FaultPlan.synthesize.
 SHARD_FAULTS_KEY = "shard_faults"
 
-#: Layout keys a shard scenario entry (or CLI override) may carry.
-SHARD_SETUP_KEYS = ("shards", "sharding", "alpha", "hot_k", "replicas")
+#: A shard scenario's layout keys where neither its entry nor an
+#: override sets them (the ``repro shard`` flags describe each); the
+#: hot set and the read fan-out are the placement's and policy's own.
+SHARD_LAYOUT_DEFAULTS: Dict[str, Any] = dict(
+    shards=4, sharding="row", alpha=1.1,
+    hot_k=LocalityAwarePlacement.hot_k,
+    replicas=ReplicatedReadPolicy.replicas,
+)
 
 
 def default_shard_scenarios() -> Dict[str, Dict[str, Any]]:
@@ -95,7 +106,7 @@ def split_shard_kwargs(
     """(is_shard_scenario, layout setup kwargs, synthesize kwargs)."""
     rest = dict(kwargs)
     is_shard = bool(rest.pop(SHARD_FAULTS_KEY, False))
-    setup = {k: rest.pop(k) for k in SHARD_SETUP_KEYS if k in rest}
+    setup = {k: rest.pop(k) for k in SHARD_LAYOUT_DEFAULTS if k in rest}
     return is_shard, setup, rest
 
 
@@ -136,19 +147,21 @@ def synthesize_shard_plan(
 def shard_layout(
     model, setup: Dict[str, Any], placement, num_shards: Optional[int] = None
 ) -> ShardLayout:
-    """Place ``model`` per a shard scenario's layout ``setup`` keys.
+    """Place ``model`` per a shard recipe's layout (``setup`` holds
+    every :data:`SHARD_LAYOUT_DEFAULTS` key; see
+    :attr:`~repro.monitor.scenario.ScenarioRecipe.faults`).
 
     With :func:`hottest_shard_plan`, the one place a shard scenario
     becomes layouts and fault plans — :func:`run_shard_matrix` and the
     monitored shard scenario (:func:`repro.monitor.build_scenario`)
-    both build through them. Defaults: 4 row-sharded shards, Zipf 1.1.
+    both build through them.
     """
     return build_layout(
         model,
-        int(setup.get("shards", 4)) if num_shards is None else num_shards,
-        sharding=str(setup.get("sharding", "row")),
+        int(setup["shards"]) if num_shards is None else num_shards,
+        sharding=str(setup["sharding"]),
         placement=placement,
-        distribution=ZipfIndices(alpha=float(setup.get("alpha", 1.1))),
+        distribution=ZipfIndices(alpha=float(setup["alpha"])),
     )
 
 
@@ -216,57 +229,39 @@ CASE_TAGS = {
 }
 
 
-def run_shard_matrix(
-    model_name: str,
-    platform: str,
-    scenario: str = "shard_slowdown",
-    *,
-    shards: int = 4,
-    sharding: str = "row",
-    batch_size: int = 64,
-    queries: int = 1500,
-    qps: Optional[float] = None,
-    seed: int = 2020,
-    alpha: float = 1.1,
-    hot_k: int = 1024,
-    replicas: int = 2,
-) -> ShardMatrix:
+#: ``repro shard``'s recipe fields where a flag is not given.
+SHARD_MATRIX_DEFAULTS: Dict[str, Any] = dict(
+    scenario="shard_slowdown", queries=1500
+)
+
+
+def run_shard_matrix(recipe: "ScenarioRecipe") -> ShardMatrix:
     """Run the placement × gather-policy matrix under one shard scenario.
 
-    Rows are variants of :func:`repro.monitor.scenario.build_scenario`
-    with the layout arguments as scenario overrides. Every row sees the
-    same arrivals, the same single serving replica (no replica-level
-    faults or policies — the matrix isolates the *distribution* layer),
-    and the same seeded shard fault plan aimed at each layout's hottest
-    shard.
+    Rows are variants of the recipe's setup, its layout keys read from
+    the recipe's overrides. Every row sees the same arrivals, the same
+    single serving replica (no replica-level faults or policies — the
+    matrix isolates the *distribution* layer), and the same seeded
+    shard fault plan aimed at each layout's hottest shard. The model is
+    built once and each plan synthesized once, at the matrix's horizon.
     """
-    from repro.models import build_model
-    from repro.monitor.scenario import build_scenario, scenario_kwargs
+    from repro.monitor.scenario import assemble_scenario, calibrate_scenario
     from repro.resilience import ResiliencePolicy
 
-    layout_keys = dict(shards=shards, sharding=sharding, alpha=alpha,
-                       hot_k=hot_k, replicas=replicas)
-    is_shard, _, fault_kwargs = split_shard_kwargs(scenario_kwargs(scenario))
-    if not is_shard:
+    layout_keys, fault_kwargs = recipe.faults
+    if layout_keys is None:
         raise ValueError(
-            f"scenario {scenario!r} is not a shard scenario "
+            f"scenario {recipe.scenario!r} is not a shard scenario "
             f"(no {SHARD_FAULTS_KEY!r} marker)"
         )
-    built = build_scenario(
-        model_name, platform, scenario, batch_size=batch_size,
-        queries=queries, qps=qps, seed=seed, scenario_overrides=layout_keys,
-    )
-    model = build_model(model_name)
+    model, replicas = calibrate_scenario(recipe)
+    batch_size, seed = recipe.batch_size, recipe.seed
     # Explicit even for the single-node row, which would otherwise get
     # the colocated ``NetworkModel.local()`` default.
     network = NetworkModel()
 
     single = shard_layout(model, layout_keys, RoundRobinPlacement(), 1)
     blind = shard_layout(model, layout_keys, RoundRobinPlacement())
-    # The hot set is replicated on every shard (it is tiny); ``replicas``
-    # only sets the replicated-*read* fan-out, so the aware layout stays
-    # load-balanced regardless of how many holders a read races.
-    aware = built.gather.layout
 
     # Policy time constants derive from the healthy gather cost of the
     # blind layout, so they are deterministic and scale with the model.
@@ -283,13 +278,18 @@ def run_shard_matrix(
     # fault handling, not queueing collapse. The batching timeout is
     # the batch fill time so batches run near-full — gather fan-out
     # cost scales with batch size, and half-empty batches would hide it.
-    service_s = built.replicas[0].service_model.seconds(batch_size)
-    peak = batch_size / (service_s + healthy_gather_s)
-    qps = qps if qps is not None else 0.8 * peak
-    horizon = queries / qps
-
+    qps = recipe.qps
+    if qps is None:
+        service_s = replicas[0].service_model.seconds(batch_size)
+        qps = 0.8 * (batch_size / (service_s + healthy_gather_s))
+    # The ``locality`` row: the recipe's own setup, whose gather holds
+    # the locality-aware layout. The hot set is replicated on every
+    # shard (it is tiny); ``replicas`` only sets the replicated-*read*
+    # fan-out, so the aware layout stays load-balanced regardless of
+    # how many holders a read races.
     base = replace(
-        built, qps=qps, horizon_s=horizon, batch_timeout_s=batch_size / qps
+        assemble_scenario(recipe, model, replicas, qps=qps, network=network),
+        batch_timeout_s=batch_size / qps,
     )
 
     def variant(layout, plan, policy=None):
@@ -298,12 +298,9 @@ def run_shard_matrix(
             seed=seed,
         ))
 
-    blind_plan, aware_plan = (
-        hottest_shard_plan(layout, seed, horizon, fault_kwargs)
-        for layout in (blind, aware)
-    )
+    blind_plan = hottest_shard_plan(blind, seed, base.horizon_s, fault_kwargs)
     full = GatherPolicy(
-        replicate=ReplicatedReadPolicy(replicas=replicas),
+        replicate=ReplicatedReadPolicy(replicas=layout_keys["replicas"]),
         hedge=hedge,
         partial=partial,
     )
@@ -312,21 +309,21 @@ def run_shard_matrix(
         "single-node": variant(single, FaultPlan.none()),
         "blind": variant(blind, blind_plan),
         "blind+hedge": variant(blind, blind_plan, GatherPolicy(hedge=hedge)),
-        "locality": variant(aware, aware_plan),
-        "locality+policies": variant(aware, aware_plan, full),
+        "locality": base,
+        "locality+policies": variant(base.gather.layout, base.plan, full),
     }
     rows = [
         ShardCaseResult(
             label=label,
             layout=case.gather.layout,
             result=case.scheduler(ResiliencePolicy()).run(
-                qps, num_queries=queries
+                qps, num_queries=recipe.queries
             ),
         )
         for label, case in cases.items()
     ]
     return ShardMatrix(
-        setup=cases["locality"], shards=blind.num_shards,
+        setup=base, shards=blind.num_shards,
         sharding=blind.sharding, rows=rows,
     )
 

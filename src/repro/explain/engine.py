@@ -32,6 +32,8 @@ sums accumulate in the same float order as a per-record ``+=`` loop.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import numbers
 import operator
@@ -96,6 +98,21 @@ def _check_windows(windows: Sequence[Any]) -> None:
                 "fault_windows entries need finite start_s <= end_s, "
                 f"got {window!r}"
             )
+
+
+def _view(compute):
+    """Compute an :class:`Explanation` view once per argument list and
+    hand each caller its own deep copy. Arguments key by type and value,
+    so ``99`` and ``99.0`` each get back the percentile they gave."""
+
+    @functools.wraps(compute)
+    def view(self, *args, **kwargs):
+        key = (compute, *((type(v), v) for v in args),
+               *((k, type(v), v) for k, v in sorted(kwargs.items())))
+        if key not in self._views:
+            self._views[key] = compute(self, *args, **kwargs)
+        return copy.deepcopy(self._views[key])
+    return view
 
 
 def _seq_sum(values: np.ndarray) -> np.ndarray:
@@ -164,6 +181,8 @@ class Explanation:
         )
         # percentile -> cutoff over ``_sorted_lat``, filled on first read.
         self._cutoffs: Dict[float, float] = {}
+        # Each ``@_view`` table by its arguments, filled on first read.
+        self._views: Dict[Tuple, Any] = {}
         if capture.completed > len(self._sorted_lat):
             raise ValueError(
                 f"capture holds {capture.completed} completed queries but "
@@ -280,6 +299,7 @@ class Explanation:
 
     # -- attribution profiles ----------------------------------------------
 
+    @_view
     def profile(self, percentile: float) -> Dict[str, Any]:
         """Mean component attribution over the queries at or above the
         given latency percentile of the full run."""
@@ -372,6 +392,7 @@ class Explanation:
             return comps[self._rows, _COMPONENT_INDEX[component]]
         return np.minimum(self._ov_total, self._lat)
 
+    @_view
     def what_if(
         self, component: str, percentile: float = 99.0
     ) -> Dict[str, Any]:
@@ -424,6 +445,7 @@ class Explanation:
             "improvement_s": observed - bound,
         }
 
+    @_view
     def what_if_table(self, percentile: float = 99.0) -> List[Dict[str, Any]]:
         """What-if bounds for every component with nonzero mass, plus
         the fault-window knob when faults were injected. Sorted by
@@ -441,6 +463,7 @@ class Explanation:
 
     # -- fault-window attribution (the CI gate) -----------------------------
 
+    @_view
     def fault_attribution(
         self, percentile: float = 99.0, majority: float = 0.5
     ) -> Dict[str, Any]:
@@ -556,18 +579,16 @@ def explain_scenario(
     scenario: str,
     *,
     capture: Optional[QueryTraceCapture] = None,
-    **scenario_kwargs: Any,
+    **recipe_fields: Any,
 ) -> Tuple[Explanation, Any]:
-    """Build one scenario (``scenario_kwargs`` go to
-    :func:`~repro.monitor.scenario.build_scenario`) and explain its
-    monitored run with :func:`explain_setup`. Returns ``(explanation,
-    monitored_scenario)``, mirroring
-    :func:`~repro.monitor.run_monitored_scenario`."""
-    from repro.monitor.scenario import build_scenario
+    """Build the setup of ``ScenarioRecipe(model, platform, scenario,
+    **recipe_fields)`` and explain its monitored run with
+    :func:`explain_setup`. Returns ``(explanation, monitored_scenario)``,
+    mirroring :func:`~repro.monitor.run_monitored_scenario`."""
+    from repro.monitor.scenario import ScenarioRecipe, build_scenario
 
-    return explain_setup(
-        build_scenario(model, platform, scenario, **scenario_kwargs), capture
-    )
+    recipe = ScenarioRecipe(model, platform, scenario, **recipe_fields)
+    return explain_setup(build_scenario(recipe), capture)
 
 
 def explain_setup(

@@ -1,22 +1,31 @@
 """Named fault scenarios and the one serving-scenario pipeline.
 
 The scenario table is the single source of truth for what the serving
-subcommands inject, and :func:`build_scenario` is the one place a named
-scenario becomes a fleet, a fault plan and a policy set. The runners —
+subcommands inject. A :class:`ScenarioRecipe` is one operating point of
+one entry (model, platform, batch size, load, ...), checked when it is
+made, and :func:`build_scenario` is the one place a recipe becomes a
+fleet, a fault plan and a policy set. The studies —
 :func:`monitor_setup` (``repro monitor`` / ``explain``),
 :func:`run_policy_matrix` (``repro resilience``) and ``repro shard``'s
-:func:`~repro.distserve.run_shard_matrix` — are thin layers over it,
-and the CLI only renders what they return, so CLI output and test pins
-cannot drift apart.
+:func:`~repro.distserve.run_shard_matrix` — take a recipe and run
+variants of its setup; the CLI maps flags to a recipe and only renders
+what the studies return, so CLI output and test pins cannot drift apart.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.distserve.scenario import (
+    SHARD_LAYOUT_DEFAULTS,
+    default_shard_scenarios,
+    split_shard_kwargs,
+)
 from repro.resilience import (
     CircuitBreakerPolicy,
     DegradationPolicy,
@@ -40,12 +49,16 @@ __all__ = [
     "replica_scenario_names",
     "check_scenario_inputs",
     "plain_scheduler",
+    "ScenarioRecipe",
     "ScenarioSetup",
     "build_scenario",
+    "calibrate_scenario",
+    "assemble_scenario",
     "MonitoredScenario",
     "run_monitored_scenario",
     "monitor_setup",
     "PolicyMatrix",
+    "POLICY_MATRIX_DEFAULTS",
     "run_policy_matrix",
 ]
 
@@ -67,15 +80,7 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
                   crash_windows=1, crash_duration_frac=0.08,
                   drop_probability=0.02, straggler_probability=0.04),
 }
-
-
-def _register_shard_scenarios() -> None:
-    from repro.distserve.scenario import default_shard_scenarios
-
-    SCENARIOS.update(default_shard_scenarios())
-
-
-_register_shard_scenarios()
+SCENARIOS.update(default_shard_scenarios())
 
 
 def is_shard_scenario(name: str) -> bool:
@@ -141,18 +146,20 @@ def _check_count(name: str, value) -> None:
 
 
 def check_scenario_inputs(
-    *, batch_size, queries, qps=None, window_s=None, deadline_s=None
+    *, batch_size, queries, qps=None, window_s=None, deadline_s=None,
+    load=None,
 ) -> None:
     """Reject bad scenario inputs before any calibration, naming them.
 
     ``batch_size`` and ``queries`` must be positive integers; ``qps``,
-    ``window_s`` and ``deadline_s`` are ``None`` (the default) or
-    positive finite numbers.
+    ``window_s``, ``deadline_s`` and ``load`` are ``None`` (the default)
+    or positive finite numbers.
     """
     _check_count("batch_size", batch_size)
     _check_count("queries", queries)
     for name, value in (
-        ("qps", qps), ("window_s", window_s), ("deadline_s", deadline_s)
+        ("qps", qps), ("window_s", window_s), ("deadline_s", deadline_s),
+        ("load", load),
     ):
         if value is None:
             continue
@@ -179,6 +186,56 @@ def plain_scheduler(
     if qps is None:
         qps = 0.5 * (batch_size / stm.seconds(batch_size))
     return QueryScheduler(stm, BatchingPolicy(batch_size), seed=seed), qps
+
+
+@dataclass(frozen=True)
+class ScenarioRecipe:
+    """One operating point of one :data:`SCENARIOS` entry: every input
+    of :func:`build_scenario`, checked when the recipe is made (a bad
+    field raises naming it, an unknown scenario a ``KeyError``).
+    ``scenario_overrides`` replace entry keys, shard layout keys
+    included; ``None`` rates and times follow
+    :func:`assemble_scenario`'s rules; ``fallback`` ``None`` (or
+    ``"none"``) runs no standby platform."""
+
+    model: str
+    platform: str
+    scenario: str
+    batch_size: int = 64
+    queries: int = 2000
+    qps: Optional[float] = None
+    seed: int = 2020
+    window_s: Optional[float] = None
+    fallback: Optional[str] = None
+    scenario_overrides: Mapping[str, Any] = field(default_factory=dict)
+    deadline_s: Optional[float] = None
+    load: float = 0.4
+
+    def __post_init__(self) -> None:
+        check_scenario_inputs(
+            batch_size=self.batch_size, queries=self.queries, qps=self.qps,
+            window_s=self.window_s, deadline_s=self.deadline_s,
+            load=self.load,
+        )
+        if self.fallback is not None and self.fallback.lower() == "none":
+            object.__setattr__(self, "fallback", None)
+        object.__setattr__(
+            self, "scenario_overrides",
+            MappingProxyType(dict(self.scenario_overrides or {})),
+        )
+        # Parse the entry now, so an unknown scenario fails here.
+        self.faults
+
+    @cached_property
+    def faults(self) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any]]:
+        """``(shard layout, synthesize kwargs)`` of the entry with the
+        overrides applied, parsed once. The layout (every
+        ``SHARD_LAYOUT_DEFAULTS`` key) is ``None`` for a replica one."""
+        kwargs = scenario_kwargs(self.scenario, **self.scenario_overrides)
+        if not kwargs.get("shard_faults"):
+            return None, kwargs
+        _, layout, kwargs = split_shard_kwargs(kwargs)
+        return {**SHARD_LAYOUT_DEFAULTS, **layout}, kwargs
 
 
 @dataclass
@@ -238,88 +295,85 @@ class ScenarioSetup:
         )
 
 
-def build_scenario(
-    model_name: str,
-    platform: str,
-    scenario: str,
-    *,
-    batch_size: int = 64,
-    queries: int = 2000,
-    qps: Optional[float] = None,
-    seed: int = 2020,
-    window_s: Optional[float] = None,
-    fallback: Optional[str] = None,
-    scenario_overrides: Optional[Dict[str, Any]] = None,
-    deadline_s: Optional[float] = None,
-    load: float = 0.4,
-) -> ScenarioSetup:
-    """Assemble one named scenario.
+def build_scenario(recipe: ScenarioRecipe) -> ScenarioSetup:
+    """Assemble one recipe: :func:`calibrate_scenario`, then
+    :func:`assemble_scenario` at the recipe's own load."""
+    return assemble_scenario(recipe, *calibrate_scenario(recipe))
 
-    Calibrates the primary, the ``fallback`` platform (``None`` or
-    ``"none"``: no fallback) and, for DLRM, the degraded variant, in one
-    table sweep. Defaults: ``qps`` is ``load`` × the primary's peak
-    rate, the deadline 10× the full-batch service time (at least 20 ms),
-    the telemetry window a 24th of the horizon, and the batch timeout
-    :class:`BatchingPolicy`'s.
-    """
-    from repro.core import SlaBudget
+
+def calibrate_scenario(recipe: ScenarioRecipe) -> Tuple[Any, List[Replica]]:
+    """``(model, replicas)``: the model, built once, and the fleet: the
+    primary, fallback and (DLRM) degraded variant in one table sweep."""
     from repro.models import build_model
     from repro.models.dlrm import DLRM
     from repro.models.variants import degraded_variant
 
-    check_scenario_inputs(
-        batch_size=batch_size, queries=queries, qps=qps,
-        window_s=window_s, deadline_s=deadline_s,
-    )
-    synth_kwargs = scenario_kwargs(scenario, **(scenario_overrides or {}))
-    if fallback is not None and fallback.lower() == "none":
-        fallback = None
-
-    model = build_model(model_name)
+    model = build_model(recipe.model)
     # The primary, then (DLRM only) its degraded variant.
     variants = [model] + (
         [degraded_variant(model)] if isinstance(model, DLRM) else []
     )
-    standby = [] if fallback is None else [fallback]
-    stms = _service_models(variants, [platform] + standby, batch_size)
-    replicas = [
-        Replica(platform, *(stms[v.name, platform] for v in variants))
+    primary = recipe.platform
+    standby = [] if recipe.fallback is None else [recipe.fallback]
+    stms = _service_models(variants, [primary] + standby, recipe.batch_size)
+    return model, [
+        Replica(primary, *(stms[v.name, primary] for v in variants))
     ] + [Replica(name, stms[model.name, name]) for name in standby]
 
-    service_s = replicas[0].service_model.seconds(batch_size)
-    if qps is None:
-        qps = load * (batch_size / service_s)
-    if deadline_s is None:
-        deadline_s = max(10.0 * service_s, 0.02)
-    budget = SlaBudget(deadline_s, queue_fraction=0.5)
-    horizon = queries / qps
-    if window_s is None:
-        window_s = horizon / 24
 
+def assemble_scenario(
+    recipe: ScenarioRecipe,
+    model: Any,
+    replicas: List[Replica],
+    *,
+    qps: Optional[float] = None,
+    network: Any = None,
+) -> ScenarioSetup:
+    """The setup of a calibrated recipe, its fault plan synthesized at
+    the horizon it runs.
+
+    ``qps`` is a study's own load rule. Defaults: ``recipe.qps``, else
+    ``load`` × the primary's peak rate; the deadline 10× the full-batch
+    service time (at least 20 ms); the telemetry window a 24th of the
+    horizon; the batch timeout :class:`BatchingPolicy`'s. ``network``
+    is a shard scenario's gather network (default: the layout's own).
+    """
+    from repro.core import SlaBudget
+
+    batch_size, seed = recipe.batch_size, recipe.seed
+    service_s = replicas[0].service_model.seconds(batch_size)
+    # A recipe's rates and times are positive when given (checked).
+    qps = qps or recipe.qps or recipe.load * (batch_size / service_s)
+    deadline_s = recipe.deadline_s or max(10.0 * service_s, 0.02)
+    budget = SlaBudget(deadline_s, queue_fraction=0.5)
+    horizon = recipe.queries / qps
+    window_s = recipe.window_s or horizon / 24
+
+    layout_keys, fault_kwargs = recipe.faults
     gather = None
-    if synth_kwargs.get("shard_faults"):
+    if layout_keys is not None:
         from repro.distserve import (
             GatherPolicy,
             LocalityAwarePlacement,
             ShardGatherModel,
             hottest_shard_plan,
             shard_layout,
-            split_shard_kwargs,
         )
 
-        _, setup, fault_kwargs = split_shard_kwargs(synth_kwargs)
-        hot_k = int(setup.get("hot_k", 1024))
         layout = shard_layout(
-            model, setup, LocalityAwarePlacement(hot_k=hot_k)
+            model, layout_keys,
+            LocalityAwarePlacement(hot_k=int(layout_keys["hot_k"])),
         )
         plan = hottest_shard_plan(layout, seed, horizon, fault_kwargs)
         gather = ShardGatherModel(
-            layout, policy=GatherPolicy.none(), fault_plan=plan, seed=seed
+            layout, network=network, policy=GatherPolicy.none(),
+            fault_plan=plan, seed=seed,
         )
     else:
         names = [r.name for r in replicas]
-        plan = FaultPlan.synthesize(seed, names, horizon, **synth_kwargs)
+        plan = FaultPlan.synthesize(seed, names, horizon, **fault_kwargs)
 
+    standby = len(replicas) > 1
     policy = ResiliencePolicy(
         retry=RetryPolicy(deadline_s=deadline_s, max_retries=2),
         hedge=(
@@ -333,16 +387,17 @@ def build_scenario(
         shed=SheddingPolicy(deadline_s=deadline_s),
         degrade=(
             DegradationPolicy(queue_budget_s=budget.queue_budget_s)
-            if len(variants) > 1 else None
+            if replicas[0].degraded_model is not None else None
         ),
     )
     return ScenarioSetup(
-        model=model_name, platform=platform, scenario=scenario, seed=seed,
-        batch_size=batch_size, batch_timeout_s=BatchingPolicy.batch_timeout_s,
-        queries=queries, qps=qps,
+        model=recipe.model, platform=recipe.platform,
+        scenario=recipe.scenario, seed=seed, batch_size=batch_size,
+        batch_timeout_s=BatchingPolicy.batch_timeout_s,
+        queries=recipe.queries, qps=qps,
         deadline_s=deadline_s, window_s=window_s, horizon_s=horizon,
-        plan=plan, fallback=fallback, replicas=replicas, policy=policy,
-        gather=gather,
+        plan=plan, fallback=recipe.fallback, replicas=replicas,
+        policy=policy, gather=gather,
     )
 
 
@@ -355,29 +410,15 @@ class MonitoredScenario(ScenarioSetup):
 
 
 def run_monitored_scenario(
-    model_name: str,
-    platform: str,
-    scenario: str,
-    *,
-    batch_size: int = 64,
-    queries: int = 2000,
-    qps: Optional[float] = None,
-    seed: int = 2020,
-    window_s: Optional[float] = None,
-    fallback: Optional[str] = None,
-    scenario_overrides: Optional[Dict[str, Any]] = None,
-    querytrace: Any = None,
+    model_name: str, platform: str, scenario: str, *,
+    querytrace: Any = None, **recipe_fields: Any,
 ) -> MonitoredScenario:
     """Run one fault scenario with windowed telemetry attached: the
-    :func:`build_scenario` setup, run by :func:`monitor_setup`."""
-    return monitor_setup(
-        build_scenario(
-            model_name, platform, scenario, batch_size=batch_size,
-            queries=queries, qps=qps, seed=seed, window_s=window_s,
-            fallback=fallback, scenario_overrides=scenario_overrides,
-        ),
-        querytrace,
-    )
+    :func:`build_scenario` setup of ``ScenarioRecipe(model_name,
+    platform, scenario, **recipe_fields)``, run by
+    :func:`monitor_setup`."""
+    recipe = ScenarioRecipe(model_name, platform, scenario, **recipe_fields)
+    return monitor_setup(build_scenario(recipe), querytrace)
 
 
 def monitor_setup(
@@ -405,34 +446,25 @@ class PolicyMatrix:
     rows: Dict[str, Any]  # label -> ResilientScheduleResult
 
 
-def run_policy_matrix(
-    model_name: str,
-    platform: str,
-    scenario: str = "slowdown",
-    *,
-    batch_size: int = 64,
-    queries: int = 800,
-    qps: Optional[float] = None,
-    seed: int = 2020,
-    fallback: Optional[str] = "broadwell",
-    deadline_s: Optional[float] = None,
-) -> PolicyMatrix:
+#: ``repro resilience``'s recipe fields where a flag is not given.
+POLICY_MATRIX_DEFAULTS: Dict[str, Any] = dict(
+    scenario="slowdown", queries=800, fallback="broadwell"
+)
+
+
+def run_policy_matrix(recipe: ScenarioRecipe) -> PolicyMatrix:
     """Run one replica scenario with each resilience policy on/off.
 
     Rows: the healthy primary alone, the faults with no policy, retry,
     hedge and failover (with a fallback), degrade/shed (with a degraded
     variant), and every part at once — the monitored run's policy.
     """
-    if is_shard_scenario(scenario):
+    if recipe.faults[0] is not None:
         raise ValueError(
-            f"scenario {scenario!r} faults shard servers; the policy "
-            "matrix needs a replica scenario"
+            f"scenario {recipe.scenario!r} faults shard servers; the "
+            "policy matrix needs a replica scenario"
         )
-    setup = build_scenario(
-        model_name, platform, scenario, batch_size=batch_size,
-        queries=queries, qps=qps, seed=seed, fallback=fallback,
-        deadline_s=deadline_s,
-    )
+    setup = build_scenario(recipe)
     cases = [("no faults", ()), ("faults, no policy", ()),
              ("faults + retry", ("retry",))]
     if setup.fallback is not None:
@@ -443,10 +475,10 @@ def run_policy_matrix(
     rows = {
         label: setup.scheduler(
             setup.policy_with(*parts), faults=label != "no faults"
-        ).run(setup.qps, num_queries=queries)
+        ).run(setup.qps, num_queries=setup.queries)
         for label, parts in cases
     }
     rows["faults + all"] = setup.scheduler(setup.policy).run(
-        setup.qps, num_queries=queries
+        setup.qps, num_queries=setup.queries
     )
     return PolicyMatrix(setup=setup, rows=rows)

@@ -110,8 +110,10 @@ def check_real(name: str, value: Any) -> None:
 
 
 def _check_window(start_s: float, end_s: float) -> None:
-    check_real("start_s", start_s)
-    check_real("end_s", end_s)
+    for name, value in (("start_s", start_s), ("end_s", end_s)):
+        check_real(name, value)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 <= start_s < end_s):
         raise ValueError(
             f"fault window must satisfy 0 <= start < end, got "
@@ -131,10 +133,10 @@ class SlowdownWindow:
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
         check_real("multiplier", self.multiplier)
-        if not self.multiplier >= 1.0:
+        if not 1.0 <= self.multiplier < math.inf:
             raise ValueError(
-                f"multiplier: slowdown multiplier must be >= 1, got "
-                f"{self.multiplier!r}"
+                "multiplier: slowdown multiplier must be finite and >= 1, "
+                f"got {self.multiplier!r}"
             )
 
 

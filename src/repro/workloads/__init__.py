@@ -12,11 +12,8 @@ from repro.workloads.generator import (
     operator_breakdown_batch_sizes,
     paper_batch_sizes,
 )
-from repro.workloads.traces import DiurnalTrace, TraceInterval
 
 __all__ = [
-    "DiurnalTrace",
-    "TraceInterval",
     "IndexDistribution",
     "UniformIndices",
     "ZipfIndices",

@@ -473,6 +473,7 @@ class TestScenarioInputErrors:
             (["monitor", "--qps", "0"], "qps"),
             (["explain", "--batch-size", "0"], "batch_size"),
             (["monitor", "--window-ms", "0"], "window_s"),
+            (["monitor", "--slowdown-multiplier", "inf"], "multiplier"),
             (["resilience", "--queries", "0"], "queries"),
             (["resilience", "--deadline-ms", "0"], "deadline_s"),
             (["shard", "--queries", "0"], "queries"),

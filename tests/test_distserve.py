@@ -36,6 +36,7 @@ from repro.distserve.scenario import (
     synthesize_shard_plan,
 )
 from repro.models import build_model
+from repro.monitor.scenario import ScenarioRecipe
 from repro.resilience import (
     CrashWindow,
     FaultPlan,
@@ -482,9 +483,9 @@ class TestShardScenario:
             assert plan.servers[name].stragglers.probability == 0.05
 
     def test_headline_matrix(self, rm2):
-        matrix = run_shard_matrix(
+        matrix = run_shard_matrix(ScenarioRecipe(
             "rm2", "broadwell", "shard_slowdown", queries=1500, seed=2020,
-        )
+        ))
         assert matrix.locality_win()
         single = matrix.row("single-node").p99_ms
         blind = matrix.row("blind").p99_ms
@@ -503,9 +504,9 @@ class TestShardScenario:
     def test_matrix_records_tagged_per_row(self, rm2):
         from repro.distserve import matrix_records
 
-        matrix = run_shard_matrix(
+        matrix = run_shard_matrix(ScenarioRecipe(
             "rm2", "broadwell", "shard_slowdown", queries=200, seed=2020,
-        )
+        ))
         records = matrix_records(matrix)
         keys = {r.fingerprint.key for r in records}
         assert len(keys) == len(matrix.rows)
@@ -516,9 +517,26 @@ class TestShardScenario:
             assert "distserve.mean_fanout" in record.scalars or \
                 "layout.shards" in record.scalars
 
+    def test_matrix_builds_the_model_once(self, monkeypatch):
+        import repro.models
+
+        built = []
+
+        def counted(name, _build=repro.models.build_model):
+            built.append(name)
+            return _build(name)
+
+        monkeypatch.setattr(repro.models, "build_model", counted)
+        run_shard_matrix(ScenarioRecipe(
+            "rm2", "broadwell", "shard_slowdown", queries=200, seed=2020,
+        ))
+        assert built == ["rm2"]
+
     def test_rejects_replica_scenario(self):
         with pytest.raises(ValueError, match="not a shard scenario"):
-            run_shard_matrix("rm2", "broadwell", "slowdown", queries=50)
+            run_shard_matrix(
+                ScenarioRecipe("rm2", "broadwell", "slowdown", queries=50)
+            )
 
     def test_monitored_shard_scenario(self):
         from repro.monitor.scenario import run_monitored_scenario

@@ -29,7 +29,12 @@ from repro.explain import Explanation, explain_scenario, render_html
 from repro.ledger import diff_records, load_records
 from repro.models import build_model
 from repro.monitor import run_monitored_scenario
-from repro.monitor.scenario import SCENARIOS, build_scenario, service_model_for
+from repro.monitor.scenario import (
+    SCENARIOS,
+    ScenarioRecipe,
+    build_scenario,
+    service_model_for,
+)
 from repro.resilience import Replica, ResilientScheduler
 from repro.runtime import BatchingPolicy
 from repro.telemetry import querytrace, runlog
@@ -267,9 +272,9 @@ def _columns_state(capture):
 
 def _scenario_run(model, platform, scenario, fallback):
     def run(capture):
-        setup = build_scenario(
+        setup = build_scenario(ScenarioRecipe(
             model, platform, scenario, queries=2500, fallback=fallback
-        )
+        ))
         setup.scheduler(setup.policy, querytrace=capture).run(
             setup.qps, setup.queries
         )
@@ -278,10 +283,10 @@ def _scenario_run(model, platform, scenario, fallback):
 
 def _requeued_run(scenario, deadline_s, parts):
     def run(capture):
-        setup = build_scenario(
+        setup = build_scenario(ScenarioRecipe(
             "rm1", "t4", scenario, queries=3000, fallback=None, load=0.7,
             deadline_s=deadline_s,
-        )
+        ))
         setup.scheduler(setup.policy_with(*parts), querytrace=capture).run(
             setup.qps, setup.queries
         )
@@ -518,6 +523,25 @@ class TestExplanationEngine:
         ]
         assert sum(shares) == pytest.approx(1.0)
         assert all(s >= 0.0 for s in shares)
+
+    def test_to_dict_twice_gives_equal_unshared_documents(self, throttle):
+        """Each view is computed once per argument list, and every
+        caller gets its own copy: mutating one document leaves the next
+        one as it was."""
+        exp, _ = throttle
+        first = exp.to_dict()
+        second = exp.to_dict()
+        pinned = json.dumps(second, sort_keys=True)
+        assert json.dumps(first, sort_keys=True) == pinned
+        first["profiles"]["p99"]["components"]["service"]["seconds"] = -1.0
+        first["what_if"][0]["bound_s"] = -1.0
+        first["fault_attribution"]["ok"] = None
+        assert json.dumps(second, sort_keys=True) == pinned
+        assert json.dumps(exp.to_dict(), sort_keys=True) == pinned
+        # 99 and 99.0 are separate keys: each caller gets its own type.
+        assert exp.profile(99)["percentile"] == 99
+        assert isinstance(exp.profile(99.0)["percentile"], float)
+        assert isinstance(exp.profile(99)["percentile"], int)
 
     def test_mean_profile_is_exact_aggregate(self, throttle):
         exp, _ = throttle

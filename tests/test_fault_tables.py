@@ -20,7 +20,7 @@ from repro.distserve import (
     ReplicatedReadPolicy,
 )
 from repro.distserve.gather import GatherRun
-from repro.monitor.scenario import build_scenario
+from repro.monitor.scenario import ScenarioRecipe, build_scenario
 from repro.resilience import faults
 from repro.resilience.faults import (
     CrashWindow,
@@ -215,8 +215,9 @@ def test_gather_hashes_only_straggler_hits(monkeypatch):
 
     monkeypatch.setattr(faults, "hashed_uniform", counting_hash)
     monkeypatch.setattr(GatherRun, "gather", gather)
-    setup = build_scenario("rm2", "broadwell", "shard_slowdown",
-                           queries=4000)
+    setup = build_scenario(
+        ScenarioRecipe("rm2", "broadwell", "shard_slowdown", queries=4000)
+    )
     assert setup.gather.policy.empty
     result = setup.scheduler(setup.policy).run(setup.qps, setup.queries)
     counts = result.gather_counts
@@ -242,6 +243,12 @@ _NAN = float("nan")
         (lambda: DropSpec(True), TypeError, "probability"),
         (lambda: DropSpec(_NAN), ValueError, "probability"),
         (lambda: SlowdownWindow(0, 1, _NAN), ValueError, "multiplier"),
+        (lambda: SlowdownWindow(0, 1, math.inf), ValueError,
+         "multiplier: .* finite"),
+        (lambda: SlowdownWindow(_NAN, 1), ValueError, "start_s"),
+        (lambda: CrashWindow(0.001, math.inf), ValueError, "end_s"),
+        (lambda: PcieDegradationWindow(0, math.inf), ValueError,
+         "end_s must be finite"),
         (lambda: SlowdownWindow(0, "1"), TypeError, "end_s"),
         (lambda: PcieDegradationWindow(0, 1, "x"), TypeError,
          "bandwidth_scale"),

@@ -8,6 +8,7 @@ per-replica Perfetto lane layout, and the ``repro monitor`` /
 ``repro report`` CLI surfaces end to end.
 """
 
+import dataclasses
 import json
 import re
 
@@ -28,7 +29,11 @@ from repro.monitor import (
     utilization_series,
     window_error_fractions,
 )
-from repro.monitor.scenario import build_scenario, run_policy_matrix
+from repro.monitor.scenario import (
+    ScenarioRecipe,
+    build_scenario,
+    run_policy_matrix,
+)
 from repro.telemetry import TimeSeries, TimeSeriesSummary
 from repro.telemetry.chrome_trace import (
     REPLICA_LANE_FAULT,
@@ -273,24 +278,39 @@ class TestScenarioPipeline:
             (dict(window_s=0.0), ValueError, "window_s"),
             (dict(window_s=float("inf")), ValueError, "window_s"),
             (dict(deadline_s=-1.0), ValueError, "deadline_s"),
+            (dict(scenario="meteor"), KeyError, "unknown scenario"),
+            (dict(load=0.0), ValueError, "load"),
+            (dict(load=float("nan")), ValueError, "load"),
         ],
     )
-    def test_rejects_bad_inputs_naming_them(self, kwargs, error, name):
+    def test_rejects_bad_inputs_naming_them(self, monkeypatch, kwargs, error,
+                                            name):
+        """A recipe checks its fields when it is made, naming the bad
+        one, before any model is built or calibrated."""
+        import repro.models
+
+        def unbuilt(model_name):
+            raise AssertionError("a bad recipe must fail before a build")
+
+        monkeypatch.setattr(repro.models, "build_model", unbuilt)
         with pytest.raises(error, match=name):
-            build_scenario("rm1", "t4", "slowdown", **kwargs)
+            ScenarioRecipe(**{
+                "model": "rm1", "platform": "t4", "scenario": "slowdown",
+                **kwargs,
+            })
 
     def test_numpy_integer_sizes_accepted(self):
-        setup = build_scenario(
+        setup = build_scenario(ScenarioRecipe(
             "rm1", "t4", "slowdown", queries=np.int64(200),
             batch_size=np.int32(64),
-        )
+        ))
         assert setup.queries == 200 and setup.batch_size == 64
 
     def test_monitored_run_is_the_setup_plus_sinks(self, slowdown_run):
-        setup = build_scenario(
+        setup = build_scenario(ScenarioRecipe(
             "rm1", "t4", "slowdown", queries=QUERIES, seed=SEED,
             scenario_overrides=OVERRIDES,
-        )
+        ))
         assert setup.qps == slowdown_run.qps
         assert setup.deadline_s == slowdown_run.deadline_s
         assert setup.window_s == slowdown_run.window_s
@@ -326,9 +346,9 @@ class TestScenarioPipeline:
                     stm._comm_times)
 
         built = build_model(model)
-        setup = build_scenario(
+        setup = build_scenario(ScenarioRecipe(
             model, platform, "slowdown", queries=200, fallback=fallback
-        )
+        ))
         primary, *standby = setup.replicas
         assert knots(primary.service_model) == knots(
             reference(built, platform)
@@ -344,7 +364,8 @@ class TestScenarioPipeline:
         import repro.gpusim.vectorized as gpu_cells
         import repro.uarch.vectorized as cpu_cells
 
-        build_scenario("rm2", "t4", "slowdown", fallback="broadwell")
+        recipe = ScenarioRecipe("rm2", "t4", "slowdown", fallback="broadwell")
+        build_scenario(recipe)
         calls = []
         for module, name in ((cpu_cells, "profile_cells_cpu"),
                              (gpu_cells, "profile_cells_gpu")):
@@ -354,30 +375,32 @@ class TestScenarioPipeline:
                 return _fn(*args)
 
             monkeypatch.setattr(module, name, counted)
-        again = build_scenario("rm2", "t4", "slowdown", fallback="broadwell")
+        again = build_scenario(recipe)
         assert calls == []
         assert [r.name for r in again.replicas] == ["t4", "broadwell"]
 
     def test_policy_parts_follow_the_fleet(self):
         # rm1 is a DLRM (degraded variant) and has no fallback here.
-        setup = build_scenario("rm1", "t4", "crash", queries=200)
+        setup = build_scenario(
+            ScenarioRecipe("rm1", "t4", "crash", queries=200)
+        )
         assert setup.policy.degrade is not None
         assert setup.policy.hedge is None and setup.policy.breaker is None
-        with_standby = build_scenario(
+        with_standby = build_scenario(ScenarioRecipe(
             "ncf", "t4", "crash", queries=200, fallback="broadwell"
-        )
+        ))
         assert with_standby.policy.hedge is not None
         assert with_standby.policy.breaker is not None
         assert with_standby.policy.degrade is None
         assert [r.name for r in with_standby.replicas] == ["t4", "broadwell"]
-        assert build_scenario(
+        assert build_scenario(ScenarioRecipe(
             "ncf", "t4", "crash", queries=200, fallback="None"
-        ).fallback is None
+        )).fallback is None
 
     def test_policy_matrix_rows(self):
-        matrix = run_policy_matrix(
-            "rm1", "t4", "mixed", queries=300, seed=7
-        )
+        matrix = run_policy_matrix(ScenarioRecipe(
+            "rm1", "t4", "mixed", queries=300, seed=7, fallback="broadwell"
+        ))
         assert list(matrix.rows) == [
             "no faults", "faults, no policy", "faults + retry",
             "faults + hedge", "faults + failover", "faults + degrade/shed",
@@ -393,16 +416,48 @@ class TestScenarioPipeline:
         )
 
     def test_policy_matrix_without_fallback_or_degraded_variant(self):
-        matrix = run_policy_matrix(
+        matrix = run_policy_matrix(ScenarioRecipe(
             "ncf", "t4", "crash", queries=200, seed=7, fallback="none"
-        )
+        ))
         assert list(matrix.rows) == [
             "no faults", "faults, no policy", "faults + retry", "faults + all",
         ]
 
     def test_policy_matrix_rejects_shard_scenario(self):
         with pytest.raises(ValueError, match="shard"):
-            run_policy_matrix("rm2", "broadwell", "shard_slowdown")
+            run_policy_matrix(
+                ScenarioRecipe("rm2", "broadwell", "shard_slowdown")
+            )
+
+
+class TestScenarioRecipe:
+    """A frozen recipe: read-only fields and overrides, and the entry
+    parsed once with the shard layout defaults filled in."""
+
+    def test_frozen_with_read_only_overrides(self):
+        overrides = {"slowdown_multiplier": 5.0}
+        recipe = ScenarioRecipe(
+            "rm1", "t4", "slowdown", fallback="None",
+            scenario_overrides=overrides,
+        )
+        overrides["slowdown_multiplier"] = 9.0
+        assert recipe.fallback is None
+        assert recipe.faults[1]["slowdown_multiplier"] == 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            recipe.queries = 10
+        with pytest.raises(TypeError):
+            recipe.scenario_overrides["slowdown_multiplier"] = 9.0
+
+    def test_shard_layout_defaults_fill_unset_keys(self):
+        from repro.distserve.scenario import SHARD_LAYOUT_DEFAULTS
+
+        layout, kwargs = ScenarioRecipe(
+            "rm2", "broadwell", "shard_slowdown",
+            scenario_overrides={"shards": 8},
+        ).faults
+        assert layout == {**SHARD_LAYOUT_DEFAULTS, "shards": 8}
+        assert "shard_faults" not in kwargs and "shards" not in kwargs
+        assert ScenarioRecipe("rm1", "t4", "slowdown").faults[0] is None
 
 
 class TestMonitoredScenario:

@@ -40,7 +40,12 @@ from repro.resilience import (
     StragglerSpec,
     hashed_uniform,
 )
-from repro.monitor.scenario import SCENARIOS, build_scenario, is_shard_scenario
+from repro.monitor.scenario import (
+    SCENARIOS,
+    ScenarioRecipe,
+    build_scenario,
+    is_shard_scenario,
+)
 from repro.resilience import engine
 from repro.resilience.engine import WorkQueue
 from repro.runtime import (
@@ -408,11 +413,13 @@ class TestBatchSettlement:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_every_scenario_settles_alike(self, monkeypatch, scenario):
         if is_shard_scenario(scenario):
-            setup = build_scenario("rm2", "broadwell", scenario, queries=1500)
-        else:
             setup = build_scenario(
-                "rm1", "t4", scenario, queries=1500, fallback="broadwell"
+                ScenarioRecipe("rm2", "broadwell", scenario, queries=1500)
             )
+        else:
+            setup = build_scenario(ScenarioRecipe(
+                "rm1", "t4", scenario, queries=1500, fallback="broadwell"
+            ))
         _both_settlements(
             monkeypatch, lambda **sinks: setup.scheduler(setup.policy, **sinks),
             setup.qps, setup.queries, window_s=setup.window_s,

@@ -37,6 +37,7 @@ from repro.distserve.scenario import synthesize_shard_plan
 from repro.models import build_model
 from repro.monitor.scenario import (
     SCENARIOS,
+    ScenarioRecipe,
     build_scenario,
     is_shard_scenario,
     run_monitored_scenario,
@@ -221,10 +222,10 @@ RESILIENT_PIN = (
 def test_retry_heavy_resilient_pin():
     """rm1/t4 under a 5x slowdown with retry + shed and a 5 ms
     deadline: about 250 retries merge back into the arrival stream."""
-    setup = build_scenario(
+    setup = build_scenario(ScenarioRecipe(
         "rm1", "t4", "slowdown", queries=4000, deadline_s=0.005,
         scenario_overrides={"slowdown_multiplier": 5.0},
-    )
+    ))
     ts = TimeSeries(window_s=setup.window_s)
     capture = QueryTraceCapture(seed=setup.seed)
     result = setup.scheduler(
@@ -314,11 +315,13 @@ def _observed_scenario(scenario):
     """One scenario's monitored run with a capture attached and
     telemetry on: ``(result, capture, spans)``."""
     if is_shard_scenario(scenario):
-        setup = build_scenario("rm2", "broadwell", scenario, queries=4000)
-    else:
         setup = build_scenario(
-            "rm1", "t4", scenario, queries=4000, fallback="broadwell"
+            ScenarioRecipe("rm2", "broadwell", scenario, queries=4000)
         )
+    else:
+        setup = build_scenario(ScenarioRecipe(
+            "rm1", "t4", scenario, queries=4000, fallback="broadwell"
+        ))
     capture = QueryTraceCapture(seed=setup.seed)
     scheduler = setup.scheduler(
         setup.policy, timeseries=TimeSeries(window_s=setup.window_s),
@@ -402,10 +405,10 @@ REQUEUED_PINS = {
 @pytest.mark.parametrize("key", sorted(REQUEUED_PINS, key=repr), ids=repr)
 def test_requeued_work_capture_pins(key):
     scenario, deadline_s, parts = key
-    setup = build_scenario(
+    setup = build_scenario(ScenarioRecipe(
         "rm1", "t4", scenario, queries=3000, fallback=None, load=0.7,
         deadline_s=deadline_s,
-    )
+    ))
     capture = QueryTraceCapture(seed=setup.seed)
     result = setup.scheduler(
         setup.policy_with(*parts), querytrace=capture
@@ -479,7 +482,9 @@ SHARD_MATRIX_PINS = {
     "scenario", ["shard_crash", "shard_network", "shard_slowdown"]
 )
 def test_shard_matrix_pins(scenario):
-    matrix = run_shard_matrix("rm2", "broadwell", scenario, seed=2020)
+    matrix = run_shard_matrix(ScenarioRecipe(
+        "rm2", "broadwell", scenario, queries=1500, seed=2020
+    ))
     digests = {row.label: _matrix_row_state(row) for row in matrix.rows}
     assert digests == SHARD_MATRIX_PINS[scenario]
 
